@@ -135,9 +135,10 @@ class ThreadPoolScanExecutor(ScanExecutor):
     NumPy's BLAS kernels release the GIL, so levels of large matrix
     products genuinely overlap.  On small matrices (or with an already
     multi-threaded BLAS) dispatch overhead dominates and the serial
-    executor wins; ``benchmarks/test_parallel_scan.py`` reports both
-    honestly.  Either way this is the executable proof that the level
-    structure the PRAM simulator schedules really is dependency-free.
+    executor wins; the ``parallel_backends`` bench artifact reports
+    both honestly.  Either way this is the executable proof that the
+    level structure the PRAM simulator schedules really is
+    dependency-free.
 
     Parameters
     ----------

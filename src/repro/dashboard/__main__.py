@@ -6,13 +6,12 @@
     python -m repro.dashboard --out site/ --results benchmarks/results \\
         --baseline benchmarks/baseline/bench.json --history snapshots/
 
-With no ``--baseline`` flags, every checked-in baseline file that
-exists (``benchmarks/baseline/bench.json`` and
-``benchmarks/baseline/serve/bench.json``) is merged first-wins — the
+With no ``--baseline`` flags, the checked-in baseline
+(``benchmarks/baseline/bench.json``, when it exists) is used — the
 same records the CI gate compares against.  Pass ``--baseline`` one or
-more times to override, or ``--no-baseline`` to skip the delta view's
-data entirely (the page is still written, empty, to keep the URL
-scheme stable).
+more times to override (merged first-wins), or ``--no-baseline`` to
+skip the delta view's data entirely (the page is still written, empty,
+to keep the URL scheme stable).
 """
 
 from __future__ import annotations
@@ -27,11 +26,8 @@ from repro.bench.record import SchemaError
 from repro.dashboard.loader import load_baselines, load_history, load_results_dir
 from repro.dashboard.pages import build_site
 
-#: Baselines merged by default, in first-wins order, when they exist.
-DEFAULT_BASELINES = (
-    pathlib.Path("benchmarks/baseline/bench.json"),
-    pathlib.Path("benchmarks/baseline/serve/bench.json"),
-)
+#: The baseline used by default, when it exists.
+DEFAULT_BASELINE = pathlib.Path("benchmarks/baseline/bench.json")
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -59,7 +55,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         action="append",
         default=None,
         help="baseline result file for the delta view; repeatable, "
-        "merged first-wins (default: the checked-in baselines)",
+        "merged first-wins (default: the checked-in baseline)",
     )
     parser.add_argument(
         "--no-baseline",
@@ -87,7 +83,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.baseline is not None:
         baseline_paths = list(args.baseline)
     else:
-        baseline_paths = [p for p in DEFAULT_BASELINES if p.is_file()]
+        baseline_paths = [DEFAULT_BASELINE] if DEFAULT_BASELINE.is_file() else []
 
     try:
         current = load_results_dir(args.results)

@@ -11,8 +11,8 @@ half a site):
   record; per-artifact files only contribute keys the combined file
   lacks, which is how records from an earlier partial sweep
   (``--artifacts …``) stay visible;
-* **baseline files** (``benchmarks/baseline/**/bench.json``) —
-  merged first-wins by key, mirroring how CI gates against them;
+* **baseline files** (``benchmarks/baseline/bench.json`` by default)
+  — merged first-wins by key, mirroring how CI gates against them;
 * a **history directory** (``--history``) of prior combined
   snapshots, one per file, ordered by their ``generated_at`` stamp
   (filename as tiebreaker) for the per-artifact trend tables.

@@ -3,20 +3,19 @@
 Every module exposes the same split API — the data step and pure views
 over it:
 
-* ``run(scale=Scale.SMOKE, **overrides) -> dict`` — the full
+* ``run(scale=Scale.SMOKE, config=None) -> dict`` — the full
   structured result (the single execution everything else derives
-  from);
-* ``result_rows(result) -> list[dict]`` / ``rows(scale) ->
-  list[dict]`` — flat, JSON-ready rows (what :mod:`repro.bench`
-  records and ``run_all --out`` persists as ``<artifact>.json``);
-* ``render_report(result) -> str`` / ``report(scale) -> str`` — the
-  rendered plain-text artifact, a pure view over the structured data.
+  from); ``config`` is a :class:`~repro.config.ScanConfig` or spec
+  string (``"blelloch/thread:8/sparse=on"``) naming the scan surface
+  of the artifacts that run one (some modules add knobs such as
+  ``seed=``);
+* ``result_rows(result) -> list[dict]`` — flat, JSON-ready rows (what
+  :mod:`repro.bench` records);
+* ``render_report(result) -> str`` — the rendered plain-text artifact,
+  a pure view over the structured data.
 
 Each module also prints the paper's rows/series when executed as a
-script (``python -m repro.experiments.fig9_rnn_curve``).  The engine
-experiments (``fig7_convergence``, ``fig9_rnn_curve``) additionally
-accept ``executor=`` — a scan-backend spec string from
-:mod:`repro.backend` (``"serial"``, ``"thread:8"``, ``"process:4"``).
+script (``python -m repro.experiments.fig9_rnn_curve``).
 
 ==================  ====================================================
 Module              Paper artifact

@@ -82,11 +82,6 @@ def result_rows(result: Dict) -> List[Dict]:
     return [dict(row) for row in result["rows"]]
 
 
-def rows(scale: Scale = Scale.SMOKE) -> List[Dict]:
-    """Structured data step: the depth sweep as a list of dicts."""
-    return result_rows(run(scale))
-
-
 def render_report(result: Dict) -> str:
     """Render the depth-sweep table — a pure view over :func:`run` data."""
     r = result
@@ -116,10 +111,5 @@ def render_report(result: Dict) -> str:
     )
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Ablation: truncated-scan depth (pruned VGG-11)", report())
+    print_report("Ablation: truncated-scan depth (pruned VGG-11)", render_report(run()))

@@ -1,9 +1,9 @@
 """Shared experiment utilities: scales, tables, series rendering.
 
 Every experiment module is split into a *data* step and a *view* step:
-``run(scale)`` computes the full structured result, ``result_rows``
-flattens it into JSON-ready rows (what :mod:`repro.bench` records and
-the ``.json`` reports persist), and ``render_report`` renders the
+``run(scale, config=)`` computes the full structured result,
+``result_rows`` flattens it into JSON-ready rows (what
+:mod:`repro.bench` records), and ``render_report`` renders the
 plain-text artifact as a pure function of the structured data.  This
 module holds the pieces shared by all of them: the :class:`Scale`
 presets, the table/sparkline renderers, and :func:`to_jsonable`.
@@ -12,7 +12,7 @@ presets, the table/sparkline renderers, and :func:`to_jsonable`.
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, List, Sequence
+from typing import Any, Sequence
 
 
 class Scale(enum.Enum):
@@ -72,34 +72,6 @@ def banner(title: str) -> str:
 def print_report(title: str, body: str) -> None:
     """Print a rendered report under its banner (script entry points)."""
     print(banner(title) + body)
-
-
-def rows_document(
-    artifact: str,
-    rows: List[Dict[str, Any]],
-    *,
-    scale: "Scale | str | None" = None,
-    elapsed_s: "float | None" = None,
-) -> Dict[str, Any]:
-    """The canonical ``<artifact>.json`` document for structured rows.
-
-    Both ``run_all --out`` and the benchmark suite's ``save_report``
-    fixture write this one shape, so consumers of
-    ``benchmarks/results/<artifact>.json`` see a single schema
-    regardless of which tool produced the file.  ``scale`` and
-    ``elapsed_s`` are optional extras (present when the producer knows
-    them), never renamed core fields.
-    """
-    doc: Dict[str, Any] = {
-        "artifact": artifact,
-        "num_rows": len(rows),
-        "rows": rows,
-    }
-    if scale is not None:
-        doc["scale"] = scale.value if isinstance(scale, Scale) else str(scale)
-    if elapsed_s is not None:
-        doc["elapsed_s"] = elapsed_s
-    return doc
 
 
 def to_jsonable(obj: Any) -> Any:

@@ -78,11 +78,6 @@ def result_rows(result: Dict) -> List[Dict]:
     return [dict(row) for row in result["rows"]]
 
 
-def rows(scale: Scale = Scale.SMOKE) -> List[Dict]:
-    """Structured data step: the complexity table as a list of dicts."""
-    return result_rows(run(scale))
-
-
 def render_report(result: Dict) -> str:
     """Render the complexity table — a pure view over :func:`run` data."""
     r = result
@@ -96,10 +91,5 @@ def render_report(result: Dict) -> str:
     )
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Eq. 6/7: step and work complexity", report())
+    print_report("Eq. 6/7: step and work complexity", render_report(run()))

@@ -70,11 +70,6 @@ def result_rows(result: Dict) -> List[Dict]:
     ]
 
 
-def rows(scale: Scale = Scale.SMOKE) -> List[Dict]:
-    """Structured data step: both sensitivity sweeps as one row list."""
-    return result_rows(run(scale))
-
-
 def render_report(result: Dict) -> str:
     """Render both sweep tables — a pure view over :func:`run` data."""
     r = result
@@ -89,10 +84,5 @@ def render_report(result: Dict) -> str:
     )
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Figure 10: speedup sensitivity to T and B", report())
+    print_report("Figure 10: speedup sensitivity to T and B", render_report(run()))

@@ -152,15 +152,14 @@ def _measured_steps(stages: Dict, rng, cfg) -> Dict:
     }
 
 
-def run(scale: Scale = Scale.SMOKE, seed: int = 0, sparse=None, config=None) -> Dict:
+def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
     """Measured per-step FLOP analysis of the pruned VGG-11 scan.
 
     ``config`` (a :class:`~repro.config.ScanConfig` or spec string)
-    names the measured scan's dispatch policy and executor; ``sparse``
-    is the legacy per-axis override (``None`` → the ambient
-    ``repro.configure()`` / ``REPRO_SCAN_SPARSE`` default).  The
-    truncation depth stays the paper's (up-sweep through level 2); the
-    static model is computed alongside as a cross-check.
+    names the measured scan's dispatch policy and executor; unset
+    fields follow the ambient ``repro.configure()`` / ``REPRO_SCAN_*``
+    defaults.  The truncation depth stays the paper's (up-sweep through
+    level 2); the static model is computed alongside as a cross-check.
     """
     p = PARAMS[scale]
     rng = np.random.default_rng(seed)
@@ -168,7 +167,7 @@ def run(scale: Scale = Scale.SMOKE, seed: int = 0, sparse=None, config=None) -> 
     magnitude_prune(model, p["prune"], scope="global")
     stages = _stage_patterns(model, p["input_hw"], rng)
 
-    cfg = ScanConfig.coerce(config, sparse=sparse).resolve()
+    cfg = ScanConfig.coerce(config).resolve()
     measured = _measured_steps(stages, rng, cfg)
     steps = measured["steps"]
 
@@ -225,11 +224,6 @@ def result_rows(result: Dict) -> List[Dict]:
     return out
 
 
-def rows(scale: Scale = Scale.SMOKE, config=None) -> List[Dict]:
-    """Structured data step: every scan/baseline step as a dict."""
-    return result_rows(run(scale, config=config))
-
-
 def render_report(result: Dict) -> str:
     """Render the per-step FLOP table — a pure view over :func:`run`."""
     r = result
@@ -254,10 +248,7 @@ def render_report(result: Dict) -> str:
     )
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Figure 11: per-step FLOPs, pruned VGG-11 retraining", report())
+    print_report(
+        "Figure 11: per-step FLOPs, pruned VGG-11 retraining", render_report(run())
+    )

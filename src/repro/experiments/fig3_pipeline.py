@@ -152,11 +152,6 @@ def result_rows(result: Dict) -> List[Dict]:
     return simulated + [dict(row) for row in result.get("measured", [])]
 
 
-def rows(scale: Scale = Scale.SMOKE) -> List[Dict]:
-    """Structured data step: the device-count sweep as a list of dicts."""
-    return result_rows(run(scale))
-
-
 def render_report(result: Dict) -> str:
     """Render the timing diagram + table — a pure view over :func:`run`."""
     r = result
@@ -220,10 +215,5 @@ def render_report(result: Dict) -> str:
     return report
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Figure 3 / §2.2: pipeline parallelism limits", report())
+    print_report("Figure 3 / §2.2: pipeline parallelism limits", render_report(run()))

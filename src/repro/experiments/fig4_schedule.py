@@ -69,11 +69,6 @@ def result_rows(result: Dict) -> List[Dict]:
     ]
 
 
-def rows(scale: Scale = Scale.SMOKE) -> List[Dict]:
-    """Structured data step: the schedule's levels as a list of dicts."""
-    return result_rows(run(scale))
-
-
 def render_report(result: Dict) -> str:
     """Render the schedule table — a pure view over :func:`run` data."""
     r = result
@@ -98,10 +93,7 @@ def render_report(result: Dict) -> str:
     return format_table(headers, rows) + extra
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Figure 4: scan schedule on VGG-11 conv stack (n=8)", report())
+    print_report(
+        "Figure 4: scan schedule on VGG-11 conv stack (n=8)", render_report(run())
+    )

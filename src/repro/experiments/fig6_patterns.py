@@ -68,11 +68,6 @@ def result_rows(result: Dict) -> List[Dict]:
     ]
 
 
-def rows(scale: Scale = Scale.SMOKE) -> List[Dict]:
-    """Structured data step: shape + sparsity per operator."""
-    return result_rows(run(scale))
-
-
 def render_report(result: Dict) -> str:
     """Render the ASCII rasters — a pure view over :func:`run` data."""
     r = result
@@ -86,10 +81,7 @@ def render_report(result: Dict) -> str:
     return "\n\n".join(chunks)
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Figure 6: transposed-Jacobian sparsity patterns", report())
+    print_report(
+        "Figure 6: transposed-Jacobian sparsity patterns", render_report(run())
+    )

@@ -49,9 +49,7 @@ def _fresh_model(width: float, seed: int) -> Sequential:
     return Sequential(*(list(net.features) + list(net.classifier)))
 
 
-def _train(
-    use_bppsa: bool, p: Dict, seed: int, executor=None, sparse=None, config=None
-) -> Dict:
+def _train(use_bppsa: bool, p: Dict, seed: int, config=None) -> Dict:
     model = _fresh_model(p["width"], seed)
     opt = SGD(model.parameters(), lr=LR, momentum=MOMENTUM)
     engine = (
@@ -61,8 +59,6 @@ def _train(
         build_engine(
             model,
             ScanConfig.coerce(config).with_defaults(ScanConfig(algorithm="blelloch")),
-            executor=executor,
-            sparse=sparse,
         )
         if use_bppsa
         else None
@@ -90,23 +86,16 @@ def _train(
     return {"train_losses": losses, "test_loss": test_loss, "test_acc": test_acc}
 
 
-def run(
-    scale: Scale = Scale.SMOKE, seed: int = 0, executor=None, sparse=None, config=None
-) -> Dict:
+def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
     """Reproduce the figure.  ``config`` — a
     :class:`~repro.config.ScanConfig` or spec string — names the BPPSA
     run's scan surface; the engine is built through
-    :func:`repro.build_engine`.  ``executor`` / ``sparse`` are the
-    legacy per-axis overrides (they beat the config's fields).
-    Gradients, and hence the loss curve, are identical on every
-    backend; the algorithm defaults to the paper's Blelloch scan but a
-    config naming one is honored."""
+    :func:`repro.build_engine`.  Gradients, and hence the loss curve,
+    are identical on every backend; the algorithm defaults to the
+    paper's Blelloch scan but a config naming one is honored."""
     p = PARAMS[scale]
     baseline = _train(use_bppsa=False, p=p, seed=seed)
-    bppsa = _train(
-        use_bppsa=True, p=p, seed=seed, executor=executor, sparse=sparse,
-        config=config,
-    )
+    bppsa = _train(use_bppsa=True, p=p, seed=seed, config=config)
     a = np.asarray(baseline["train_losses"])
     b = np.asarray(bppsa["train_losses"])
     return {
@@ -132,15 +121,6 @@ def result_rows(result: Dict) -> List[Dict]:
     ]
 
 
-def rows(scale: Scale = Scale.SMOKE, executor=None, sparse=None, config=None):
-    """Structured data step: per-engine convergence summary.
-
-    ``config`` names the BPPSA run's scan surface declaratively;
-    ``executor`` / ``sparse`` are the legacy per-axis overrides.
-    """
-    return result_rows(run(scale, executor=executor, sparse=sparse, config=config))
-
-
 def render_report(result: Dict) -> str:
     """Render the convergence table — a pure view over :func:`run` data."""
     r = result
@@ -163,10 +143,5 @@ def render_report(result: Dict) -> str:
     )
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Figure 7: LeNet-5 convergence, BP vs BPPSA", report())
+    print_report("Figure 7: LeNet-5 convergence, BP vs BPPSA", render_report(run()))

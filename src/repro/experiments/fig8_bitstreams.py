@@ -49,11 +49,6 @@ def result_rows(result: Dict) -> List[Dict]:
     return [dict(e) for e in result["examples"]]
 
 
-def rows(scale: Scale = Scale.SMOKE) -> List[Dict]:
-    """Structured data step: the sampled bitstreams as a list of dicts."""
-    return result_rows(run(scale))
-
-
 def render_report(result: Dict) -> str:
     """Render the examples table — a pure view over :func:`run` data."""
     headers = ["class", "stream", "E[#ones]", "#ones"]
@@ -64,10 +59,5 @@ def render_report(result: Dict) -> str:
     return format_table(headers, rows)
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Figure 8: bitstream examples (T=10)", report())
+    print_report("Figure 8: bitstream examples (T=10)", render_report(run()))

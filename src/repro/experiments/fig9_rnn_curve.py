@@ -33,9 +33,7 @@ PARAMS = {
 LR = 3e-5
 
 
-def _train(
-    use_bppsa: bool, p: Dict, seed: int, executor=None, sparse=None, config=None
-) -> Dict:
+def _train(use_bppsa: bool, p: Dict, seed: int, config=None) -> Dict:
     clf = RNNClassifier(1, p["hidden"], 10, rng=np.random.default_rng(seed))
     opt = Adam(clf.parameters(), lr=LR)
     engine = (
@@ -43,8 +41,6 @@ def _train(
         build_engine(
             clf,
             ScanConfig.coerce(config).with_defaults(ScanConfig(algorithm="blelloch")),
-            executor=executor,
-            sparse=sparse,
         )
         if use_bppsa
         else None
@@ -65,21 +61,16 @@ def _train(
     }
 
 
-def run(
-    scale: Scale = Scale.SMOKE, seed: int = 0, executor=None, sparse=None, config=None
-) -> Dict:
+def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
     """Reproduce the figure.  ``config`` — a
     :class:`~repro.config.ScanConfig` or spec string — names the BPPSA
     run's scan surface; the engine is built through
-    :func:`repro.build_engine`.  ``executor`` / ``sparse`` are the
-    legacy per-axis overrides (they beat the config's fields).
-    Gradients, and hence the loss curve, are identical on every
-    backend; ``sparse`` is plumbed through for API uniformity (the
-    RNN's hidden Jacobians are dense)."""
+    :func:`repro.build_engine`.  Gradients, and hence the loss curve,
+    are identical on every backend."""
     p = PARAMS[scale]
     timing = simulate_rnn_iteration(p["seq_len"], p["batch"], p["hidden"], RTX_2070)
     baseline = _train(False, p, seed)
-    bppsa = _train(True, p, seed, executor=executor, sparse=sparse, config=config)
+    bppsa = _train(True, p, seed, config=config)
 
     iters = np.arange(1, p["iterations"] + 1)
     base_iter_s = timing.forward_seconds + timing.baseline_backward_seconds
@@ -133,15 +124,6 @@ def result_rows(result: Dict) -> List[Dict]:
     ]
 
 
-def rows(scale: Scale = Scale.SMOKE, executor=None, sparse=None, config=None):
-    """Structured data step: per-engine loss/time summary.
-
-    ``config`` names the BPPSA run's scan surface declaratively;
-    ``executor`` / ``sparse`` are the legacy per-axis overrides.
-    """
-    return result_rows(run(scale, executor=executor, sparse=sparse, config=config))
-
-
 def render_report(result: Dict) -> str:
     """Render the loss/wall-clock table — a pure view over :func:`run`."""
     r = result
@@ -174,10 +156,5 @@ def render_report(result: Dict) -> str:
     )
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Figure 9: RNN loss vs wall-clock", report())
+    print_report("Figure 9: RNN loss vs wall-clock", render_report(run()))

@@ -2,8 +2,7 @@
 
 Usage::
 
-    python -m repro.experiments.run_all [--scale smoke|paper] [--out DIR]
-                                        [--config SPEC]
+    python -m repro.experiments.run_all [--scale smoke|paper] [--config SPEC]
 
 ``--config`` takes a :mod:`repro.config` spec string (e.g.
 ``"blelloch/thread:2/sparse=auto:0.4"``) handed to every artifact's
@@ -11,18 +10,14 @@ Usage::
 build their engines through :func:`repro.build_engine` under that
 configuration; purely analytical artifacts accept and ignore it.
 
-Each artifact's rendered table/series is printed and, with ``--out``,
-written to one text file per artifact — the inputs EXPERIMENTS.md is
-compiled from — plus one ``<artifact>.json`` holding the structured
-rows and the measured wall-time.  A combined per-artifact timing
-summary closes the run.
+Each artifact's rendered table/series is printed, and a combined
+per-artifact timing summary closes the run.  Recorded measurements are
+the job of ``python -m repro.bench``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import pathlib
 import time
 from typing import Dict, List, Tuple
 
@@ -42,13 +37,7 @@ from repro.experiments import (
     table2_devices,
 )
 from repro.config import ScanConfig
-from repro.experiments.common import (
-    Scale,
-    banner,
-    format_table,
-    rows_document,
-    to_jsonable,
-)
+from repro.experiments.common import Scale, banner, format_table
 
 ARTIFACTS: List[Tuple[str, object]] = [
     ("table2_devices", table2_devices),
@@ -67,21 +56,15 @@ ARTIFACTS: List[Tuple[str, object]] = [
 ]
 
 
-def run_all(
-    scale: Scale,
-    out_dir: pathlib.Path | None = None,
-    config: "ScanConfig | str | None" = None,
-) -> Dict[str, str]:
+def run_all(scale: Scale, config: "ScanConfig | str | None" = None) -> Dict[str, str]:
     """Run every harness; return ``{artifact: rendered report}``.
 
     ``config`` — a :class:`repro.config.ScanConfig` or spec string —
     is passed to every artifact's ``run`` so one declarative value
     configures the whole sweep.  Each artifact's data step (``run``)
-    executes exactly once; the text report and the structured rows are
-    both derived from that single result.  With ``out_dir``, ``<artifact>.txt`` (rendered report) and
-    ``<artifact>.json`` (rows + elapsed wall-time) are written side by
-    side.  A combined summary table with per-artifact elapsed seconds
-    is printed at the end.
+    executes exactly once; the text report and the row count are both
+    derived from that single result.  A combined summary table with
+    per-artifact elapsed seconds is printed at the end.
     """
     config = ScanConfig.coerce(config)
     reports: Dict[str, str] = {}
@@ -91,17 +74,9 @@ def run_all(
         result = module.run(scale, config=config)
         elapsed = time.perf_counter() - t0
         text = module.render_report(result)
-        rows = module.result_rows(result)
         reports[name] = text
-        summary.append((name, len(rows), elapsed))
+        summary.append((name, len(module.result_rows(result)), elapsed))
         print(banner(f"{name} ({elapsed:.1f}s)") + text)
-        if out_dir is not None:
-            out_dir.mkdir(parents=True, exist_ok=True)
-            (out_dir / f"{name}.txt").write_text(text + "\n")
-            doc = rows_document(name, rows, scale=scale, elapsed_s=elapsed)
-            (out_dir / f"{name}.json").write_text(
-                json.dumps(to_jsonable(doc), indent=2) + "\n"
-            )
     total = sum(e for _, _, e in summary)
     print(
         banner(f"summary ({total:.1f}s total)")
@@ -114,12 +89,11 @@ def run_all(
 
 
 def main() -> None:
-    """CLI entry point (``--scale``, ``--out``, ``--config``)."""
+    """CLI entry point (``--scale``, ``--config``)."""
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--scale", choices=[s.value for s in Scale], default=Scale.SMOKE.value
     )
-    parser.add_argument("--out", type=pathlib.Path, default=None)
     parser.add_argument(
         "--config",
         default=None,
@@ -127,7 +101,7 @@ def main() -> None:
         '"blelloch/thread:2/sparse=auto:0.4" (see repro.config)',
     )
     args = parser.parse_args()
-    run_all(Scale(args.scale), args.out, config=args.config)
+    run_all(Scale(args.scale), config=args.config)
 
 
 if __name__ == "__main__":

@@ -95,11 +95,6 @@ def result_rows(result: Dict) -> List[Dict]:
     return [dict(row) for row in result["rows"]]
 
 
-def rows(scale: Scale = Scale.SMOKE) -> List[Dict]:
-    """Structured data step: the device-count sweep as a list of dicts."""
-    return result_rows(run(scale))
-
-
 def render_report(result: Dict) -> str:
     """Render the scaling table — a pure view over :func:`run` data."""
     r = result
@@ -116,10 +111,7 @@ def render_report(result: Dict) -> str:
     )
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Scaling comparison: BPPSA vs model-parallel baselines", report())
+    print_report(
+        "Scaling comparison: BPPSA vs model-parallel baselines", render_report(run())
+    )

@@ -163,11 +163,6 @@ def result_rows(result: Dict) -> List[Dict]:
     return [dict(row) for row in result["rows"]]
 
 
-def rows(scale: Scale = Scale.SMOKE, config=None) -> List[Dict]:
-    """Structured data step: Table 1 as a list of dicts."""
-    return result_rows(run(scale, config=config))
-
-
 def render_report(result: Dict) -> str:
     """Render Table 1 — a pure view over :func:`run` data."""
     r = result
@@ -198,10 +193,5 @@ def render_report(result: Dict) -> str:
     return format_table(headers, rows) + note
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Table 1: sparsity of guaranteed zeros", report())
+    print_report("Table 1: sparsity of guaranteed zeros", render_report(run()))

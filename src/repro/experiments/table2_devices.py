@@ -33,11 +33,6 @@ def result_rows(result: Dict) -> List[Dict]:
     return [dict(row) for row in result["rows"]]
 
 
-def rows(scale: Scale = Scale.SMOKE) -> List[Dict]:
-    """Structured data step: the device catalog as a list of dicts."""
-    return result_rows(run(scale))
-
-
 def render_report(result: Dict) -> str:
     """Render Table 2 — a pure view over :func:`run` data."""
     rows = result["rows"]
@@ -45,10 +40,7 @@ def render_report(result: Dict) -> str:
     return format_table(headers, [[r[h] for h in headers] for r in rows])
 
 
-def report(scale: Scale = Scale.SMOKE) -> str:
-    """Rendered plain-text artifact at ``scale`` (run + render)."""
-    return render_report(run(scale))
-
-
 if __name__ == "__main__":
-    print_report("Table 2: platform specifications (simulated devices)", report())
+    print_report(
+        "Table 2: platform specifications (simulated devices)", render_report(run())
+    )

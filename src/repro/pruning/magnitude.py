@@ -20,9 +20,15 @@ from repro.nn.module import Module, Parameter
 
 @dataclass
 class MaskSet:
-    """Binary keep-masks keyed by parameter identity."""
+    """Binary keep-masks keyed by the parameters they mask.
 
-    masks: Dict[int, np.ndarray] = field(default_factory=dict)
+    Keys are the :class:`Parameter` objects themselves (hashed by
+    identity), not their ``id``: holding the reference keeps a masked
+    parameter alive, so a later model's parameters can never reuse its
+    id and be matched by mistake.
+    """
+
+    masks: Dict[Parameter, np.ndarray] = field(default_factory=dict)
 
     def sparsity(self) -> float:
         total = sum(m.size for m in self.masks.values())
@@ -51,7 +57,7 @@ class MaskSet:
         Jacobians it is supposed to keep sparse.
         """
         for p in model.parameters():
-            mask = self.masks.get(id(p))
+            mask = self.masks.get(p)
             if mask is None:
                 continue
             leaked = (p.data != 0.0) & (mask == 0.0)
@@ -95,13 +101,13 @@ def magnitude_prune(
         k = int(fraction * flat.size)
         threshold = np.partition(flat, k)[k] if k > 0 else -np.inf
         for w in weights:
-            mask_set.masks[id(w)] = (np.abs(w.data) >= threshold).astype(np.float64)
+            mask_set.masks[w] = (np.abs(w.data) >= threshold).astype(np.float64)
     elif scope == "layer":
         for w in weights:
             flat = np.abs(w.data).reshape(-1)
             k = int(fraction * flat.size)
             threshold = np.partition(flat, k)[k] if k > 0 else -np.inf
-            mask_set.masks[id(w)] = (np.abs(w.data) >= threshold).astype(np.float64)
+            mask_set.masks[w] = (np.abs(w.data) >= threshold).astype(np.float64)
     else:
         raise ValueError(f"unknown scope {scope!r}")
 
@@ -112,7 +118,7 @@ def magnitude_prune(
 def apply_masks(model: Module, mask_set: MaskSet) -> None:
     """Zero out pruned weights (call after every retraining step)."""
     for p in model.parameters():
-        mask = mask_set.masks.get(id(p))
+        mask = mask_set.masks.get(p)
         if mask is not None:
             p.data = p.data * mask
 

@@ -17,8 +17,9 @@ counters, per-spec engine usage, and the process-wide shared SpGEMM
 plan cache's hit/miss/eviction counters (a bounded LRU — see
 :func:`repro.config.shared_pattern_cache`).
 
-The load generator (``python -m repro.serve.loadgen``) benchmarks the
-server as the ``serve_throughput`` artifact of :mod:`repro.bench`.
+The load generator (:mod:`repro.serve.loadgen`) drives the server as
+the ``serve_throughput`` artifact of :mod:`repro.bench`
+(``python -m repro.bench --artifacts serve_throughput``).
 See DESIGN.md §"The serving plane".
 """
 

@@ -8,24 +8,19 @@ algorithm jobs (distinct engine, same backend) and sparse diagonal-CSR
 chains under ``cache=shared`` (so the shared plan cache sees traffic)
 — and measures per-job latency and aggregate throughput.
 
-The output is rows + a ``serve_throughput``
-:class:`~repro.bench.record.BenchRecord` whose ``metrics`` carry
-``p50_ms`` / ``p99_ms`` / ``jobs_per_s`` / ``cache_hit_rate`` (the
-fields :func:`repro.bench.record.validate_record` requires of this
-artifact).  Run standalone::
+The output is per-job rows plus a summary row; :func:`serve_metrics`
+distills them into the ``p50_ms`` / ``p99_ms`` / ``jobs_per_s`` /
+``cache_hit_rate`` metrics that
+:func:`repro.bench.record.validate_record` requires of a
+``serve_throughput`` record.  ``serve_throughput`` is a
+backend-sensitive artifact of :mod:`repro.bench.runner`; run it with::
 
-    python -m repro.serve.loadgen --scale smoke --backends serial,thread:2 \\
-        --out benchmarks/results/serve --baseline benchmarks/baseline/serve/bench.json
-
-or through the main sweep, where ``serve_throughput`` is a
-backend-sensitive artifact of :mod:`repro.bench.runner`.
+    python -m repro.bench --artifacts serve_throughput --backends serial,thread:2
 """
 
 from __future__ import annotations
 
-import argparse
 import asyncio
-import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -236,103 +231,3 @@ def serve_metrics(rows: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     metrics["engines"] = int(summary["engines"])
     return metrics
 
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    """CLI: run the load generator and write/gate bench records."""
-    from repro.bench.record import BenchRecord, TimingStats
-    from repro.bench.runner import measurement_config
-    from repro.bench.writer import write_results
-    from repro.bench.env import environment_fingerprint
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serve.loadgen",
-        description="Benchmark the EngineServer under concurrent load.",
-    )
-    parser.add_argument(
-        "--scale",
-        choices=[s.value for s in Scale],
-        default=Scale.SMOKE.value,
-        help="load preset (default: smoke)",
-    )
-    parser.add_argument(
-        "--backends",
-        default="serial",
-        help="comma-separated executor specs to serve on (default: serial)",
-    )
-    parser.add_argument(
-        "--kernel",
-        default=None,
-        help="SpGEMM numeric kernel for every job spec (default: unset)",
-    )
-    parser.add_argument(
-        "--out",
-        default="benchmarks/results/serve",
-        help="result directory (default: benchmarks/results/serve)",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        help="baseline bench.json to compare against after the run",
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=None,
-        help="fractional slowdown allowed by the comparison",
-    )
-    parser.add_argument(
-        "--report-only",
-        action="store_true",
-        help="report timing deltas without gating on them",
-    )
-    args = parser.parse_args(argv)
-
-    scale = Scale(args.scale)
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    if not backends:
-        print("error: at least one backend spec is required")
-        return 2
-    env = environment_fingerprint()
-    records = []
-    for backend in backends:
-        rows = run_loadgen(scale=scale, backend=backend, kernel=args.kernel)
-        metrics = serve_metrics(rows)
-        latencies_s = [
-            r["latency_ms"] / 1e3 for r in rows if not r.get("summary")
-        ]
-        record = BenchRecord(
-            artifact="serve_throughput",
-            scale=scale.value,
-            backend=backend,
-            timing=TimingStats.from_times(latencies_s),
-            environment=env,
-            num_rows=len(rows),
-            metrics=metrics,
-            config=measurement_config(backend, None, args.kernel)
-            .resolve()
-            .to_dict(),
-        )
-        records.append(record)
-        print(
-            f"serve_throughput [{backend}] p50 {metrics['p50_ms']:.2f} ms, "
-            f"p99 {metrics['p99_ms']:.2f} ms, "
-            f"{metrics['jobs_per_s']:.1f} jobs/s, "
-            f"cache hit rate {metrics['cache_hit_rate']:.2f}, "
-            f"{metrics['merged_jobs']} merged jobs"
-        )
-    combined = write_results(records, args.out)
-    print(f"wrote {combined}")
-    if args.baseline is not None:
-        from repro.bench.compare import main as compare_main
-
-        compare_args = [str(args.baseline), str(combined)]
-        if args.tolerance is not None:
-            compare_args += ["--tolerance", str(args.tolerance)]
-        if args.report_only:
-            compare_args.append("--report-only")
-        return compare_main(compare_args)
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

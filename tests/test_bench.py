@@ -24,7 +24,7 @@ from repro.bench import (
     write_results,
 )
 from repro.bench.compare import main as compare_main
-from repro.bench.runner import NO_BACKEND, artifact_names
+from repro.bench.runner import NO_BACKEND, artifact_names, make_scan_items
 from repro.experiments import eq6_complexity, table2_devices
 from repro.experiments.common import Scale, to_jsonable
 
@@ -359,6 +359,26 @@ class TestRunner:
         combined = write_results(records, tmp_path)
         assert load_records(combined) == records
 
+    def test_parallel_backends_builds_its_input_outside_the_timed_call(
+        self, monkeypatch
+    ):
+        from repro.bench import runner
+
+        calls = []
+
+        def counting_make_scan_items(*args):
+            calls.append(args)
+            return make_scan_items(*args)
+
+        monkeypatch.setattr(runner, "make_scan_items", counting_make_scan_items)
+        monkeypatch.setattr(runner, "_PARALLEL_BACKENDS_ITEMS", {})
+        # run_bench times each cell with measure(warmup=1, repeats=3)
+        (record,) = run_bench(
+            Scale.SMOKE, ["serial"], ["parallel_backends"], warmup=1, repeats=3
+        )
+        assert record.timing.warmup == 1 and record.timing.repeats == 3
+        assert len(calls) == 1
+
     def test_unknown_artifact_and_empty_backends(self):
         with pytest.raises(ValueError, match="unknown artifact"):
             run_bench(Scale.SMOKE, ["serial"], ["nope"])
@@ -386,7 +406,9 @@ class TestExperimentDataViewSplit:
     def test_rows_and_render_are_views_over_run(self, module):
         result = module.run(Scale.SMOKE)
         rows = module.result_rows(result)
-        assert rows == module.rows(Scale.SMOKE)
         assert isinstance(rows, list) and all(isinstance(r, dict) for r in rows)
         json.dumps(to_jsonable(rows))  # JSON-ready
-        assert module.render_report(result) == module.report(Scale.SMOKE)
+        # pure views: a second run flattens and renders identically
+        again = module.run(Scale.SMOKE)
+        assert module.result_rows(again) == rows
+        assert module.render_report(again) == module.render_report(result)

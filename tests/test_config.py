@@ -411,10 +411,12 @@ class TestBuildEngine:
 
         fig7_convergence.build_engine = spy
         try:
-            fig7_convergence.run(config="linear")
+            result = fig7_convergence.run(config="linear")
         finally:
             fig7_convergence.build_engine = original
         assert engines and all(e.algorithm == "linear" for e in engines)
+        # BPPSA reproduces taped BP's loss curve (Figure 7's claim)
+        assert result["max_train_divergence"] < 1e-8
 
     def test_shared_pattern_cache_policy(self):
         rng = np.random.default_rng(0)

@@ -10,6 +10,7 @@ from repro.experiments import (
     fig4_schedule,
     fig6_patterns,
     fig8_bitstreams,
+    fig9_rnn_curve,
     fig10_sensitivity,
     fig11_flops,
     table1_sparsity,
@@ -20,22 +21,23 @@ from repro.experiments.common import format_table, sparkline
 
 class TestCheapExperiments:
     def test_table2(self):
-        rows = table2_devices.run()["rows"]
-        assert {r["GPU"] for r in rows} == {"RTX 2070", "RTX 2080Ti"}
-        assert table2_devices.report()
+        r = table2_devices.run()
+        assert len(r["rows"]) == 2
+        assert {x["GPU"] for x in r["rows"]} == {"RTX 2070", "RTX 2080Ti"}
+        assert table2_devices.render_report(r)
 
     def test_fig8(self):
         r = fig8_bitstreams.run()
         assert len(r["examples"]) == 10
         for e in r["examples"]:
             assert len(e["stream"]) == r["seq_len"]
-        assert fig8_bitstreams.report()
+        assert fig8_bitstreams.render_report(r)
 
     def test_fig4(self):
         r = fig4_schedule.run()
         assert r["num_stages"] == 8
         assert r["blelloch_levels"] < r["linear_levels"]
-        assert fig4_schedule.report()
+        assert fig4_schedule.render_report(r)
 
     def test_fig3(self):
         r = fig3_pipeline.run()
@@ -44,13 +46,13 @@ class TestCheapExperiments:
         assert bubbles == sorted(bubbles)  # bubble grows with K
         # BPPSA memory shrinks while GPipe memory eventually grows
         assert rows[-1]["bppsa_mem"] <= rows[0]["bppsa_mem"]
-        assert fig3_pipeline.report()
+        assert fig3_pipeline.render_report(r)
 
     def test_fig6(self):
         r = fig6_patterns.run()
         assert r["conv"]["sparsity"] > 0.5
         assert r["relu"]["sparsity"] > 0.9
-        assert "#" in fig6_patterns.report()
+        assert "#" in fig6_patterns.render_report(r)
 
     def test_eq6(self):
         rows = eq6_complexity.run()["rows"]
@@ -71,7 +73,7 @@ class TestCheapExperiments:
         # GPipe latency never beats the sequential baseline (§2.2)
         assert all(x["gpipe_latency"] >= x["naive"] for x in rows)
         assert r["crossover"] is not None
-        assert scaling_comparison.report()
+        assert scaling_comparison.render_report(r)
 
     def test_fig10_shapes(self):
         r = fig10_sensitivity.run()
@@ -81,6 +83,15 @@ class TestCheapExperiments:
         assert b_speedups == sorted(b_speedups)  # B descending → rising
         for row_t, row_b in zip(r["t_sweep"][-3:], r["b_sweep"][-3:]):
             assert row_t["RTX 2080Ti backward"] >= row_t["RTX 2070 backward"]
+
+
+class TestFig9:
+    def test_engines_agree_and_simulated_device_wins(self):
+        r = fig9_rnn_curve.run(Scale.SMOKE)
+        # identical seeds and batches: BPPSA reproduces BP's loss curve
+        assert r["max_loss_divergence"] < 1e-9
+        assert r["overall_speedup"] > 1.0
+        assert "speedup" in fig9_rnn_curve.render_report(r)
 
 
 class TestTable1:

@@ -148,8 +148,10 @@ class TestTruncationAblation:
         # …but gain parallel levels
         levels = [by_depth[d]["parallel_levels"] for d in (0, 1, 2, 3)]
         assert levels == sorted(levels)
+        assert by_depth[2]["parallel_levels"] > by_depth[0]["parallel_levels"]
         # depth 0 is the pure serial scan: no matrix–matrix work
         assert by_depth[0]["mm_steps"] == 0
 
     def test_report_renders(self):
-        assert "up_levels" in ablation_truncation.report(Scale.SMOKE)
+        result = ablation_truncation.run(Scale.SMOKE)
+        assert "up_levels" in ablation_truncation.render_report(result)

@@ -125,9 +125,18 @@ class TestMaskPersistence:
         masks.assert_applied(model)
 
     def test_assert_applied_ignores_unmasked_models(self, rng):
-        # a mask set from one model must not constrain another
-        masks = magnitude_prune(make_mlp([4, 4], rng=rng), 0.9)
-        masks.assert_applied(make_mlp([4, 4], rng=rng))
+        # A mask set from one model must not constrain another. The
+        # pruned model is dropped at once, so the fresh model's
+        # parameters usually reuse its ids: masks keyed by id() would
+        # fail assert_applied (and reapply would zero) the wrong model.
+        for _ in range(20):
+            masks = magnitude_prune(make_mlp([4, 4], rng=rng), 0.9)
+            fresh = make_mlp([4, 4], rng=rng)
+            before = [p.data.copy() for p in fresh.parameters()]
+            masks.assert_applied(fresh)
+            masks.reapply(fresh)
+            for old, p in zip(before, fresh.parameters()):
+                np.testing.assert_array_equal(p.data, old)
 
     def test_retrain_loop_holds_sparsity_every_step(self, rng):
         from repro.core import FeedforwardBPPSA

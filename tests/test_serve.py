@@ -429,15 +429,14 @@ class TestServeStress:
 # loadgen + bench integration
 # ---------------------------------------------------------------------------
 class TestLoadgen:
-    def test_smoke_run_produces_valid_record(self, tmp_path):
-        from repro.bench.writer import load_records
-        from repro.serve.loadgen import main as loadgen_main
+    def test_smoke_run_produces_valid_record(self):
+        from repro.bench import run_bench, validate_record
+        from repro.experiments.common import Scale
 
-        out = tmp_path / "serve"
-        assert loadgen_main(["--scale", "smoke", "--out", str(out)]) == 0
-        records = load_records(out / "bench.json")
+        records = run_bench(Scale.SMOKE, ["serial"], ["serve_throughput"])
         assert len(records) == 1
         rec = records[0]
+        validate_record(rec.to_dict())
         assert rec.artifact == "serve_throughput"
         assert rec.backend == "serial"
         for name in ("p50_ms", "p99_ms", "jobs_per_s", "cache_hit_rate"):
