@@ -25,11 +25,12 @@ from repro.backend import ExecutorOwner, ScanExecutor
 from repro.config import UNSET as _UNSET
 from repro.config import ScanConfig, merge_engine_kwargs
 from repro.config.facade import construction_executor as _construction_executor
-from repro.jacobian.dispatch import BatchedJacobian, layer_tjac_batched
+from repro.jacobian.dispatch import BatchedJacobian, has_tjac, layer_tjac_batched
 from repro.nn import layers as L
 from repro.nn.loss import softmax_xent_grad
 from repro.nn.module import Sequential
 from repro.scan import (
+    IDENTITY,
     DenseJacobian,
     GradientVector,
     ScanContext,
@@ -178,30 +179,45 @@ class FeedforwardBPPSA(ExecutorOwner):
         Identity-Jacobian stages (Flatten) are folded away; the returned
         ``positions`` list gives, for each layer index, the scan output
         position holding ``∇(output of that layer)``.
+
+        The last item is :data:`~repro.scan.IDENTITY`, not the bottom
+        layer's ``(∂x_1/∂x_0)^T``: an exclusive scan never reads its
+        last element (see :func:`~repro.scan.blelloch_scan`), so that
+        Jacobian is built only when :meth:`compute_gradients` is asked
+        for the input gradient.  The bottom layer must still have a
+        generator (``TypeError`` otherwise), so no layer's parameter
+        gradient can go missing silently.
         """
+        layers = self.model.layers
         items: list = [GradientVector(seed)]
-        positions: List[int] = [0] * len(self.model.layers)
-        appended = 0
-        for idx in range(len(self.model.layers) - 1, -1, -1):
-            layer = self.model.layers[idx]
-            x_in = self._activations[idx]
-            x_out = self._activations[idx + 1]
+        positions: List[int] = [0] * len(layers)
+        for idx in range(len(layers) - 1, 0, -1):
             # ∇(output of layer idx) = out[1 + #Jacobians of layers above].
-            positions[idx] = 1 + appended
-            jac = layer_tjac_batched(
-                layer, x_in, x_out, sparse_linear_tol=self.sparse_linear_tol
-            )
-            if jac is None:
-                continue  # identity Jacobian: same gradient slot as above
-            items.append(self.sparse_policy.element(_to_element(jac)))
-            appended += 1
-        if positions and positions[0] > appended:
-            raise ValueError(
-                "an identity-Jacobian layer (Flatten) cannot be the "
-                "bottom-most stage: the exclusive scan does not produce "
-                "the model-input gradient"
-            )
+            positions[idx] = len(items)
+            element = self._tjac_element(idx)
+            if element is not None:  # None: identity Jacobian, same slot
+                items.append(element)
+        if layers:
+            if not has_tjac(layers[0]):
+                raise ValueError(
+                    "an identity-Jacobian layer (Flatten) cannot be the "
+                    "bottom-most stage: the exclusive scan does not produce "
+                    "the model-input gradient"
+                )
+            positions[0] = len(items)
+            items.append(IDENTITY)
         return items, positions
+
+    def _tjac_element(self, idx: int):
+        """Layer ``idx``'s transposed Jacobian as a scan element, or
+        ``None`` for an identity-Jacobian stage."""
+        jac = layer_tjac_batched(
+            self.model.layers[idx],
+            self._activations[idx],
+            self._activations[idx + 1],
+            sparse_linear_tol=self.sparse_linear_tol,
+        )
+        return None if jac is None else self.sparse_policy.element(_to_element(jac))
 
     def compute_gradients(
         self,
@@ -213,9 +229,10 @@ class FeedforwardBPPSA(ExecutorOwner):
 
         Also leaves activation gradients in ``self.last_activation_grads``
         (list parallel to layers, each (B, d) flattened) for inspection.
-        With ``input_gradient=True`` the exclusive scan is extended by
-        one ⊙ application so ``∇x_0 ℓ`` (gradient w.r.t. the model
-        input) lands in ``self.last_input_gradient``.
+        With ``input_gradient=True`` the bottom layer's ``(∂x_1/∂x_0)^T``
+        — which :meth:`scan_items` leaves out — is built and applied in
+        one extra ⊙, so ``∇x_0 ℓ`` (gradient w.r.t. the model input)
+        lands in ``self.last_input_gradient``.
         """
         logits = self.forward(x)
         self.last_logits = logits
@@ -227,11 +244,9 @@ class FeedforwardBPPSA(ExecutorOwner):
         if input_gradient:
             from repro.scan.elements import OpInfo
 
-            # The exclusive scan never consumes the final Jacobian
-            # (∂x_1/∂x_0)^T; one extra ⊙ yields the input gradient.
             final = self.context.op(
                 scanned[len(items) - 1],
-                items[-1],
+                self._tjac_element(0),
                 OpInfo("input-grad", 0, len(items) - 1, len(items)),
             )
             self.last_input_gradient = final.data.reshape(np.asarray(x).shape)

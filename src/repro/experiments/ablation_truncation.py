@@ -12,10 +12,13 @@ and report, for each depth,
 * the total FLOPs (work),
 * the number of parallel levels (step complexity proxy).
 
-Expected shape: total work and per-step cost grow with depth (denser
-high-level products) while the level count shrinks — the paper's
-truncation at a shallow depth is the sweet spot where per-step cost
-stays near the baseline's.
+Observed shape: depth buys parallel levels; the max critical step
+grows over the first levels (smoke scale: depth 1, paper scale: depth
+2) and then stops, and full depth does less total work than depth 2.
+The products that would keep growing denser with depth sit on the
+up-sweep's right spine, which would only build the scan total an
+exclusive scan discards, so the scans skip it (see
+:func:`repro.scan.blelloch_scan`).
 """
 
 from __future__ import annotations
@@ -104,10 +107,12 @@ def render_report(result: Dict) -> str:
         ]
         for x in r["rows"]
     ]
+    peak = max(x["max_critical_flops"] for x in r["rows"])
+    first = min(x["up_levels"] for x in r["rows"] if x["max_critical_flops"] == peak)
     return (
         format_table(headers, rows)
-        + "\nshallower truncation trades parallel levels for cheaper steps "
-        "(§5.2's balance)"
+        + f"\ndepth buys parallel levels; the max critical step stops "
+        f"growing at depth {first} ({peak:.3e} FLOPs)"
     )
 
 

@@ -79,6 +79,42 @@ class BatchedJacobian:
         return self.dense
 
 
+#: Every layer type :func:`layer_tjac_batched` has a generator for.
+_TJAC_LAYER_TYPES = (
+    L.Flatten,
+    L.Linear,
+    LayerNorm,
+    SelfAttention,
+    L.Conv2d,
+    L.ReLU,
+    L.LeakyReLU,
+    L.ELU,
+    L.Tanh,
+    L.Sigmoid,
+    L.MaxPool2d,
+    L.AvgPool2d,
+)
+
+
+def has_tjac(layer) -> bool:
+    """Whether :func:`layer_tjac_batched` returns a Jacobian for ``layer``.
+
+    ``False`` for identity-Jacobian stages (:class:`Flatten`); raises
+    the same ``TypeError`` for unsupported layer types — all without
+    building anything, so an engine that skips a layer's Jacobian still
+    rejects a layer it could not differentiate.
+    """
+    if not isinstance(layer, _TJAC_LAYER_TYPES):
+        raise _no_generator(layer)
+    return not isinstance(layer, L.Flatten)
+
+
+def _no_generator(layer) -> TypeError:
+    return TypeError(
+        f"no transposed-Jacobian generator for layer type {type(layer).__name__}"
+    )
+
+
 def layer_tjac_batched(
     layer,
     x_in: np.ndarray,
@@ -91,7 +127,7 @@ def layer_tjac_batched(
     which the engine may skip entirely.  Raises ``TypeError`` for
     unsupported layer types so silent wrong gradients are impossible.
     """
-    if isinstance(layer, L.Flatten):
+    if not has_tjac(layer):
         return None
 
     if isinstance(layer, L.Linear):
@@ -162,6 +198,4 @@ def layer_tjac_batched(
         csr = avgpool_tjac(c, hi, wi, layer.kernel_size, layer.stride)
         return BatchedJacobian(shape=csr.shape, pattern=csr)
 
-    raise TypeError(
-        f"no transposed-Jacobian generator for layer type {type(layer).__name__}"
-    )
+    raise _no_generator(layer)

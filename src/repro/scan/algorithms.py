@@ -87,11 +87,23 @@ def _level_pairs(n: int, d: int) -> List[Tuple[int, int]]:
 
 
 def _up_sweep(
-    a: List[Any], op: OpFn, n: int, d_values: Iterable[int], ex: ScanExecutor
+    a: List[Any],
+    op: OpFn,
+    n: int,
+    d_values: Iterable[int],
+    ex: ScanExecutor,
+    spine: bool = False,
 ) -> None:
-    """Up-sweep levels: ``a[r] ← a[l] ⊙ a[r]`` (Algorithm 1 lines 1–5)."""
+    """Up-sweep levels: ``a[r] ← a[l] ⊙ a[r]`` (Algorithm 1 lines 1–5).
+
+    Pairs with ``r = n`` (the tree's right spine) only build the
+    summary of the whole array, which an exclusive scan discards, so
+    they run only with ``spine=True`` (a pipeline stage whose carry
+    composes that summary).  No other pair reads ``a[n]``: ``l < n``
+    always, so skipping them changes no other operand.
+    """
     for d in d_values:
-        pairs = _level_pairs(n, d)
+        pairs = [(l, r) for l, r in _level_pairs(n, d) if spine or r < n]
         tasks = [
             LevelTask(op, a[l], a[r], OpInfo("up", d, l, r)) for l, r in pairs
         ]
@@ -160,6 +172,13 @@ def blelloch_scan(
     Up-sweep: ``a[r] ← a[l] ⊙ a[r]``.  Down-sweep (operands reversed for
     the non-commutative ⊙ — the paper's modification, line 13):
     ``T ← a[l]; a[l] ← a[r]; a[r] ← a[r] ⊙ T``.
+
+    The up-sweep skips the right spine — every pair whose right slot
+    is the last element ``a[n]``: the scan overwrites ``a[n]`` with the
+    identity before the down-sweep, so those ⊙ would only build the
+    discarded total (the same reason Algorithm 1 stops one level below
+    the root).  The last input element is therefore never read and may
+    be anything, :data:`IDENTITY` included.
 
     Operations at the same (phase, level) are mutually independent and
     are dispatched level-by-level to ``executor``; every backend
@@ -231,6 +250,9 @@ def truncated_blelloch_scan(
     ``up_levels−1 .. 0``.  Equivalent output to :func:`blelloch_scan`;
     avoids the densest high-level matrix–matrix products.  The parallel
     partial sweeps dispatch to ``executor``; the middle stays serial.
+    As in :func:`blelloch_scan` the up-sweep skips the right spine: the
+    last block's summary never enters the prefix chain, so the last
+    input element is never read.
 
     ``up_levels=0`` degenerates to a pure linear scan;
     ``up_levels ≥ ⌈log2(n+1)⌉−1`` degenerates to the full Blelloch scan.
@@ -283,7 +305,10 @@ def stage_truncated_scan(
     this slice (the next stage's ``prefix``) when ``compose_tail=True``,
     and the prefix *excluding* the final block otherwise (the final
     stage has no successor, so composing its tail summary would be
-    wasted work).
+    wasted work).  ``compose_tail`` also decides the tail's up-sweep:
+    without it the up-sweep skips the slice's right spine, as
+    :func:`truncated_blelloch_scan` does, so the slice's last element
+    is never read.
 
     **Bitwise contract.**  Because sweep levels ``d < up_levels`` never
     cross ``2^up_levels``-aligned slot boundaries and the serial middle
@@ -314,7 +339,7 @@ def stage_truncated_scan(
         return [prefix], carry
 
     with _resolved_executor(executor) as ex:
-        _up_sweep(a, op, n, range(k), ex)
+        _up_sweep(a, op, n, range(k), ex, spine=compose_tail)
 
         block = 1 << k
         roots = [min(start + block - 1, n) for start in range(0, n + 1, block)]

@@ -275,6 +275,12 @@ class ScanContext:
             self.trace = []
             self.total_flops = 0
 
+    def clear_trace(self) -> None:
+        """Drop the per-⊙ records but keep ``total_flops`` counting, so
+        a long-lived context's trace does not grow with every scan."""
+        with self._lock:
+            self.trace = []
+
     def _record(self, info: OpInfo, kind: str, flops: int, mnk: int,
                 result: ScanElement) -> None:
         with self._lock:

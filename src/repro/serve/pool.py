@@ -66,11 +66,20 @@ class ScanEngine:
 
         ``jobs`` is the number of client jobs this scan carries (> 1
         when the server merged same-shape requests); it only feeds the
-        engine's usage counters.
+        engine's usage counters.  No per-⊙ record outlives the scan
+        (see :meth:`ScanContext.clear_trace`); ``context.total_flops``
+        keeps counting across scans.
         """
         with self._lock:
             self.scans += 1
             self.jobs += jobs
+        try:
+            return self._scan(items)
+        finally:
+            self.context.clear_trace()
+
+    def _scan(self, items: Sequence[Any]) -> List[Any]:
+        """The configured algorithm over ``items``."""
         algorithm = self.config.algorithm
         if algorithm == "linear":
             return linear_scan(items, self.context.op)
@@ -110,14 +119,17 @@ class ScanEngine:
         with self._lock:
             self.scans += 1
             self.jobs += jobs
-        return stage_truncated_scan(
-            items,
-            self.context.op,
-            up_levels=up_levels,
-            prefix=prefix,
-            executor=self.executor,
-            compose_tail=compose_tail,
-        )
+        try:
+            return stage_truncated_scan(
+                items,
+                self.context.op,
+                up_levels=up_levels,
+                prefix=prefix,
+                executor=self.executor,
+                compose_tail=compose_tail,
+            )
+        finally:
+            self.context.clear_trace()
 
     def stats(self) -> Dict[str, Any]:
         """Usage counters plus this engine's private-cache view."""

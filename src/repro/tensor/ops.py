@@ -399,7 +399,14 @@ def col2im(
 
 
 class Conv2d(Function):
-    """2-D cross-correlation (the deep-learning "convolution"), NCHW."""
+    """2-D cross-correlation (the deep-learning "convolution"), NCHW.
+
+    ``input_grad=False`` (PyTorch's ``needs_input_grad``) skips the
+    input gradient — its ``col2im`` scatter — in ``backward``, which
+    then returns ``None`` for ``x``; :func:`conv2d` sets it from
+    ``x.requires_grad``, so a first layer reading data pays nothing
+    for it.
+    """
 
     @staticmethod
     def forward(
@@ -409,6 +416,7 @@ class Conv2d(Function):
         bias: Optional[np.ndarray] = None,
         stride: int = 1,
         padding: int = 0,
+        input_grad: bool = True,
     ) -> np.ndarray:
         n, c, h, w = x.shape
         co, ci, kh, kw = weight.shape
@@ -423,19 +431,20 @@ class Conv2d(Function):
             out = out + bias.reshape(1, co, 1, 1)
         ctx.save_for_backward(cols, weight)
         ctx.x_shape = x.shape
-        ctx.conf = (stride, padding, bias is not None)
+        ctx.conf = (stride, padding, bias is not None, input_grad)
         return out
 
     @staticmethod
     def backward(ctx: Context, g: np.ndarray):
         cols, weight = ctx.saved_tensors
-        stride, padding, has_bias = ctx.conf
+        stride, padding, has_bias, input_grad = ctx.conf
         co, ci, kh, kw = weight.shape
-        n = g.shape[0]
         g_mat = g.transpose(1, 2, 3, 0).reshape(co, -1)  # (co, Ho*Wo*N)
         grad_w = (g_mat @ cols.T).reshape(weight.shape)
-        grad_cols = weight.reshape(co, -1).T @ g_mat
-        grad_x = col2im(grad_cols, ctx.x_shape, kh, kw, stride, padding)
+        grad_x = None
+        if input_grad:
+            grad_cols = weight.reshape(co, -1).T @ g_mat
+            grad_x = col2im(grad_cols, ctx.x_shape, kh, kw, stride, padding)
         grad_b = g.sum(axis=(0, 2, 3)) if has_bias else None
         return grad_x, grad_w, grad_b
 
@@ -604,7 +613,10 @@ def stack(tensors, axis=0):
 
 
 def conv2d(x, weight, bias=None, stride=1, padding=0):
-    return Conv2d.apply(x, weight, bias, stride=stride, padding=padding)
+    input_grad = getattr(x, "requires_grad", False)  # False for raw arrays
+    return Conv2d.apply(
+        x, weight, bias, stride=stride, padding=padding, input_grad=input_grad
+    )
 
 
 def max_pool2d(x, kernel_size, stride=None):

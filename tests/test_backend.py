@@ -403,7 +403,7 @@ class TestProcessExecutor:
         good = chain(rng, 8, h=6)
         bad = [GradientVector(rng.standard_normal((2, 6)))]
         bad += [DenseJacobian(rng.standard_normal((2, 6, 6))) for _ in range(6)]
-        bad.append(DenseJacobian(rng.standard_normal((2, 5, 5))))
+        bad.insert(3, DenseJacobian(rng.standard_normal((2, 5, 5))))
         with ProcessPoolScanExecutor(2, min_offload_mnk=0) as ex:
             with pytest.raises(ValueError):
                 blelloch_scan(bad, ScanContext().op, executor=ex)

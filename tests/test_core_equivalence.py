@@ -6,9 +6,12 @@ outputs."  Every engine/algorithm combination must match the taped
 reference to floating-point reassociation tolerance.
 """
 
+from importlib import import_module
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import FeedforwardBPPSA, RNNBPPSA
 from repro.nn import (
     CrossEntropyLoss,
@@ -27,6 +30,8 @@ from repro.nn.layers import (
     Sigmoid,
     Tanh,
 )
+from repro.nn.module import Module
+from repro.pruning import magnitude_prune
 from repro.tensor import Tensor
 
 ALGORITHMS = ["linear", "blelloch", "hillis_steele", "truncated"]
@@ -144,6 +149,75 @@ class TestFeedforward:
         model = make_mlp([2, 2], rng=rng)
         with pytest.raises(ValueError):
             FeedforwardBPPSA(model, algorithm="quantum")
+
+    def test_bottom_jacobian_built_only_for_input_gradient(self, rng, monkeypatch):
+        """No scan reads the last slot, so the bottom layer's Jacobian is
+        built only for the input gradient's extra ⊙."""
+        import repro.core.feedforward as ff
+
+        built = []
+        tjac = ff.layer_tjac_batched
+
+        def counting(layer, *args, **kwargs):
+            built.append(layer)
+            return tjac(layer, *args, **kwargs)
+
+        monkeypatch.setattr(ff, "layer_tjac_batched", counting)
+        model = Sequential(
+            Conv2d(2, 3, 3, padding=1, rng=rng),
+            ReLU(),
+            Flatten(),
+            Linear(3 * 4 * 4, 4, rng=rng),
+        )
+        x = rng.standard_normal((2, 2, 4, 4))
+        y = rng.integers(0, 4, 2)
+        engine = FeedforwardBPPSA(model)
+        grads = engine.compute_gradients(x, y)
+        assert built == model.layers[:0:-1]  # top down, all but layer 0
+        built.clear()
+        with_input = engine.compute_gradients(x, y, input_gradient=True)
+        assert built == model.layers[::-1]
+        assert grads.keys() == with_input.keys()
+        for key, g in grads.items():
+            np.testing.assert_array_equal(with_input[key], g)
+
+    def test_unsupported_bottom_layer_rejected(self, rng):
+        """Its Jacobian is never built, yet a bottom layer the engine
+        cannot differentiate still fails loudly, not with no gradient."""
+
+        class Strange(Module):
+            def forward(self, x):
+                return x * 2.0
+
+        model = Sequential(Strange(), Linear(4, 2, rng=rng))
+        with pytest.raises(TypeError, match="no transposed-Jacobian"):
+            FeedforwardBPPSA(model).compute_gradients(
+                rng.standard_normal((2, 4)), np.array([0, 1])
+            )
+
+    def test_pruned_lenet_builds_no_dead_products(self, rng, monkeypatch):
+        """Pruned retraining's scan builds no plan for the right-spine ⊙
+        that would multiply conv1's Jacobian into the discarded scan
+        total (3,000,000 expanded products for the largest)."""
+        spgemm = import_module("repro.sparse.spgemm")
+        plans = []
+        build = spgemm.build_spgemm_plan
+
+        def recording(a, b):
+            plans.append(build(a, b))
+            return plans[-1]
+
+        monkeypatch.setattr(spgemm, "build_spgemm_plan", recording)
+        net = LeNet5(rng=rng, width_multiplier=0.25)
+        magnitude_prune(net, 0.9, scope="global")
+        engine = repro.build_engine(
+            net, "truncated/serial", up_levels=2, sparse_linear_tol=0.0
+        )
+        engine.compute_gradients(
+            rng.standard_normal((4, 3, 32, 32)), rng.integers(0, 10, 4)
+        )
+        assert len(engine.context.cache) == len(plans) == 4
+        assert max(len(plan.src_a) for plan in plans) <= 40_000
 
 
 class TestRNN:

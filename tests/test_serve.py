@@ -257,11 +257,11 @@ class TestEngineServer:
     def test_job_failure_forwards_exception(self, rng):
         # mismatched shapes blow up inside ⊙ on the worker thread; the
         # exception must reach the submitting client, not kill the server
-        # seed + 6 good + 1 bad = 8 items: the power-of-two up-sweep
-        # really combines the mismatched pair (a padded shorter chain
-        # would pair the bad tail with identity and never evaluate it)
+        # seed + 6 good + 1 bad = 8 items, the bad one in slot 3: the
+        # level-0 up-sweep really combines it with slot 2 (in the last
+        # slot it would never be read — no exclusive scan reads a[n])
         bad = dense_job(rng, n=6, h=8)
-        bad.append(DenseJacobian(rng.standard_normal((2, 5, 5))))
+        bad.insert(3, DenseJacobian(rng.standard_normal((2, 5, 5))))
 
         async def main():
             async with EngineServer(max_wait_ms=0) as server:
@@ -278,6 +278,34 @@ class TestEngineServer:
         assert stats["jobs"]["failed"] == 1
         assert stats["jobs"]["completed"] == 1
         assert stats["jobs"]["pending"] == 0
+
+    def test_engines_keep_no_per_op_records(self, rng):
+        """A pooled engine's trace does not grow with the jobs it serves;
+        ``total_flops`` keeps counting all of them."""
+        specs = ["blelloch/serial", "blelloch/serial/sparse=on"]
+        jobs = [(specs[0], dense_job(rng)) for _ in range(8)]
+        jobs += [(specs[1], sparse_job(rng)) for _ in range(8)]
+
+        async def main():
+            async with EngineServer(
+                max_batch=4, max_wait_ms=5, worker_threads=2
+            ) as server:
+                await asyncio.gather(*(server.submit(s, j) for s, j in jobs))
+                return [
+                    server.pool.get(ScanConfig.coerce(s).resolve()) for s in specs
+                ]
+
+        engines = run(main())
+        for spec, engine in zip(specs, engines):
+            solo = 0
+            for job_spec, items in jobs:
+                if job_spec == spec:
+                    ref = ScanEngine(ScanConfig.coerce(spec).resolve())
+                    ref.run_scan(items)
+                    solo += ref.context.total_flops
+                    ref.close()
+            assert engine.context.trace == []
+            assert engine.context.total_flops == solo > 0
 
     def test_overload_rejection(self, rng):
         async def main():

@@ -147,6 +147,36 @@ class TestConvPool:
             lambda x, w, b: ops.conv2d(x, w, b, stride=s, padding=p), [x, w, b]
         )
 
+    def test_conv2d_skips_input_grad_of_data(self, rng, monkeypatch):
+        """A data input (no grad) gets no ``col2im``; the weight and bias
+        grads are bitwise those of the full backward."""
+        x = rng.standard_normal((2, 2, 6, 6))
+        w0 = rng.standard_normal((3, 2, 3, 3))
+        b0 = rng.standard_normal(3)
+
+        def grads(x_requires_grad):
+            w = Tensor(w0.copy(), requires_grad=True)
+            b = Tensor(b0.copy(), requires_grad=True)
+            xt = Tensor(x, requires_grad=x_requires_grad)
+            ops.conv2d(xt, w, b, padding=1).sum().backward()
+            return xt.grad, w.grad, b.grad
+
+        _, w_full, b_full = grads(True)
+        col2im = ops.col2im
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return col2im(*args, **kwargs)
+
+        monkeypatch.setattr(ops, "col2im", counting)
+        x_grad, w_grad, b_grad = grads(False)
+        assert calls == [] and x_grad is None
+        assert w_grad.tobytes() == w_full.tobytes()
+        assert b_grad.tobytes() == b_full.tobytes()
+        grads(True)
+        assert len(calls) == 1  # the input gradient still runs when asked
+
     def test_conv2d_channel_mismatch_raises(self, rng):
         x = Tensor(rng.standard_normal((1, 2, 4, 4)))
         w = Tensor(rng.standard_normal((1, 3, 3, 3)))
