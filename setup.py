@@ -7,13 +7,4 @@ package, so PEP 660 editable installs cannot build; this shim lets
 
 from setuptools import setup
 
-setup(
-    extras_require={
-        # Optional compiled SpGEMM numeric kernel (repro.scan.kernels).
-        # Everything works — bitwise-identically — without it: the
-        # "numba" kernel name falls back to a pure-NumPy fast path.
-        # Pinned to the tested range; CI's kernel-matrix leg installs
-        # it best-effort and degrades to the fallback when absent.
-        "numba": ["numba>=0.59,<0.62"],
-    },
-)
+setup()

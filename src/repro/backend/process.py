@@ -25,10 +25,8 @@ the FLOP trace) and the task is one of
   populating) the parent's plan cache — and only the numeric phase
   ships: the plan's gather/scatter index arrays and both operands'
   CSR value matrices cross as shared-memory segments, and the worker
-  runs the parent context's configured numeric kernel
-  (:mod:`repro.scan.kernels`, resolved by name) — the same
-  implementation the inline path runs, all of them bitwise-identical
-  to :func:`repro.sparse.spgemm_numeric_batched`.
+  runs :func:`repro.sparse.spgemm_numeric`, the function the inline
+  path runs.
 
 Everything else (mat–vec seeds, small products, symbolic/string
 scans, and every sparse op under ``REPRO_SCAN_SPARSE=off``) runs
@@ -60,7 +58,7 @@ import numpy as np
 
 from repro.backend.executor import LevelTask, ScanExecutor
 from repro.scan.elements import DenseJacobian, ScanContext, SparseJacobian
-from repro.scan.kernels import get_kernel
+from repro.sparse import spgemm_numeric
 
 
 def _destroy_segment(shm: shared_memory.SharedMemory) -> None:
@@ -134,7 +132,6 @@ def _spgemm_worker(
     n_expanded: int,
     out_name: str,
     out_shape: Tuple[int, ...],
-    kernel_name: str,
 ) -> bool:
     """Run one SpGEMM numeric phase between shared-memory segments.
 
@@ -142,10 +139,9 @@ def _spgemm_worker(
     plan's left/right operands (for ``a ⊙ b = b·a`` that is
     ``b.values()`` / ``a.values()``); the index arrays are the plan's
     gather/scatter maps (int64 by construction).  Writes the
-    ``(B, out_nnz)`` product values into ``out`` via the named
-    kernel's raw entry — the same kernel the parent's inline path
-    runs, and every kernel is bitwise-identical, so offloaded and
-    inline execution stay in lockstep whatever the kernel axis says.
+    ``(B, out_nnz)`` product values into ``out`` with the function the
+    parent's inline path runs, so offloaded and inline execution stay
+    in lockstep.
     """
     shms = []
     try:
@@ -162,10 +158,7 @@ def _spgemm_worker(
             shms.append(shm)
             arrays.append(np.ndarray(shape, dtype=dtype, buffer=shm.buf))
         data_p, data_q, src_a, src_b, scatter, out = arrays
-        # The exact inline kernel; the compiled build accumulates
-        # straight into the shared segment (allocation-free), the NumPy
-        # kernels compute and copy out.
-        get_kernel(kernel_name).numeric_raw(
+        spgemm_numeric(
             src_a, src_b, scatter, out_shape[-1], data_p, data_q, out=out
         )
         return True
@@ -330,9 +323,6 @@ class ProcessPoolScanExecutor(ScanExecutor):
             len(plan.src_a),
             shm_out.name,
             out_shape,
-            # The parent context's kernel, by name: worker processes
-            # resolve it independently (kernel objects don't pickle).
-            t.op.__self__.kernel.name,
         )
         return fut, shm_out, out_shape
 
@@ -385,7 +375,7 @@ class ProcessPoolScanExecutor(ScanExecutor):
                 ctx = t.op.__self__
                 if plan is None:
                     result = DenseJacobian(out)
-                    ctx.record_dense_matmat(t.a, t.b, t.info, result)
+                    ctx.record_dense_matmat(t.a, t.b, t.info)
                 else:
                     result = ctx.complete_sparse_matmat(t.a, t.b, t.info, plan, out)
                 results[i] = result

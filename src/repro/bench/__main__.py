@@ -11,10 +11,6 @@ Examples::
     # add the dense-vs-sparse axis: sparse-sensitive artifacts run per
     # dispatch mode per backend ("serial[sparse=off]", "serial[sparse=on]", …)
     python -m repro.bench --scale smoke --backends serial,thread:2 --sparse
-
-    # add the numeric-kernel axis too: kernel-sensitive artifacts run per
-    # kernel per cell ("serial[sparse=on][kernel=numba]", …)
-    python -m repro.bench --scale smoke --backends serial,thread:2 --sparse --kernel
 """
 
 from __future__ import annotations
@@ -70,22 +66,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "(default off,on; auto is also valid)",
     )
     parser.add_argument(
-        "--kernel",
-        action="store_true",
-        help="sweep the SpGEMM numeric-kernel axis: kernel-sensitive "
-        "artifacts run once per kernel per backend (and per sparse mode "
-        'with --sparse), recorded as "<backend>[kernel=<name>]" in place '
-        "of their default-kernel measurement (compare against a baseline "
-        "taken with --kernel)",
-    )
-    parser.add_argument(
-        "--kernel-modes",
-        default="numpy,numba",
-        help="comma-separated kernels for the --kernel axis (default "
-        "numpy,numba; numba falls back to the pure-NumPy fast path when "
-        "Numba is not installed)",
-    )
-    parser.add_argument(
         "--warmup", type=int, default=0, help="un-timed runs per measurement"
     )
     parser.add_argument(
@@ -110,11 +90,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.sparse
         else None
     )
-    kernel_modes = (
-        [k.strip() for k in args.kernel_modes.split(",") if k.strip()]
-        if args.kernel
-        else None
-    )
     records = run_bench(
         Scale(args.scale),
         backends,
@@ -122,7 +97,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         warmup=args.warmup,
         repeats=args.repeats,
         sparse_modes=sparse_modes,
-        kernel_modes=kernel_modes,
         progress=print,
     )
     combined = write_results(records, args.out)

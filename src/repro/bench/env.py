@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.backend import ENV_VAR
 from repro.config import current_config
-from repro.scan import KERNEL_ENV_VAR, SPARSE_ENV_VAR
+from repro.scan import SPARSE_ENV_VAR
 
 #: Fingerprint keys whose disagreement makes timings incomparable.
 COMPARABILITY_KEYS = ("python", "numpy", "machine", "cpu_count")
@@ -52,7 +52,6 @@ def environment_fingerprint() -> Dict[str, Any]:
         "cpu_count": os.cpu_count() or 1,
         "scan_backend_env": os.environ.get(ENV_VAR),
         "scan_sparse_env": os.environ.get(SPARSE_ENV_VAR),
-        "scan_kernel_env": os.environ.get(KERNEL_ENV_VAR),
         "scan_config": scan_config,
     }
 
@@ -61,7 +60,6 @@ def comparable(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
     """Whether timings fingerprinted by ``a`` and ``b`` can be compared.
 
     Only the keys in :data:`COMPARABILITY_KEYS` matter; a different
-    ``scan_backend_env`` or kernel build does not invalidate a
-    comparison by itself.
+    ``scan_backend_env`` does not invalidate a comparison by itself.
     """
     return all(a.get(k) == b.get(k) for k in COMPARABILITY_KEYS)

@@ -211,7 +211,9 @@ SERVE_METRIC_FIELDS = ("p50_ms", "p99_ms", "jobs_per_s", "cache_hit_rate")
 #: Sweep axes a backend label may carry as ``[key=value]`` suffixes.
 #: A baseline containing an axis this reader does not know is a *schema*
 #: mismatch, not a missing measurement: the regression gate must refuse
-#: to silently compare across unknown dimensions.
+#: to silently compare across unknown dimensions.  The runner no longer
+#: writes ``kernel``, but reading it keeps older records (the dashboard's
+#: history snapshots) loadable.
 _KNOWN_BACKEND_AXES = ("kernel", "sparse")
 
 

@@ -19,15 +19,6 @@ dense-vs-sparse timings of the same workload land side by side in
 default-policy measurement (its plain ``"<backend>"`` key), so switch
 a baseline to the swept shape by regenerating it with the same
 ``--sparse`` flags.
-
-A third axis covers the SpGEMM numeric kernel
-(:mod:`repro.scan.kernels`): with ``kernel_modes`` (the CLI's
-``--kernel`` flag), *kernel-sensitive* artifacts run once per kernel
-per (backend, sparse-mode) cell, appending ``[kernel=<name>]`` to the
-record key — ``"serial[sparse=on][kernel=numba]"`` — so the
-reference-vs-compiled medians of the same workload sit side by side.
-Like the sparse axis, the sweep replaces the single default-kernel
-measurement, and baselines must be regenerated with matching flags.
 """
 
 from __future__ import annotations
@@ -123,16 +114,13 @@ def make_sparse_scan_items(
 class BenchArtifact:
     """One benchmarkable artifact: a name plus its rows-producing step.
 
-    ``rows_fn(scale, spec, sparse, kernel)`` executes the artifact's
-    data step under executor spec ``spec`` (``None`` for
-    backend-insensitive artifacts), sparse dispatch mode ``sparse``
-    (``None`` when the sparse axis is off), and SpGEMM numeric kernel
-    ``kernel`` (``None`` when the kernel axis is off) and returns the
-    structured rows.  ``backend_sensitive`` marks artifacts whose
-    wall-clock a scan backend can change; ``sparse_sensitive`` marks
-    the ones the dense-vs-sparse dispatch flows through;
-    ``kernel_sensitive`` marks the scan microbenchmarks whose ⊙
-    compositions reach the numeric-kernel layer.  ``metrics_fn``, when
+    ``rows_fn(scale, spec, sparse)`` executes the artifact's data step
+    under executor spec ``spec`` (``None`` for backend-insensitive
+    artifacts) and sparse dispatch mode ``sparse`` (``None`` when the
+    sparse axis is off) and returns the structured rows.
+    ``backend_sensitive`` marks artifacts whose wall-clock a scan
+    backend can change; ``sparse_sensitive`` marks the ones the
+    dense-vs-sparse dispatch flows through.  ``metrics_fn``, when
     set, summarizes the final timed run's rows into the record's
     ``metrics`` dict (e.g. the serving benchmark's latency
     percentiles).
@@ -140,39 +128,32 @@ class BenchArtifact:
 
     name: str
     rows_fn: Callable[
-        [Scale, Optional[str], Optional[str], Optional[str]],
-        List[Dict[str, Any]],
+        [Scale, Optional[str], Optional[str]], List[Dict[str, Any]]
     ]
     backend_sensitive: bool = False
     sparse_sensitive: bool = False
-    kernel_sensitive: bool = False
     metrics_fn: Optional[
         Callable[[List[Dict[str, Any]]], Dict[str, Any]]
     ] = None
 
 
-def measurement_config(
-    spec: Optional[str], sparse: Optional[str], kernel: Optional[str] = None
-) -> ScanConfig:
-    """The declarative config of one (backend, sparse, kernel) measurement.
+def measurement_config(spec: Optional[str], sparse: Optional[str]) -> ScanConfig:
+    """The declarative config of one (backend, sparse) measurement.
 
     Unset axes stay unset, so resolution falls through to the ambient
     defaults — :meth:`ScanConfig.resolve` of this value is exactly
     what the artifact's engines adopt, and its serialized form is what
     the measurement's :class:`~repro.bench.record.BenchRecord` embeds.
     """
-    return ScanConfig(executor=spec, sparse=sparse, kernel=kernel)
+    return ScanConfig(executor=spec, sparse=sparse)
 
 
 def _experiment(module):
     def rows_fn(
-        scale: Scale,
-        spec: Optional[str],
-        sparse: Optional[str],
-        kernel: Optional[str],
+        scale: Scale, spec: Optional[str], sparse: Optional[str]
     ) -> List[Dict[str, Any]]:
         return module.result_rows(
-            module.run(scale, config=measurement_config(spec, sparse, kernel))
+            module.run(scale, config=measurement_config(spec, sparse))
         )
 
     return rows_fn
@@ -184,32 +165,26 @@ _PARALLEL_BACKENDS_ITEMS: Dict[Scale, List[Any]] = {}
 
 
 def _parallel_backends_rows(
-    scale: Scale,
-    spec: Optional[str],
-    sparse: Optional[str],
-    kernel: Optional[str],
+    scale: Scale, spec: Optional[str], sparse: Optional[str]
 ) -> List[Dict[str, Any]]:
     """One Blelloch scan over T dense H×H Jacobians on the given backend."""
     from repro.backend import get_executor
     from repro.scan import ScanContext, blelloch_scan
 
-    cfg = measurement_config(spec, sparse, kernel).resolve()
+    cfg = measurement_config(spec, sparse).resolve()
     p = SCAN_PARAMS[scale]
     t, b, h = p["seq_len"], p["batch"], p["hidden"]
     items = _PARALLEL_BACKENDS_ITEMS.get(scale)
     if items is None:
         items = _PARALLEL_BACKENDS_ITEMS[scale] = make_scan_items(t, b, h)
     with get_executor(cfg.executor) as ex:
-        out = blelloch_scan(
-            items, ScanContext(kernel=cfg.kernel).op, executor=ex
-        )
+        out = blelloch_scan(items, ScanContext().op, executor=ex)
     return [
         {
             "seq_len": t,
             "batch": b,
             "hidden": h,
             "backend": cfg.executor,
-            "kernel": cfg.kernel,
             "positions": len(out),
         }
     ]
@@ -224,29 +199,25 @@ _SPARSE_SCAN_STATE: Dict[tuple, tuple] = {}
 
 
 def _sparse_scan_rows(
-    scale: Scale,
-    spec: Optional[str],
-    sparse: Optional[str],
-    kernel: Optional[str],
+    scale: Scale, spec: Optional[str], sparse: Optional[str]
 ) -> List[Dict[str, Any]]:
-    """One Blelloch scan over a CSR Jacobian chain on the given backend,
-    dispatch mode, and numeric kernel — the dense-vs-sparse speedup
-    microbenchmark, and the kernel axis's step-function workload.
+    """One Blelloch scan over a CSR Jacobian chain on the given backend
+    and dispatch mode — the dense-vs-sparse speedup microbenchmark.
     Measures the *steady-state* (per-training-step) cost: symbolic
     plans and scratch warmed by the first call are reused by repeats."""
     from repro.backend import get_executor
     from repro.scan import ScanContext, blelloch_scan
 
-    cfg = measurement_config(spec, sparse, kernel).resolve()
+    cfg = measurement_config(spec, sparse).resolve()
     policy = cfg.sparse_policy()
     p = SPARSE_SCAN_PARAMS[scale]
-    key = (scale, cfg.executor, cfg.sparse, cfg.densify_threshold, cfg.kernel)
+    key = (scale, cfg.executor, cfg.sparse, cfg.densify_threshold)
     state = _SPARSE_SCAN_STATE.get(key)
     if state is None:
         items = make_sparse_scan_items(
             p["stages"], p["batch"], p["channels"], p["hw"], sparse=policy
         )
-        ctx = ScanContext(sparse=policy, kernel=cfg.kernel)
+        ctx = ScanContext(sparse=policy)
         _SPARSE_SCAN_STATE[key] = (items, ctx)
     else:
         items, ctx = state
@@ -260,7 +231,6 @@ def _sparse_scan_rows(
             "dim": p["channels"] * p["hw"][0] * p["hw"][1],
             "backend": cfg.executor,
             "sparse": cfg.sparse,
-            "kernel": cfg.kernel,
             "total_flops": int(ctx.total_flops),
             "positions": len(out),
         }
@@ -295,10 +265,7 @@ _PIPELINE_SCAN_STATE: Dict[tuple, tuple] = {}
 
 
 def _pipeline_scan_rows(
-    scale: Scale,
-    spec: Optional[str],
-    sparse: Optional[str],
-    kernel: Optional[str],
+    scale: Scale, spec: Optional[str], sparse: Optional[str]
 ) -> List[Dict[str, Any]]:
     """The staged-pipeline benchmark: a full scan-backprop pass of one
     RNN mini-batch through :class:`~repro.pipeline.StagedRNNBPPSA` for
@@ -308,7 +275,7 @@ def _pipeline_scan_rows(
     from repro.nn.rnn import RNNClassifier
     from repro.pipeline import SCHEDULES, StagedRNNBPPSA
 
-    cfg = measurement_config(spec, sparse, kernel).resolve()
+    cfg = measurement_config(spec, sparse).resolve()
     p = PIPELINE_SCAN_PARAMS[scale]
     state = _PIPELINE_SCAN_STATE.get((scale,))
     if state is None:
@@ -326,7 +293,6 @@ def _pipeline_scan_rows(
         up_levels=cfg.up_levels,
         executor=cfg.executor,
         sparse=cfg.sparse,
-        kernel=cfg.kernel,
     )
     rows: List[Dict[str, Any]] = []
     for stages, micro_batches in p["cells"]:
@@ -358,24 +324,18 @@ def _pipeline_scan_rows(
 
 
 def _transformer_scan_rows(
-    scale: Scale,
-    spec: Optional[str],
-    sparse: Optional[str],
-    kernel: Optional[str],
+    scale: Scale, spec: Optional[str], sparse: Optional[str]
 ) -> List[Dict[str, Any]]:
     """The ``transformer_block`` workload (:mod:`repro.workloads`): one
     scan-backprop pass of an attention + LayerNorm + MLP chain — the
     mixed dense-per-sample / block-sparse SparsePolicy stress."""
     from repro.workloads import transformer_scan_rows
 
-    return transformer_scan_rows(scale, spec, sparse, kernel)
+    return transformer_scan_rows(scale, spec, sparse)
 
 
 def _pruned_sparsity_rows(
-    scale: Scale,
-    spec: Optional[str],
-    sparse: Optional[str],
-    kernel: Optional[str],
+    scale: Scale, spec: Optional[str], sparse: Optional[str]
 ) -> List[Dict[str, Any]]:
     """The ``pruned_mlp`` workload pipeline (:mod:`repro.workloads`):
     train → magnitude-prune → retrain (masks asserted every step) →
@@ -383,7 +343,7 @@ def _pruned_sparsity_rows(
     its sparse contrast internally, so backend-sensitive only."""
     from repro.workloads import pruned_sparsity_rows
 
-    return pruned_sparsity_rows(scale, spec, sparse, kernel)
+    return pruned_sparsity_rows(scale, spec, sparse)
 
 
 def _pruned_sparsity_metrics(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -393,17 +353,14 @@ def _pruned_sparsity_metrics(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
 
 
 def _serve_throughput_rows(
-    scale: Scale,
-    spec: Optional[str],
-    sparse: Optional[str],
-    kernel: Optional[str],
+    scale: Scale, spec: Optional[str], sparse: Optional[str]
 ) -> List[Dict[str, Any]]:
     """The serving-plane benchmark: N concurrent clients submitting a
     mixed-spec job stream to an :class:`~repro.serve.EngineServer` on
     the given backend (see :mod:`repro.serve.loadgen`)."""
     from repro.serve.loadgen import run_loadgen
 
-    return run_loadgen(scale=scale, backend=spec or "serial", kernel=kernel)
+    return run_loadgen(scale=scale, backend=spec or "serial")
 
 
 def _serve_throughput_metrics(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
@@ -443,17 +400,13 @@ ARTIFACTS: List[BenchArtifact] = [
         "fig9_rnn_curve", _experiment(fig9_rnn_curve), backend_sensitive=True
     ),
     BenchArtifact(
-        "parallel_backends",
-        _parallel_backends_rows,
-        backend_sensitive=True,
-        kernel_sensitive=True,
+        "parallel_backends", _parallel_backends_rows, backend_sensitive=True
     ),
     BenchArtifact(
         "sparse_scan",
         _sparse_scan_rows,
         backend_sensitive=True,
         sparse_sensitive=True,
-        kernel_sensitive=True,
     ),
     BenchArtifact(
         "serve_throughput",
@@ -488,24 +441,18 @@ def artifact_names() -> List[str]:
     return [a.name for a in ARTIFACTS]
 
 
-def backend_label(
-    spec: Optional[str], sparse: Optional[str], kernel: Optional[str] = None
-) -> str:
+def backend_label(spec: Optional[str], sparse: Optional[str]) -> str:
     """The ``backend`` field recorded for one measurement.
 
-    A plain executor spec (``"serial"``) without any swept axis;
-    ``"serial[sparse=on]"`` when a dispatch mode was swept, and
-    ``"serial[sparse=on][kernel=numba]"`` with the kernel axis too
-    (axes always append in that order).  Artifacts an axis never
-    touches keep their shorter keys either way; swept artifacts change
-    key shape with ``--sparse`` / ``--kernel``, so a baseline must be
+    A plain executor spec (``"serial"``) without the sparse axis;
+    ``"serial[sparse=on]"`` when a dispatch mode was swept.  Artifacts
+    the axis never touches keep their shorter keys either way; swept
+    artifacts change key shape with ``--sparse``, so a baseline must be
     regenerated with the same sweep flags it will be compared against.
     """
     base = spec if spec is not None else NO_BACKEND
     if sparse is not None:
         base = f"{base}[sparse={sparse}]"
-    if kernel is not None:
-        base = f"{base}[kernel={kernel}]"
     return base
 
 
@@ -517,11 +464,10 @@ def run_bench(
     warmup: int = 0,
     repeats: int = 1,
     sparse_modes: Optional[Sequence[str]] = None,
-    kernel_modes: Optional[Sequence[str]] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> List[BenchRecord]:
-    """Sweep ``artifacts`` × ``backends`` (× ``sparse_modes``
-    × ``kernel_modes``) into validated records.
+    """Sweep ``artifacts`` × ``backends`` (× ``sparse_modes``) into
+    validated records.
 
     Parameters
     ----------
@@ -543,13 +489,6 @@ def run_bench(
         sparse-sensitive artifacts; ``None`` disables the axis (every
         artifact runs once, under the process default policy, with the
         plain backend key).
-    kernel_modes
-        SpGEMM numeric kernels (``"numpy"``, ``"numba"``) to sweep on
-        kernel-sensitive artifacts; ``None`` disables the axis.  The
-        ``"numba"`` cell silently measures the pure-NumPy fast path
-        when Numba is not installed (the record's embedded config
-        still says which name ran; check
-        :func:`repro.scan.numba_available` when it matters).
     progress
         Optional callback receiving one human-readable line per
         measurement as it completes.
@@ -558,8 +497,6 @@ def run_bench(
         raise ValueError("at least one backend spec is required")
     if sparse_modes is not None and not sparse_modes:
         raise ValueError("sparse_modes must be None or a non-empty sequence")
-    if kernel_modes is not None and not kernel_modes:
-        raise ValueError("kernel_modes must be None or a non-empty sequence")
     if artifacts is None:
         selected = list(ARTIFACTS)
     else:
@@ -581,51 +518,41 @@ def run_bench(
             if artifact.sparse_sensitive and sparse_modes is not None
             else [None]
         )
-        kernels: List[Optional[str]] = (
-            list(kernel_modes)
-            if artifact.kernel_sensitive and kernel_modes is not None
-            else [None]
-        )
         for spec in specs:
             for mode in modes:
-                for kern in kernels:
-                    rows, stats = measure(
-                        lambda: artifact.rows_fn(scale, spec, mode, kern),
-                        warmup=warmup,
-                        repeats=repeats,
+                rows, stats = measure(
+                    lambda: artifact.rows_fn(scale, spec, mode),
+                    warmup=warmup,
+                    repeats=repeats,
+                )
+                try:
+                    # Every record states exactly which (resolved)
+                    # configuration produced it.
+                    cfg_dict = measurement_config(spec, mode).resolve().to_dict()
+                except (ValueError, TypeError) as exc:
+                    # Malformed ambient REPRO_SCAN_* values must not
+                    # abort recording an artifact that just ran fine
+                    # (analytical artifacts never resolve the config).
+                    cfg_dict = {"error": str(exc)}
+                record = BenchRecord(
+                    artifact=artifact.name,
+                    scale=scale.value,
+                    backend=backend_label(spec, mode),
+                    timing=stats,
+                    environment=env,
+                    num_rows=len(rows),
+                    metrics=(
+                        artifact.metrics_fn(rows)
+                        if artifact.metrics_fn is not None
+                        else {}
+                    ),
+                    config=cfg_dict,
+                )
+                records.append(record)
+                if progress is not None:
+                    progress(
+                        f"{artifact.name} [{record.backend}] "
+                        f"median {stats.median_s * 1e3:.1f} ms, "
+                        f"{record.num_rows} rows"
                     )
-                    try:
-                        # Every record states exactly which (resolved)
-                        # configuration produced it.
-                        cfg_dict = (
-                            measurement_config(spec, mode, kern)
-                            .resolve()
-                            .to_dict()
-                        )
-                    except (ValueError, TypeError) as exc:
-                        # Malformed ambient REPRO_SCAN_* values must not
-                        # abort recording an artifact that just ran fine
-                        # (analytical artifacts never resolve the config).
-                        cfg_dict = {"error": str(exc)}
-                    record = BenchRecord(
-                        artifact=artifact.name,
-                        scale=scale.value,
-                        backend=backend_label(spec, mode, kern),
-                        timing=stats,
-                        environment=env,
-                        num_rows=len(rows),
-                        metrics=(
-                            artifact.metrics_fn(rows)
-                            if artifact.metrics_fn is not None
-                            else {}
-                        ),
-                        config=cfg_dict,
-                    )
-                    records.append(record)
-                    if progress is not None:
-                        progress(
-                            f"{artifact.name} [{record.backend}] "
-                            f"median {stats.median_s * 1e3:.1f} ms, "
-                            f"{record.num_rows} rows"
-                        )
     return records

@@ -3,7 +3,7 @@
 One frozen :class:`ScanConfig` value captures the entire tuning
 surface of the ⊙ scan (algorithm, truncation depth, executor backend,
 dense-vs-sparse dispatch, densify threshold, linear-Jacobian tolerance,
-pattern-cache policy, SpGEMM numeric kernel), with:
+pattern-cache policy), with:
 
 * a **spec grammar** that round-trips —
   ``ScanConfig.from_spec("blelloch/thread:8/sparse=auto:0.4")`` ↔
@@ -37,10 +37,8 @@ from repro.config.context import (
     overlay_field,
 )
 from repro.config.facade import (
-    UNSET,
     adopt_config,
     build_engine,
-    merge_engine_kwargs,
     stage_configs,
 )
 
@@ -57,7 +55,5 @@ __all__ = [
     "overlay_field",
     "adopt_config",
     "build_engine",
-    "merge_engine_kwargs",
     "stage_configs",
-    "UNSET",
 ]

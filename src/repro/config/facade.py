@@ -12,78 +12,20 @@ and ``sparse=`` blocks.
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, List, Mapping, Optional, Sequence, Union
 
 from repro.config.scan_config import ScanConfig
-
-#: Sentinel distinguishing "kwarg not given" from an explicit ``None``
-#: (the deprecated ``densify_threshold=None`` meant *never densify*).
-UNSET = object()
-
-
-def merge_engine_kwargs(
-    config: Union[ScanConfig, str, Mapping[str, Any], None],
-    *,
-    algorithm: Any = None,
-    up_levels: Any = None,
-    sparse_linear_tol: Any = None,
-    densify_threshold: Any = UNSET,
-    executor: Any = None,
-    sparse: Any = None,
-) -> ScanConfig:
-    """Fold an engine's legacy keyword surface into one :class:`ScanConfig`.
-
-    The deprecation shim shared by both BPPSA engine constructors:
-    explicitly given kwargs override the corresponding ``config``
-    fields (the top rung of the precedence ladder), executor
-    *instances* are left out (the engine keeps them verbatim), and the
-    deprecated ``densify_threshold=`` kwarg emits a
-    ``DeprecationWarning`` before mapping onto the config — ignored
-    when ``sparse`` is also given, matching its historical behaviour.
-    """
-    overrides: dict = {
-        "algorithm": algorithm,
-        "up_levels": up_levels,
-        "sparse_linear_tol": sparse_linear_tol,
-        "sparse": sparse,
-    }
-    if isinstance(executor, str):
-        overrides["executor"] = executor
-    elif executor is not None:
-        from repro.backend import ScanExecutor
-
-        # Instances are handed to the engine verbatim; anything else
-        # is the same TypeError get_executor used to raise, kept here
-        # so a bogus executor= fails at construction instead of
-        # silently running on the ambient default.
-        if not isinstance(executor, ScanExecutor):
-            raise TypeError(
-                "executor must be a spec string, ScanExecutor, or None; "
-                f"got {type(executor).__name__}"
-            )
-    if densify_threshold is not UNSET:
-        warnings.warn(
-            "the densify_threshold= engine kwarg is deprecated (it "
-            "overlaps the sparse-policy threshold): pass "
-            "sparse='auto:<t>' or config=ScanConfig(densify_threshold=<t>) "
-            "instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        if sparse is None:
-            # Legacy None meant "never densify"; ScanConfig spells
-            # that 1.0 (None is *unset* there).
-            overrides["densify_threshold"] = (
-                densify_threshold if densify_threshold is not None else 1.0
-            )
-    return ScanConfig.coerce(config, **overrides)
 
 
 def construction_executor(
     merged: ScanConfig, resolved: ScanConfig, executor: Any
 ) -> Any:
     """What an engine hands to ``set_executor`` at construction time.
+
+    ``merged`` is the engine's config with its explicit kwargs folded
+    in (a spec-string ``executor=`` among them), ``resolved`` its
+    :meth:`~ScanConfig.resolve` output, and ``executor`` the raw
+    ``executor=`` kwarg:
 
     * an explicit :class:`~repro.backend.ScanExecutor` instance → used
       verbatim (caller-owned);
@@ -102,6 +44,13 @@ def construction_executor(
 
     if isinstance(executor, ScanExecutor):
         return executor
+    if executor is not None and not isinstance(executor, str):
+        # Fail at construction instead of silently running on the
+        # ambient default.
+        raise TypeError(
+            "executor must be a spec string, ScanExecutor, or None; "
+            f"got {type(executor).__name__}"
+        )
     if merged.executor is not None:
         return resolved.executor
     return None
@@ -217,12 +166,11 @@ def adopt_config(
     corresponding ``config`` fields.
 
     Adoptable fields: ``executor`` (via ``set_executor``), ``sparse`` /
-    ``densify_threshold`` (via ``set_sparse_policy``), ``kernel`` (via
-    ``set_kernel``), ``algorithm`` and ``up_levels`` (plain attributes
-    both engines re-read on every scan).  Construction-only fields
-    (``sparse_linear_tol``, ``pattern_cache``) cannot be adopted and
-    raise ``ValueError`` — rebuild through :func:`build_engine`
-    instead.
+    ``densify_threshold`` (via ``set_sparse_policy``), ``algorithm`` and
+    ``up_levels`` (plain attributes both engines re-read on every
+    scan).  Construction-only fields (``sparse_linear_tol``,
+    ``pattern_cache``) cannot be adopted and raise ``ValueError`` —
+    rebuild through :func:`build_engine` instead.
 
     Raises ``ValueError`` when any adoptable field is set but
     ``engine`` is ``None`` (baseline BP has no scan to configure), and
@@ -243,13 +191,7 @@ def adopt_config(
         cfg.sparse is not None or cfg.densify_threshold is not None
     )
     want_algorithm = cfg.algorithm is not None or cfg.up_levels is not None
-    want_kernel = cfg.kernel is not None
-    if (
-        executor is None
-        and not want_sparse
-        and not want_algorithm
-        and not want_kernel
-    ):
+    if executor is None and not want_sparse and not want_algorithm:
         return engine
     if engine is None:
         raise ValueError(
@@ -275,13 +217,6 @@ def adopt_config(
         engine.set_sparse_policy(
             sparse if sparse is not None else cfg.sparse_policy()
         )
-    if want_kernel:
-        if not hasattr(engine, "set_kernel"):
-            raise TypeError(
-                "engine does not implement set_kernel; construct the "
-                "engine with its kernel instead"
-            )
-        engine.set_kernel(cfg.kernel)
     if want_algorithm:
         # Same contract as the setters above: adopting onto an engine
         # that has no such knob is a TypeError, not a silent attribute.

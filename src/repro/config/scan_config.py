@@ -16,8 +16,7 @@ single resolution point that fills unset fields, in precedence order:
 1. explicit field values (what the config already carries),
 2. :func:`repro.configure` scoped overrides (innermost first),
 3. environment variables (``REPRO_SCAN_BACKEND``,
-   ``REPRO_SCAN_SPARSE``, ``REPRO_SCAN_SPARSE_THRESHOLD``,
-   ``REPRO_SCAN_KERNEL``),
+   ``REPRO_SCAN_SPARSE``, ``REPRO_SCAN_SPARSE_THRESHOLD``),
 4. engine-supplied defaults (e.g. the RNN engine's never-densify
    policy),
 5. the global defaults (``blelloch`` / 2 levels / ``serial`` /
@@ -34,7 +33,6 @@ Spec grammar (``/``-separated segments, each optional, any order)::
                | "densify=" float               densify threshold alone
                | "tol=" float                   sparse linear Jacobian tol
                | "cache=" ("private"|"shared")  pattern-cache policy
-               | "kernel=" ("numpy"|"numba")    SpGEMM numeric kernel
 
 ``ScanConfig.from_spec(cfg.spec()) == cfg`` holds for every config —
 the canonical spec string round-trips losslessly, so a config can live
@@ -50,7 +48,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.backend.registry import ENV_VAR, _parse_spec
-from repro.scan.kernels import DEFAULT_KERNEL, KERNEL_ENV_VAR, KERNELS
 from repro.scan.sparse_policy import (
     DEFAULT_DENSIFY_THRESHOLD,
     SPARSE_ENV_VAR,
@@ -66,7 +63,7 @@ ALGORITHMS = ("blelloch", "linear", "hillis_steele", "truncated")
 PATTERN_CACHE_POLICIES = ("private", "shared")
 
 #: ``key=value`` spec segments (bare segments are algorithm/executor).
-_SPEC_KEYS = ("sparse", "up", "densify", "tol", "cache", "kernel")
+_SPEC_KEYS = ("sparse", "up", "densify", "tol", "cache")
 
 # The process-wide PatternCache handed out under ``cache=shared`` —
 # built lazily so importing the config plane stays cheap.
@@ -174,13 +171,6 @@ class ScanConfig:
     pattern_cache:
         ``"private"`` (fresh SpGEMM plan cache per engine — the
         default) or ``"shared"`` (the process-wide cache).
-    kernel:
-        The SpGEMM numeric-phase implementation — ``"numpy"`` (the
-        bitwise reference) or ``"numba"`` (the compiled build, falling
-        back to a pure-NumPy fast path when Numba is not installed;
-        resolves via ``REPRO_SCAN_KERNEL``, falling back to
-        ``"numpy"``).  Every kernel yields bitwise-identical
-        gradients — see :mod:`repro.scan.kernels`.
     """
 
     algorithm: Optional[str] = None
@@ -190,7 +180,13 @@ class ScanConfig:
     densify_threshold: Optional[float] = None
     sparse_linear_tol: Optional[float] = None
     pattern_cache: Optional[str] = None
-    kernel: Optional[str] = None
+
+    @property
+    def kernel(self) -> None:
+        """Always ``None``, and not a field: there is one SpGEMM numeric
+        phase.  Read-only, for callers that still hand ``cfg.kernel`` to
+        ``ScanContext(kernel=...)``."""
+        return None
 
     def __post_init__(self) -> None:
         # A combined "mode:threshold" sparse value (or a SparsePolicy)
@@ -270,10 +266,6 @@ class ScanConfig:
             raise ValueError(
                 f"pattern_cache must be one of {PATTERN_CACHE_POLICIES}, "
                 f"got {self.pattern_cache!r}"
-            )
-        if self.kernel is not None and self.kernel not in KERNELS:
-            raise ValueError(
-                f"kernel must be one of {KERNELS}, got {self.kernel!r}"
             )
 
     # ------------------------------------------------------------------
@@ -369,8 +361,6 @@ class ScanConfig:
                     )
                 elif key == "cache":
                     put("pattern_cache", value)
-                elif key == "kernel":
-                    put("kernel", value)
                 else:
                     raise ValueError(
                         f"unknown key {key!r} in config spec {spec!r} "
@@ -423,8 +413,6 @@ class ScanConfig:
             parts.append(f"tol={self.sparse_linear_tol!r}")
         if self.pattern_cache is not None:
             parts.append(f"cache={self.pattern_cache}")
-        if self.kernel is not None:
-            parts.append(f"kernel={self.kernel}")
         return "/".join(parts)
 
     # ------------------------------------------------------------------
@@ -507,10 +495,6 @@ class ScanConfig:
                 updates["densify_threshold"] = _parse_float(
                     env_threshold, THRESHOLD_ENV_VAR, env_threshold
                 )
-        if cfg.kernel is None:
-            env_kernel = os.environ.get(KERNEL_ENV_VAR)
-            if env_kernel:
-                updates["kernel"] = env_kernel  # validated in __post_init__
         if updates:
             cfg = dataclasses.replace(cfg, **updates)
         if defaults:
@@ -569,5 +553,4 @@ _GLOBAL_DEFAULTS = ScanConfig(
     sparse="auto",
     densify_threshold=DEFAULT_DENSIFY_THRESHOLD,
     pattern_cache="private",
-    kernel=DEFAULT_KERNEL,
 )

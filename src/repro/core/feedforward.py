@@ -22,8 +22,7 @@ from typing import Dict, List, Mapping, Optional, Union
 import numpy as np
 
 from repro.backend import ExecutorOwner, ScanExecutor
-from repro.config import UNSET as _UNSET
-from repro.config import ScanConfig, merge_engine_kwargs
+from repro.config import ScanConfig
 from repro.config.facade import construction_executor as _construction_executor
 from repro.jacobian.dispatch import BatchedJacobian, has_tjac, layer_tjac_batched
 from repro.nn import layers as L
@@ -75,12 +74,6 @@ class FeedforwardBPPSA(ExecutorOwner):
     sparse_linear_tol:
         When set, linear-layer Jacobians are stored in CSR dropping
         entries ≤ tol — the pruned-retraining configuration.
-    densify_threshold:
-        **Deprecated** legacy form of the dispatch policy (it overlaps
-        the sparse-policy threshold): emits a ``DeprecationWarning``
-        and maps onto ``ScanConfig.densify_threshold`` (ignored when
-        ``sparse`` is given, matching the historical behaviour).  Use
-        ``sparse="auto:<t>"`` or ``config`` instead.
     sparse:
         Dense-vs-sparse dispatch for the scan: a
         :class:`~repro.scan.SparsePolicy`, a spec string (``"auto"``,
@@ -112,19 +105,17 @@ class FeedforwardBPPSA(ExecutorOwner):
         algorithm: Optional[str] = None,
         up_levels: Optional[int] = None,
         sparse_linear_tol: Optional[float] = None,
-        densify_threshold: Union[float, None, object] = _UNSET,
         pattern_cache: Optional[PatternCache] = None,
         executor: Union[str, ScanExecutor, None] = None,
         sparse: Union[str, SparsePolicy, None] = None,
         config: Union[ScanConfig, str, Mapping, None] = None,
     ) -> None:
-        merged = merge_engine_kwargs(
+        merged = ScanConfig.coerce(
             config,
             algorithm=algorithm,
             up_levels=up_levels,
             sparse_linear_tol=sparse_linear_tol,
-            densify_threshold=densify_threshold,
-            executor=executor,
+            executor=executor if isinstance(executor, str) else None,
             sparse=sparse,
         )
         cfg = merged.resolve()
@@ -141,7 +132,6 @@ class FeedforwardBPPSA(ExecutorOwner):
                 else cfg.make_pattern_cache()
             ),
             sparse=cfg.sparse_policy(),
-            kernel=cfg.kernel,
         )
         self._activations: List[np.ndarray] = []
 
@@ -154,12 +144,6 @@ class FeedforwardBPPSA(ExecutorOwner):
         """Replace the dispatch policy (spec string, policy, or ``None``
         to re-resolve against ``REPRO_SCAN_SPARSE``)."""
         self.context.set_sparse_policy(sparse)
-
-    def set_kernel(self, kernel) -> None:
-        """Replace the SpGEMM numeric kernel (``"numpy"`` | ``"numba"``,
-        a :class:`~repro.scan.ScanKernel`, or ``None`` to re-resolve
-        against ``REPRO_SCAN_KERNEL``)."""
-        self.context.set_kernel(kernel)
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:

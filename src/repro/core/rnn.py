@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Union
 import numpy as np
 
 from repro.backend import ExecutorOwner, ScanExecutor
-from repro.config import ScanConfig, merge_engine_kwargs
+from repro.config import ScanConfig
 from repro.config.facade import construction_executor as _construction_executor
 from repro.nn.loss import softmax_xent_grad
 from repro.nn.rnn import RNNClassifier
@@ -73,11 +73,11 @@ class RNNBPPSA(ExecutorOwner):
         sparse: Union[str, SparsePolicy, None] = None,
         config: Union[ScanConfig, str, Mapping, None] = None,
     ) -> None:
-        merged = merge_engine_kwargs(
+        merged = ScanConfig.coerce(
             config,
             algorithm=algorithm,
             up_levels=up_levels,
-            executor=executor,
+            executor=executor if isinstance(executor, str) else None,
             sparse=sparse,
         )
         cfg = merged.resolve(defaults={"densify_threshold": 1.0})
@@ -89,7 +89,6 @@ class RNNBPPSA(ExecutorOwner):
         self.context = ScanContext(
             pattern_cache=cfg.make_pattern_cache(),
             sparse=cfg.sparse_policy(),
-            kernel=cfg.kernel,
         )
 
     @property
@@ -101,12 +100,6 @@ class RNNBPPSA(ExecutorOwner):
         """Replace the dispatch policy (spec string, policy, or ``None``
         to re-resolve against ``REPRO_SCAN_SPARSE``)."""
         self.context.set_sparse_policy(sparse)
-
-    def set_kernel(self, kernel) -> None:
-        """Replace the SpGEMM numeric kernel (``"numpy"`` | ``"numba"``,
-        a :class:`~repro.scan.ScanKernel`, or ``None`` to re-resolve
-        against ``REPRO_SCAN_KERNEL``)."""
-        self.context.set_kernel(kernel)
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ fails the site generator), and both consumers render *from* it:
   ``tests/test_dashboard.py`` asserts the committed file matches it
   byte for byte.
 
-Axis sensitivity (backend / sparse / kernel) is deliberately *not*
+Axis sensitivity (backend / sparse) is deliberately *not*
 stored here: it is read off the :class:`~repro.bench.runner.BenchArtifact`
 flags, so the catalog adds only what the runner cannot know — which
 part of the paper each artifact reproduces.
@@ -165,8 +165,6 @@ def axes_label(name: str) -> str:
         axes.append("backend")
     if artifact.sparse_sensitive:
         axes.append("sparse")
-    if artifact.kernel_sensitive:
-        axes.append("kernel")
     return ", ".join(axes) if axes else "—"
 
 

@@ -83,7 +83,6 @@ def measured_rows(scale: Scale, config=None) -> List[Dict]:
             up_levels=cfg.up_levels,
             executor=cfg.executor,
             sparse=cfg.sparse,
-            kernel=cfg.kernel,
         )
         with StagedRNNBPPSA(
             clf, stages, micro_batches, schedule="gpipe", configs=stage_cfg

@@ -105,7 +105,7 @@ class StagedRNNBPPSA:
         :func:`repro.config.stage_configs`.  All stages must agree on
         the algorithm family (``truncated`` or ``linear``) and
         truncation depth — block alignment is global — but may differ
-        freely in executor backend, kernel, and sparse mode.
+        freely in executor backend and sparse mode.
     pool:
         A shared :class:`~repro.serve.EnginePool` (stages naming equal
         resolved configs share one engine).  When omitted the instance

@@ -14,11 +14,8 @@ producing ``[I, ∇x_n ℓ, ..., ∇x_1 ℓ]``.  This package provides:
   per element and per product whether composition runs in CSR/SpGEMM
   or dense BLAS — ``REPRO_SCAN_SPARSE=auto|on|off`` overridable, see
   :mod:`repro.scan.sparse_policy`;
-* a pluggable SpGEMM numeric-kernel layer (:mod:`repro.scan.kernels`):
-  symbolic-once/numeric-many plans executed by the bitwise NumPy
-  reference or an allocation-free compiled build —
-  ``REPRO_SCAN_KERNEL=numpy|numba`` overridable, arena-backed scratch
-  per :class:`ScanContext`;
+* symbolic-once/numeric-many SpGEMM plans (:mod:`repro.sparse`), with
+  an arena of numeric-phase scratch per :class:`ScanContext`;
 * :func:`linear_scan` — the serial baseline (equivalent to BP);
 * :func:`blelloch_scan` — the paper's modified Blelloch scan
   (Algorithm 1: operand order reversed in the down-sweep);
@@ -47,15 +44,6 @@ from repro.scan.elements import (
     ScanContext,
     SparseJacobian,
     StepRecord,
-)
-from repro.scan.kernels import (
-    DEFAULT_KERNEL,
-    KERNEL_ENV_VAR,
-    KERNELS,
-    KernelArena,
-    ScanKernel,
-    get_kernel,
-    numba_available,
 )
 from repro.scan.sparse_policy import (
     DEFAULT_DENSIFY_THRESHOLD,
@@ -102,13 +90,6 @@ __all__ = [
     "SPARSE_MODES",
     "THRESHOLD_ENV_VAR",
     "DEFAULT_DENSIFY_THRESHOLD",
-    "KERNELS",
-    "KERNEL_ENV_VAR",
-    "DEFAULT_KERNEL",
-    "ScanKernel",
-    "KernelArena",
-    "get_kernel",
-    "numba_available",
     "OpInfo",
     "StepRecord",
     "linear_scan",

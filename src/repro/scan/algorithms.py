@@ -256,33 +256,15 @@ def truncated_blelloch_scan(
 
     ``up_levels=0`` degenerates to a pure linear scan;
     ``up_levels ≥ ⌈log2(n+1)⌉−1`` degenerates to the full Blelloch scan.
+    It is the one-stage case of :func:`stage_truncated_scan`: the
+    whole array as one slice, seeded with ``identity``.
     """
-    a = list(items)
-    n = len(a) - 1
-    if n == 0:
-        return [identity]
-    levels = blelloch_num_levels(n + 1)
+    levels = blelloch_num_levels(len(items))
     k = max(0, min(up_levels, levels - 1))
-
-    with _resolved_executor(executor) as ex:
-        # --- partial up-sweep (parallel levels 0..k−1) -------------------
-        _up_sweep(a, op, n, range(k), ex)
-
-        # --- serial middle: exclusive prefixes of block summaries --------
-        block = 1 << k
-        roots = [min(start + block - 1, n) for start in range(0, n + 1, block)]
-        prefix = identity
-        for m, root in enumerate(roots):
-            summary = a[root]
-            a[root] = prefix
-            if m < len(roots) - 1:
-                prefix = op(
-                    prefix, summary, OpInfo("serial-mid", k, root, roots[m + 1])
-                )
-
-        # --- partial down-sweep (parallel levels k−1..0) ------------------
-        _down_sweep(a, op, n, range(k - 1, -1, -1), ex)
-    return a
+    outputs, _ = stage_truncated_scan(
+        items, op, k, prefix=identity, executor=executor
+    )
+    return outputs
 
 
 def stage_truncated_scan(
@@ -290,7 +272,6 @@ def stage_truncated_scan(
     op: OpFn,
     up_levels: int,
     prefix: Any = IDENTITY,
-    identity: Any = IDENTITY,
     executor: ExecutorLike = None,
     compose_tail: bool = False,
 ) -> Tuple[List[Any], Any]:

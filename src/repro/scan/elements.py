@@ -34,9 +34,8 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.scan.kernels import KernelArena, ScanKernel, get_kernel
 from repro.scan.sparse_policy import SparsePolicy
-from repro.sparse import CSRMatrix, PatternCache, csr_matvec_batched
+from repro.sparse import CSRMatrix, KernelArena, PatternCache, csr_matvec_batched
 
 
 class Identity:
@@ -191,7 +190,6 @@ class StepRecord:
     kind: str  # "mv" (matrix-vector) or "mm" (matrix-matrix)
     flops: int  # actual FLOPs (per batch, sparse-aware)
     dense_mnk: int  # m·n·k if operands were dense — Figure 11's x-axis
-    out_repr: str = ""
 
 
 class ScanContext:
@@ -202,40 +200,32 @@ class ScanContext:
     pattern_cache:
         Shared :class:`PatternCache`; pass one per model so symbolic
         SpGEMM work amortizes across training iterations.
-    densify_threshold:
-        Legacy form of the dispatch policy: convert a sparse product to
-        dense storage when its density exceeds this value (products
-        lose sparsity as the up-sweep progresses — paper Section 5.2).
-        ``None`` disables.  Ignored when ``sparse`` is given.
     sparse:
         The dense-vs-sparse dispatch policy — a
         :class:`~repro.scan.sparse_policy.SparsePolicy`, a spec string
         (``"auto"``, ``"on"``, ``"off"``, ``"auto:0.4"``), or ``None``
-        to follow ``$REPRO_SCAN_SPARSE`` (falling back to ``auto``
-        with ``densify_threshold``).  In ``off`` mode every sparse
-        operand is densified before it is combined, so the context
-        computes the pure dense path.
+        to follow ``$REPRO_SCAN_SPARSE`` (falling back to ``auto``).
+        In ``off`` mode every sparse operand is densified before it is
+        combined, so the context computes the pure dense path.
     kernel:
-        The SpGEMM numeric-phase implementation — a
-        :class:`~repro.scan.kernels.ScanKernel`, a name (``"numpy"`` |
-        ``"numba"``), or ``None`` to follow ``$REPRO_SCAN_KERNEL``
-        (falling back to the bitwise NumPy reference).  Every kernel
-        produces bitwise-identical results; see
-        :mod:`repro.scan.kernels`.
+        Must be ``None``.  There is one SpGEMM numeric phase
+        (:func:`repro.sparse.spgemm_numeric`); the parameter stays only
+        so existing ``kernel=None`` call sites keep working.
     """
 
     def __init__(
         self,
         pattern_cache: Optional[PatternCache] = None,
-        densify_threshold: Optional[float] = 0.25,
         sparse: Union[SparsePolicy, str, None] = None,
-        kernel: Union[ScanKernel, str, None] = None,
+        kernel: None = None,
     ) -> None:
+        if kernel is not None:
+            raise ValueError(
+                f"kernel={kernel!r}: there is one SpGEMM numeric phase, so "
+                "ScanContext takes no kernel; drop the argument"
+            )
         self.cache = pattern_cache if pattern_cache is not None else PatternCache()
-        self.sparse_policy = SparsePolicy.resolve(
-            sparse, densify_threshold=densify_threshold
-        )
-        self.kernel = get_kernel(kernel)
+        self.sparse_policy = SparsePolicy.resolve(sparse)
         # Per-context scratch arena for the numeric phase; owns scratch
         # only — numeric outputs belong to the result elements.
         self.arena = KernelArena()
@@ -250,11 +240,6 @@ class ScanContext:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    @property
-    def densify_threshold(self) -> Optional[float]:
-        """Density bound of the dispatch policy (legacy accessor)."""
-        return self.sparse_policy.densify_threshold
-
     def set_sparse_policy(self, sparse: Union[SparsePolicy, str, None]) -> None:
         """Replace the dense-vs-sparse dispatch policy.
 
@@ -263,12 +248,6 @@ class ScanContext:
         The pattern cache and trace are untouched.
         """
         self.sparse_policy = SparsePolicy.resolve(sparse)
-
-    def set_kernel(self, kernel: Union[ScanKernel, str, None]) -> None:
-        """Replace the SpGEMM numeric kernel (name, kernel, or ``None``
-        to re-resolve against ``$REPRO_SCAN_KERNEL``).  The arena and
-        its warmed-up workspaces are untouched."""
-        self.kernel = get_kernel(kernel)
 
     def reset_trace(self) -> None:
         with self._lock:
@@ -281,13 +260,11 @@ class ScanContext:
         with self._lock:
             self.trace = []
 
-    def _record(self, info: OpInfo, kind: str, flops: int, mnk: int,
-                result: ScanElement) -> None:
+    def _record(self, info: OpInfo, kind: str, flops: int, mnk: int) -> None:
         with self._lock:
             self.total_flops += flops
             self.trace.append(
-                StepRecord(info=info, kind=kind, flops=flops, dense_mnk=mnk,
-                           out_repr=repr(result))
+                StepRecord(info=info, kind=kind, flops=flops, dense_mnk=mnk)
             )
 
     def op(self, a: ScanElement, b: ScanElement, info: Optional[OpInfo] = None):
@@ -313,7 +290,7 @@ class ScanContext:
         else:
             result, flops, mnk = self._matmat(b, a)
             kind = "mm"
-        self._record(info, kind, flops, mnk, result)
+        self._record(info, kind, flops, mnk)
         return result
 
     # ------------------------------------------------------------------
@@ -349,9 +326,7 @@ class ScanContext:
 
         if isinstance(b, SparseJacobian) and isinstance(a, SparseJacobian):
             plan = self.cache.plan_for(b.pattern, a.pattern)
-            vals = plan.execute_batched(
-                b.values(), a.values(), kernel=self.kernel, workspace=self.arena
-            )
+            vals = plan.execute_batched(b.values(), a.values(), arena=self.arena)
             result, flops = self._wrap_sparse_product(a, b, plan, vals)
             return result, flops, mnk
 
@@ -375,7 +350,6 @@ class ScanContext:
         a: DenseJacobian,
         b: DenseJacobian,
         info: OpInfo,
-        result: DenseJacobian,
     ) -> None:
         """Account for an ``a ⊙ b`` dense product computed externally.
 
@@ -385,7 +359,7 @@ class ScanContext:
         path would have recorded (both paths share ``_dense_mm_cost``).
         """
         flops, mnk = _dense_mm_cost(a, b)
-        self._record(info, "mm", flops, mnk, result)
+        self._record(info, "mm", flops, mnk)
 
     def _maybe_densify(self, s: SparseJacobian) -> ScanElement:
         if not self.sparse_policy.keep_product_sparse(s.pattern.density):
@@ -442,8 +416,8 @@ class ScanContext:
         """Finish a sparse ``a ⊙ b`` whose numeric phase ran externally.
 
         ``out_values`` is the worker's ``(B, out_nnz)`` value matrix for
-        ``plan`` (from :func:`repro.sparse.spgemm_numeric_batched`, the
-        same kernel the inline path runs — so the finished element is
+        ``plan`` (from :func:`repro.sparse.spgemm_numeric`, the same
+        function the inline path runs — so the finished element is
         bitwise-identical to in-process execution).  Wraps the values in
         the inline path's result representation, applies the densify
         policy, and records FLOPs in the parent's trace.
@@ -452,7 +426,7 @@ class ScanContext:
         result, flops = self._wrap_sparse_product(a, b, plan, out_values)
         m, k = b.shape
         n = a.shape[1]
-        self._record(info, "mm", flops, m * n * k, result)
+        self._record(info, "mm", flops, m * n * k)
         return result
 
 

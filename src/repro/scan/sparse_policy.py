@@ -120,59 +120,34 @@ class SparsePolicy:
         return cls(mode=mode, densify_threshold=value)
 
     @classmethod
-    def from_env(cls, fallback: Optional["SparsePolicy"] = None) -> "SparsePolicy":
+    def from_env(cls) -> "SparsePolicy":
         """The ambient policy: ``repro.configure()`` overrides, then
-        ``$REPRO_SCAN_SPARSE``.
+        ``$REPRO_SCAN_SPARSE`` / ``$REPRO_SCAN_SPARSE_THRESHOLD``, then
+        ``auto`` at the default threshold.
 
-        Falls back to ``fallback`` when neither names a mode; a scoped
-        override or ``$REPRO_SCAN_SPARSE_THRESHOLD`` overrides the
-        fallback's threshold too (both are operational knobs — they
-        beat code-level defaults).  Resolution is delegated to
-        :meth:`repro.config.ScanConfig.resolve`, the single resolution
-        point of the configuration plane.
+        Resolution is delegated to :meth:`repro.config.ScanConfig.resolve`,
+        the single resolution point of the configuration plane.
         """
         # Lazy import: repro.config imports this module at load time.
         from repro.config import ScanConfig
 
-        defaults = None
-        if fallback is not None:
-            defaults = {
-                "sparse": fallback.mode,
-                # ScanConfig expresses "never densify" as 1.0 (None
-                # means *unset* there); sparse_policy() maps it back.
-                "densify_threshold": (
-                    fallback.densify_threshold
-                    if fallback.densify_threshold is not None
-                    else 1.0
-                ),
-            }
-        return ScanConfig().resolve(defaults).sparse_policy()
+        return ScanConfig().resolve().sparse_policy()
 
     @classmethod
-    def resolve(
-        cls,
-        spec: Union["SparsePolicy", str, None],
-        *,
-        densify_threshold: Union[float, None] = DEFAULT_DENSIFY_THRESHOLD,
-    ) -> "SparsePolicy":
+    def resolve(cls, spec: Union["SparsePolicy", str, None]) -> "SparsePolicy":
         """Resolve a ``sparse=`` argument to a concrete policy.
 
         * a :class:`SparsePolicy` → returned unchanged;
         * a spec string (``"auto"``, ``"on"``, ``"off"``, ``"auto:0.4"``)
           → parsed;
-        * ``None`` → ``$REPRO_SCAN_SPARSE`` when set, else ``auto``
-          with ``densify_threshold`` (the legacy
-          ``ScanContext(densify_threshold=…)`` behaviour, where
-          ``None`` meant "never densify").
+        * ``None`` → the ambient policy (:meth:`from_env`).
         """
         if isinstance(spec, SparsePolicy):
             return spec
         if isinstance(spec, str):
             return cls.parse(spec)
         if spec is None:
-            return cls.from_env(
-                fallback=cls(mode="auto", densify_threshold=densify_threshold)
-            )
+            return cls.from_env()
         raise TypeError(
             f"sparse spec must be a SparsePolicy, string, or None; "
             f"got {type(spec).__name__}"

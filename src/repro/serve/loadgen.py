@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -67,7 +67,6 @@ def make_job(
     seq_len: int,
     hidden: int,
     batch: int,
-    kernel: Optional[str] = None,
 ) -> Tuple[str, List[Any]]:
     """One deterministic ``(spec, items)`` job of the mixed stream.
 
@@ -80,10 +79,9 @@ def make_job(
     from repro.sparse import csr_from_diagonal
 
     rng = np.random.default_rng((client + 1) * 10_000 + index)
-    kern = f"/kernel={kernel}" if kernel else ""
     flavor = (client + index) % 4
     if flavor == 3:
-        spec = f"blelloch/{backend}/sparse=on/cache=shared{kern}"
+        spec = f"blelloch/{backend}/sparse=on/cache=shared"
         dim = hidden
         diag = csr_from_diagonal(np.ones(dim))
         items: List[Any] = [GradientVector(rng.standard_normal((batch, dim)))]
@@ -93,7 +91,7 @@ def make_job(
         ]
         return spec, items
     algorithm = "linear" if flavor == 2 else "blelloch"
-    spec = f"{algorithm}/{backend}/cache=shared{kern}"
+    spec = f"{algorithm}/{backend}/cache=shared"
     items = [GradientVector(rng.standard_normal((batch, hidden)))]
     items += [
         DenseJacobian(rng.standard_normal((batch, hidden, hidden)))
@@ -111,7 +109,6 @@ async def run_load(
     batch: int,
     clients: int,
     jobs_per_client: int,
-    kernel: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """Run the client fleet; returns one per-job latency row each."""
     rows: List[Dict[str, Any]] = []
@@ -126,7 +123,6 @@ async def run_load(
                 seq_len=seq_len,
                 hidden=hidden,
                 batch=batch,
-                kernel=kernel,
             )
             t0 = time.perf_counter()
             scanned = await server.submit(spec, items)
@@ -149,7 +145,6 @@ async def run_load(
 def run_loadgen(
     scale: Scale = Scale.SMOKE,
     backend: str = "serial",
-    kernel: Optional[str] = None,
 ) -> List[Dict[str, Any]]:
     """One full load-generation run: per-job rows + a summary row.
 
@@ -178,7 +173,6 @@ def run_loadgen(
                 batch=params["batch"],
                 clients=params["clients"],
                 jobs_per_client=params["jobs_per_client"],
-                kernel=kernel,
             )
             wall_s = time.perf_counter() - t0
             stats = server.stats()

@@ -3,7 +3,7 @@
 A serving layer cannot afford to rebuild executors, scan contexts, and
 plan caches per request: a ``process:N`` backend forks worker
 processes, a warmed :class:`~repro.scan.ScanContext` holds SpGEMM
-plans and kernel-arena scratch, and both amortize only across
+plans and numeric-phase scratch, and both amortize only across
 requests.  :class:`EnginePool` keys one :class:`ScanEngine` per fully
 **resolved** :class:`~repro.config.ScanConfig` — the spec string a
 client submits is resolved once at admission (see
@@ -44,7 +44,7 @@ class ScanEngine:
     overlay stack of the *worker* thread is irrelevant by design).
 
     The engine owns its executor (built from the resolved spec string)
-    and its :class:`ScanContext` (plan cache, kernel, arena);
+    and its :class:`ScanContext` (plan cache, arena);
     :meth:`close` releases the executor's workers and is idempotent,
     so a server can retire engines at any time.
     """
@@ -54,7 +54,6 @@ class ScanEngine:
         self.context = ScanContext(
             pattern_cache=config.make_pattern_cache(),
             sparse=config.sparse_policy(),
-            kernel=config.kernel,
         )
         self.executor = get_executor(config.executor)
         self.scans = 0

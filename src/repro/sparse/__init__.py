@@ -13,6 +13,8 @@ of the training loop.  This package reproduces that design:
   phase keyed by the operand sparsity *patterns*; the numeric phase then
   runs alone each iteration (Section 4.2's "preparations do not need to
   repeat across iterations").
+* :func:`spgemm_numeric` / :class:`KernelArena` — that numeric phase,
+  with per-plan scratch reused across iterations.
 
 SciPy is intentionally **not** used here; it appears only in tests as an
 oracle.
@@ -27,11 +29,13 @@ from repro.sparse.csr import (
     csr_matvec_batched,
 )
 from repro.sparse.spgemm import (
+    KernelArena,
     PatternCache,
     SpGEMMPlan,
     build_spgemm_plan,
     spgemm,
     spgemm_flops,
+    spgemm_numeric,
     spgemm_numeric_batched,
 )
 
@@ -46,6 +50,8 @@ __all__ = [
     "SpGEMMPlan",
     "build_spgemm_plan",
     "PatternCache",
+    "KernelArena",
     "spgemm_flops",
+    "spgemm_numeric",
     "spgemm_numeric_batched",
 ]

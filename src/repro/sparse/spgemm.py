@@ -19,8 +19,10 @@ of removing cuSPARSE's per-call nnz-counting and index-merging.
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -72,10 +74,9 @@ class SpGEMMPlan:
         (2 × expanded products: one multiply + one add each).
     """
 
-    # __weakref__ lets kernel arenas key scratch workspaces weakly by
-    # plan (repro.scan.kernels.KernelArena); _out_pattern caches the
-    # output-pattern CSRMatrix so steady-state numeric calls allocate
-    # no fresh CSR objects.
+    # __weakref__ lets a KernelArena key scratch workspaces weakly by
+    # plan; _out_pattern caches the output-pattern CSRMatrix so
+    # steady-state numeric calls allocate no fresh CSR objects.
     __slots__ = (
         "src_a",
         "src_b",
@@ -138,8 +139,7 @@ class SpGEMMPlan:
         self,
         data_a: np.ndarray,
         data_b: np.ndarray,
-        kernel=None,
-        workspace=None,
+        arena: Optional["KernelArena"] = None,
         out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Numeric phase for a batch of value arrays sharing the patterns.
@@ -149,23 +149,170 @@ class SpGEMMPlan:
         is how BPPSA multiplies per-sample Jacobians that share one
         deterministic sparsity pattern with a *single* symbolic plan.
 
-        ``kernel`` selects the numeric implementation — a
-        :class:`~repro.scan.kernels.ScanKernel` or ``None`` for the
-        reference (every kernel is bitwise-identical to it);
-        ``workspace`` is the :class:`~repro.scan.kernels.KernelArena`
-        supplying preallocated scratch; ``out`` receives the result in
-        place when given (caller-owned, never arena storage).
+        ``arena`` supplies reusable scratch (see :func:`spgemm_numeric`);
+        ``out`` receives the result in place when given (caller-owned,
+        never arena storage).
         """
-        if kernel is None:
-            result = spgemm_numeric_batched(
-                self.src_a, self.src_b, self.scatter, self.out_nnz,
-                data_a, data_b,
-            )
-            if out is None:
-                return result
-            out[...] = result
-            return out
-        return kernel.numeric(self, data_a, data_b, arena=workspace, out=out)
+        scratch = None if arena is None else partial(arena.workspace, self)
+        return spgemm_numeric(
+            self.src_a, self.src_b, self.scatter, self.out_nnz,
+            data_a, data_b, scratch, out,
+        )
+
+
+class PlanWorkspace:
+    """Preallocated numeric-phase scratch for one plan on one thread.
+
+    Holds two gather destinations, reused in place as the product
+    buffer, and the flat segment-sum offsets
+    ``offsets[b, i] = b · out_nnz + scatter[i]``, sized for a batch
+    *capacity* that only grows (a workspace warmed up at batch B
+    serves every batch ≤ B without allocating).
+    """
+
+    __slots__ = ("capacity", "out_nnz", "_scatter", "_gather_a",
+                 "_gather_b", "_offsets")
+
+    def __init__(self, scatter: np.ndarray, out_nnz: int) -> None:
+        self.capacity = 0
+        self.out_nnz = out_nnz
+        # The scatter map, not the plan: the arena's weak-keyed pool
+        # must not hold its own key alive.
+        self._scatter = scatter
+        self._gather_a: Optional[np.ndarray] = None
+        self._gather_b: Optional[np.ndarray] = None
+        self._offsets: Optional[np.ndarray] = None
+
+    def ensure(self, batch: int) -> bool:
+        """Grow the buffers to hold ``batch`` rows; True if (re)allocated."""
+        if batch <= self.capacity:
+            return False
+        n = len(self._scatter)
+        self._gather_a = np.empty((batch, n), dtype=np.float64)
+        self._gather_b = np.empty((batch, n), dtype=np.float64)
+        self._offsets = (
+            np.arange(batch, dtype=np.int64)[:, None] * self.out_nnz
+            + self._scatter
+        )
+        self.capacity = batch
+        return True
+
+    def gather(self, batch: int) -> Tuple[np.ndarray, np.ndarray]:
+        """(B, n_expanded) gather/product scratch views."""
+        return self._gather_a[:batch], self._gather_b[:batch]
+
+    def flat_offsets(self, batch: int) -> np.ndarray:
+        """Flat (B · n_expanded,) segment offsets for one bincount."""
+        return self._offsets[:batch].reshape(-1)
+
+
+class KernelArena:
+    """Thread-local pool of :class:`PlanWorkspace` scratch, plan-keyed.
+
+    One arena lives on each :class:`~repro.scan.ScanContext`; every
+    thread touching the context gets its own workspace per plan
+    (concurrent ⊙ products of one scan level must not share scratch).
+    Workspaces are keyed by the plan object itself through a
+    :class:`weakref.WeakKeyDictionary`, so evicting a plan from the
+    pattern cache releases its scratch too.
+
+    The arena owns *scratch only*.  Numeric outputs belong to the
+    result element: scan results outlive the level that produced them
+    (the Blelloch down-sweep re-reads up-sweep outputs), so an output
+    written into reused arena storage would be clobbered by the next
+    product.
+
+    ``allocations`` counts workspace buffer (re)allocations and
+    ``reuses`` counts numeric calls served entirely from existing
+    buffers (zero fresh allocations once warmed up).
+    """
+
+    def __init__(self) -> None:
+        self._tls = threading.local()
+        self._lock = threading.Lock()
+        self.allocations = 0
+        self.reuses = 0
+
+    def workspace(self, plan: SpGEMMPlan, batch: int) -> PlanWorkspace:
+        """The calling thread's workspace for ``plan``, grown to ``batch``."""
+        pool = getattr(self._tls, "pool", None)
+        if pool is None:
+            pool = weakref.WeakKeyDictionary()
+            self._tls.pool = pool
+        ws = pool.get(plan)
+        if ws is None:
+            ws = PlanWorkspace(plan.scatter, plan.out_nnz)
+            pool[plan] = ws
+        if ws.ensure(batch):
+            with self._lock:
+                self.allocations += 1
+        else:
+            with self._lock:
+                self.reuses += 1
+        return ws
+
+
+def spgemm_numeric(
+    src_a: np.ndarray,
+    src_b: np.ndarray,
+    scatter: np.ndarray,
+    out_nnz: int,
+    data_a: np.ndarray,
+    data_b: np.ndarray,
+    scratch: Optional[Callable[[int], PlanWorkspace]] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """The SpGEMM numeric phase on raw plan arrays.
+
+    The one implementation behind :meth:`SpGEMMPlan.execute_batched`
+    and the process scan backend's shared-memory worker, so offloaded
+    and inline products are the same NumPy calls in the same order.
+    ``data_a``/``data_b`` are (B, nnz) value matrices, or (nnz,) /
+    (1, nnz) values shared by the whole batch.  Returns the
+    (B, out_nnz) output values, written into ``out`` when given.
+
+    Bitwise-identical to :func:`spgemm_numeric_batched`: the expanded
+    products are the same ``data_a[src_a] · data_b[src_b]`` pairs in
+    the same order, and the segment sum is the same flat
+    ``np.bincount``, which accumulates strictly in input order.  It
+    allocates less: gathers land in scratch (``np.take`` with
+    ``out=``), the multiply runs in place, and the flat offsets are
+    built once per (plan, batch).  ``scratch(batch)`` supplies those
+    buffers; without it they are allocated per call.
+    """
+    data_a = np.atleast_2d(np.asarray(data_a, dtype=np.float64))
+    data_b = np.atleast_2d(np.asarray(data_b, dtype=np.float64))
+    ba, bb = data_a.shape[0], data_b.shape[0]
+    batch = max(ba, bb)
+    if len(scatter) == 0:
+        result = np.zeros((batch, out_nnz))
+    else:
+        if scratch is None:
+            ws = PlanWorkspace(scatter, out_nnz)
+            ws.ensure(batch)
+        else:
+            ws = scratch(batch)
+        buf_a, buf_b = ws.gather(batch)
+        # Gather each side at its *native* batch (a shared (1, nnz)
+        # operand is gathered once, like the reference's fancy
+        # indexing) and let the multiply broadcast: the element-wise
+        # products are unchanged.
+        np.take(data_a, src_a, axis=1, out=buf_a[:ba])
+        np.take(data_b, src_b, axis=1, out=buf_b[:bb])
+        if bb == batch:
+            prod = np.multiply(buf_a[:ba], buf_b, out=buf_b)
+        else:  # shared b, batched a: accumulate into the a-buffer
+            prod = np.multiply(buf_a, buf_b[:bb], out=buf_a)
+        # bincount is the one allocation left: the result the caller owns.
+        result = np.bincount(
+            ws.flat_offsets(batch),
+            weights=prod.reshape(-1),
+            minlength=batch * out_nnz,
+        ).reshape(batch, out_nnz)
+    if out is None:
+        return result
+    out[...] = result
+    return out
 
 
 def spgemm_numeric_batched(
@@ -176,16 +323,12 @@ def spgemm_numeric_batched(
     data_a: np.ndarray,
     data_b: np.ndarray,
 ) -> np.ndarray:
-    """SpGEMM numeric phase on raw plan arrays.
+    """Reference SpGEMM numeric phase on raw plan arrays.
 
-    The batched gather–multiply–segment-sum at the heart of
-    :meth:`SpGEMMPlan.execute_batched`, callable with nothing but the
-    plan's index arrays.  The process scan backend runs exactly this
-    function inside a worker against shared-memory views of the plan,
-    which is what keeps offloaded sparse products bitwise-identical to
-    inline execution: both paths are the *same* NumPy calls in the same
-    order.  ``data_a``/``data_b`` broadcast like in ``execute_batched``
-    ((B, nnz) or (nnz,) / (1, nnz) shared values).
+    The plain fancy-indexing gather–multiply–segment-sum that
+    :func:`spgemm_numeric` must match byte for byte; the tests compare
+    against it.  ``data_a``/``data_b`` broadcast like in
+    :func:`spgemm_numeric`.
     """
     data_a = np.atleast_2d(np.asarray(data_a, dtype=np.float64))
     data_b = np.atleast_2d(np.asarray(data_b, dtype=np.float64))
@@ -267,9 +410,9 @@ class PatternCache:
     all — churns through distinct Jacobian patterns indefinitely, so
     the process-wide shared cache must shed cold plans instead of
     growing without bound.  Evicting a plan also releases its
-    :class:`~repro.scan.kernels.KernelArena` scratch: arenas key
-    workspaces *weakly* by plan, so dropping the last strong reference
-    frees the workspace buffers with it.
+    :class:`KernelArena` scratch: arenas key workspaces *weakly* by
+    plan, so dropping the last strong reference frees the workspace
+    buffers with it.
 
     ``maxsize=None`` (the default) keeps the historical unbounded
     behaviour for private, engine-lifetime caches.

@@ -35,7 +35,7 @@ TRAIN_STEPS = {Scale.SMOKE: (4, 3), Scale.PAPER: (12, 8)}
 #: records the fastest, the steady-state per-step cost.
 TIMING_REPEATS = 3
 
-#: Steady-state cache: per (scale, executor, kernel) cell the fully
+#: Steady-state cache: per (scale, executor) cell the fully
 #: prepared per-fraction states — trained+pruned+retrained model, its
 #: dense and CSR engines, the measurement batch, and the mask set — so
 #: repeated timed calls re-measure warm engines instead of re-training.
@@ -71,7 +71,6 @@ def _prepare(scale: Scale, cfg) -> list:
                 algorithm="blelloch",
                 executor=cfg.executor,
                 sparse="off",
-                kernel=cfg.kernel,
             ),
         )
         opt = SGD(model.parameters(), lr=1e-2, momentum=0.9)
@@ -87,7 +86,6 @@ def _prepare(scale: Scale, cfg) -> list:
                 executor=cfg.executor,
                 sparse="on",
                 sparse_linear_tol=0.0,
-                kernel=cfg.kernel,
             ),
         )
         density = float(
@@ -127,7 +125,6 @@ def pruned_sparsity_rows(
     scale: Scale,
     spec: Optional[str],
     sparse: Optional[str],
-    kernel: Optional[str],
 ) -> List[Dict[str, Any]]:
     """One dense-vs-CSR gradient-step comparison per pruning fraction.
 
@@ -137,8 +134,8 @@ def pruned_sparsity_rows(
     """
     from repro.bench.runner import measurement_config
 
-    cfg = measurement_config(spec, sparse, kernel).resolve()
-    key = (scale, cfg.executor, cfg.kernel)
+    cfg = measurement_config(spec, sparse).resolve()
+    key = (scale, cfg.executor)
     states = _STATE.get(key)
     if states is None:
         states = _prepare(scale, cfg)
@@ -162,7 +159,6 @@ def pruned_sparsity_rows(
                 "sparse_ms": round(sparse_s * 1e3, 4),
                 "speedup": round(dense_s / sparse_s, 4),
                 "backend": cfg.executor,
-                "kernel": cfg.kernel,
             }
         )
     return rows

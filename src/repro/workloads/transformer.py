@@ -13,7 +13,7 @@ block-sparse stages?
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.experiments.common import Scale
 from repro.workloads.registry import get_workload, stage_structures
@@ -30,17 +30,16 @@ def transformer_scan_rows(
     scale: Scale,
     spec: Optional[str],
     sparse: Optional[str],
-    kernel: Optional[str],
 ) -> List[Dict[str, Any]]:
     """One Blelloch scan-backprop pass of the transformer block on the
-    given backend, sparse dispatch mode, and numeric kernel."""
+    given backend and sparse dispatch mode."""
     from repro.bench.runner import measurement_config
     from repro.config import ScanConfig, build_engine
 
     wl = get_workload("transformer_block")
     p = wl.params(scale)
-    cfg = measurement_config(spec, sparse, kernel).resolve()
-    key = (scale, cfg.executor, cfg.sparse, cfg.densify_threshold, cfg.kernel)
+    cfg = measurement_config(spec, sparse).resolve()
+    key = (scale, cfg.executor, cfg.sparse, cfg.densify_threshold)
     state = _STATE.get(key)
     if state is None:
         model = wl.build_model(scale)
@@ -52,7 +51,6 @@ def transformer_scan_rows(
                 executor=cfg.executor,
                 sparse=cfg.sparse,
                 densify_threshold=cfg.densify_threshold,
-                kernel=cfg.kernel,
             ),
         )
         structure = stage_structures(
@@ -73,7 +71,6 @@ def transformer_scan_rows(
             "density": round(float(row["density"]), 6),
             "backend": cfg.executor,
             "sparse": cfg.sparse,
-            "kernel": cfg.kernel,
             "grad_tensors": len(grads),
         }
         for row in structure

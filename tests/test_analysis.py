@@ -36,7 +36,7 @@ class TestStaticAnalyzer:
         analyzer = StaticScanAnalyzer()
         steps = analyzer.analyze(chain, grad_dim=6, algorithm="truncated", up_levels=2)
 
-        ctx = ScanContext(densify_threshold=None)
+        ctx = ScanContext(sparse="on")
         items = [GradientVector(rng.standard_normal((1, 6)))]
         items += [SparseJacobian(p) for p in chain]
         truncated_blelloch_scan(items, ctx.op, up_levels=2)

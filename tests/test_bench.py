@@ -249,44 +249,35 @@ class TestCompare:
 
 
 class TestKernelAxis:
-    """The --kernel sweep axis and its hard schema gate."""
+    """Records from the retired --kernel sweep still load; the schema
+    gate still rejects axes it does not know."""
 
-    def test_kernel_sweep_records_per_kernel(self):
-        records = run_bench(
-            Scale.SMOKE,
-            backends=["serial"],
-            artifacts=["sparse_scan", "table2_devices"],
-            sparse_modes=("on",),
-            kernel_modes=("numpy", "numba"),
-        )
-        keys = {(r.artifact, r.backend) for r in records}
-        assert keys == {
-            ("sparse_scan", "serial[sparse=on][kernel=numpy]"),
-            ("sparse_scan", "serial[sparse=on][kernel=numba]"),
-            ("table2_devices", NO_BACKEND),  # not kernel-sensitive
+    def test_kernel_labelled_history_record_still_loads(self, tmp_path):
+        rec = _record(backend="serial[sparse=on][kernel=numba]").to_dict()
+        rec["config"] = {"executor": "serial", "sparse": "on", "kernel": "numba"}
+        path = write_results([_record()], tmp_path / "snap")
+        doc = json.loads(path.read_text())
+        doc["records"].append(rec)
+        path.write_text(json.dumps(doc))
+        loaded = load_records(path)
+        assert {r.backend for r in loaded} == {
+            "serial",
+            "serial[sparse=on][kernel=numba]",
         }
-        for r in records:
-            validate_record(r.to_dict())
-            if r.artifact == "sparse_scan":
-                assert r.config["kernel"] in ("numpy", "numba")
+        doc["records"][-1]["backend"] = "serial[sparse=on][flavor=numba]"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="unknown benchmark axis"):
+            load_records(path)
 
-    def test_kernel_axis_without_sparse_axis(self):
+    def test_runner_writes_no_kernel_axis(self):
         records = run_bench(
             Scale.SMOKE,
             backends=["serial"],
-            artifacts=["parallel_backends"],
-            kernel_modes=("numpy",),
+            artifacts=["sparse_scan"],
+            sparse_modes=("on",),
         )
-        assert [r.backend for r in records] == ["serial[kernel=numpy]"]
-
-    def test_empty_kernel_modes_rejected(self):
-        with pytest.raises(ValueError, match="kernel_modes"):
-            run_bench(
-                Scale.SMOKE,
-                backends=["serial"],
-                artifacts=["sparse_scan"],
-                kernel_modes=(),
-            )
+        assert [r.backend for r in records] == ["serial[sparse=on]"]
+        assert "kernel" not in records[0].config
 
     def test_unknown_axis_in_backend_label_is_schema_error(self):
         rec = _record(backend="serial[kernel=numpy]").to_dict()  # known: fine

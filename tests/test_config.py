@@ -4,10 +4,10 @@ Covers the :class:`ScanConfig` spec-grammar and JSON round-trips, the
 resolution precedence ladder (explicit > ``configure()`` override >
 environment variable > default) including nesting and restoration on
 exception, the :func:`repro.build_engine` facade (dispatch + bitwise
-equivalence with the legacy kwarg paths), the deprecated
-``densify_threshold=`` engine kwarg, the shared
-:func:`repro.config.adopt_config` validation, and the serialized
-config embedded in bench records and the environment fingerprint.
+equivalence with the legacy kwarg paths), warning-free engine
+construction, the shared :func:`repro.config.adopt_config` validation,
+and the serialized config embedded in bench records and the
+environment fingerprint.
 """
 
 from __future__ import annotations
@@ -220,9 +220,7 @@ class TestResolvePrecedence:
         monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
         cfg = ScanConfig().resolve(defaults={"densify_threshold": 1.0})
         assert cfg.densify_threshold == 0.25
-        assert SparsePolicy.resolve(
-            None, densify_threshold=None
-        ).densify_threshold == 0.25  # legacy call site, old semantics kept
+        assert SparsePolicy.resolve(None).densify_threshold == 0.25
         monkeypatch.setenv(THRESHOLD_ENV_VAR, "0.5")
         cfg = ScanConfig().resolve(defaults={"densify_threshold": 1.0})
         assert cfg.densify_threshold == 0.5
@@ -387,6 +385,20 @@ class TestBuildEngine:
         assert eng.executor is ex  # instance wins over the config spec
         eng.close()
 
+    def test_engine_kwargs_fold_like_coerce(self):
+        # Explicit kwargs beat the config's fields, exactly as
+        # ScanConfig.coerce(config, **kwargs) folds them.
+        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
+        base = ScanConfig.from_spec("truncated:3/sparse=off/tol=0.5")
+        kwargs = dict(algorithm="linear", sparse="auto:0.3", executor="serial")
+        with FeedforwardBPPSA(model, config=base, **kwargs) as eng:
+            assert eng.config == ScanConfig.coerce(base, **kwargs).resolve()
+            assert eng.config.up_levels == 3
+            assert eng.sparse_policy.densify_threshold == 0.3
+        clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
+        with RNNBPPSA(clf, config=base.spec(), sparse="on") as eng:
+            assert eng.config.sparse == "on" and eng.algorithm == "truncated"
+
     def test_bogus_executor_type_fails_at_construction(self):
         model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
         with pytest.raises(TypeError, match="spec string"):
@@ -474,29 +486,10 @@ class TestSharedCacheBound:
 
 
 # ---------------------------------------------------------------------------
-# deprecated densify_threshold= engine kwarg
+# the removed densify_threshold= engine kwarg (its rejection is pinned in
+# test_kernel_oracle.py::TestRemovedSpellings)
 # ---------------------------------------------------------------------------
 class TestDeprecatedDensifyKwarg:
-    def test_warns_and_maps_onto_config(self):
-        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        with pytest.warns(DeprecationWarning, match="densify_threshold"):
-            eng = FeedforwardBPPSA(model, densify_threshold=0.4)
-        assert eng.sparse_policy.densify_threshold == 0.4
-        assert eng.config.densify_threshold == 0.4
-
-    def test_none_still_means_never_densify(self):
-        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        with pytest.warns(DeprecationWarning):
-            eng = FeedforwardBPPSA(model, densify_threshold=None)
-        assert eng.sparse_policy.densify_threshold is None
-        assert eng.sparse_policy.keep_product_sparse(1.0)
-
-    def test_ignored_when_sparse_given(self):
-        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        with pytest.warns(DeprecationWarning):
-            eng = FeedforwardBPPSA(model, densify_threshold=0.9, sparse="auto:0.2")
-        assert eng.sparse_policy.densify_threshold == 0.2
-
     def test_no_warning_without_the_kwarg(self):
         model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
         with warnings.catch_warnings():

@@ -1,50 +1,57 @@
-"""Differential kernel-oracle harness (tier-1).
+"""Differential oracle for the SpGEMM numeric phase (tier-1).
 
-Every SpGEMM numeric kernel must be **bitwise-identical** to the
-reference (:func:`repro.sparse.spgemm_numeric_batched`) — not merely
-close.  This file is the oracle that enforces it:
+The one numeric phase — :func:`repro.sparse.spgemm_numeric`, behind
+:meth:`~repro.sparse.SpGEMMPlan.execute_batched` and the process
+backend's shared-memory worker — must be **bitwise-identical** to the
+plain reference :func:`repro.sparse.spgemm_numeric_batched`, not
+merely close.  This file is the oracle that enforces it:
 
-* a full (algorithm × backend × sparse mode × kernel) matrix over
-  randomized CSR chains — seeded, with forced empty rows, duplicate-free
+* a direct differential over random plans, covering shared ``(1, nnz)``
+  operands, arena reuse, ``out=``, the worker's raw entry, −0.0 and
+  empty plans;
+* a full (algorithm × backend × sparse mode) matrix over randomized
+  CSR chains — seeded, with forced empty rows, duplicate-free
   *unsorted* column indices, an all-zero block, and batch > 1 — where
-  every cell's scan output must match the (serial, ``numpy``) reference
-  cell byte for byte;
-* a direct kernel-vs-reference differential over random plans,
-  covering shared operands, the arena path, ``out=`` and
-  ``numeric_raw``;
-* a dedicated ``process:2`` offload cell (the kernel crosses the
-  process boundary by name);
-* an engine-level run (:class:`repro.core.FeedforwardBPPSA`) proving
-  end-to-end gradients are bitwise-independent of the kernel choice.
+  every cell's scan output must match a reference cell byte for byte;
+* a ``process:2`` offload cell, an engine-level cell
+  (:class:`repro.core.FeedforwardBPPSA`) and the ``transformer_block``
+  workload cell, each against a reference cell.
 
-When Numba is not installed the ``"numba"`` name resolves to the
-pure-NumPy fast path — same bitwise contract, so every test here runs
-(and must pass) either way; nothing is skipped.
+A reference cell runs on the serial backend with
+``SpGEMMPlan.execute_batched`` monkeypatched to the reference (see
+:func:`reference_cell`); that swap exists only in this file, never as a
+production option.
 """
+
+import threading
+from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
 from repro.backend import ProcessPoolScanExecutor, LevelTask, SerialExecutor, get_executor
+from repro.backend.process import _spgemm_worker
+from repro.config import ScanConfig
 from repro.core import FeedforwardBPPSA
-from repro.nn import LeNet5, Sequential
+from repro.nn import LeNet5, Sequential, make_mlp
 from repro.scan import (
-    KERNEL_ENV_VAR,
-    KERNELS,
     GradientVector,
-    KernelArena,
     OpInfo,
     ScanContext,
     SparseJacobian,
     blelloch_scan,
-    get_kernel,
     hillis_steele_scan,
     linear_scan,
-    numba_available,
     truncated_blelloch_scan,
 )
-from repro.sparse import CSRMatrix, build_spgemm_plan
-from repro.sparse.spgemm import spgemm_numeric_batched
+from repro.sparse import (
+    CSRMatrix,
+    KernelArena,
+    SpGEMMPlan,
+    build_spgemm_plan,
+    spgemm_numeric,
+    spgemm_numeric_batched,
+)
 
 ALGORITHMS = ("blelloch", "linear", "hillis_steele", "truncated")
 BACKENDS = ("serial", "thread:2")
@@ -129,10 +136,10 @@ def snapshot(elements):
     return snap
 
 
-def run_cell(algorithm, backend, sparse, kernel, seed=0x5EED):
-    """One (algorithm, backend, sparse, kernel) oracle cell."""
+def run_cell(algorithm, backend, sparse, seed=0x5EED):
+    """One (algorithm, backend, sparse) oracle cell."""
     items = oracle_items(seed)
-    ctx = ScanContext(sparse=sparse, kernel=kernel)
+    ctx = ScanContext(sparse=sparse)
     with get_executor(backend) as ex:
         if algorithm == "linear":
             out = linear_scan(items, ctx.op)
@@ -147,6 +154,33 @@ def run_cell(algorithm, backend, sparse, kernel, seed=0x5EED):
     return snapshot(out)
 
 
+def reference_cell(fn, *args, spgemm=True):
+    """``fn(*args)`` with every SpGEMM numeric phase on the reference.
+
+    Monkeypatches :meth:`SpGEMMPlan.execute_batched` to
+    :func:`spgemm_numeric_batched` for the duration of the call; with
+    ``spgemm=True`` it also checks that the reference really ran, so a
+    cell can never silently compare the production path to itself.
+    """
+    calls = []
+
+    def reference_execute_batched(plan, data_a, data_b, arena=None, out=None):
+        calls.append(plan)
+        result = spgemm_numeric_batched(
+            plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, data_a, data_b
+        )
+        if out is None:
+            return result
+        out[...] = result
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SpGEMMPlan, "execute_batched", reference_execute_batched)
+        result = fn(*args)
+    assert bool(calls) == spgemm
+    return result
+
+
 # ---------------------------------------------------------------------------
 # the matrix
 # ---------------------------------------------------------------------------
@@ -156,33 +190,27 @@ class TestKernelOracleMatrix:
     @pytest.mark.parametrize("sparse", SPARSE_MODES)
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_bitwise_identical_across_cells(self, algorithm, sparse):
-        ref = run_cell(algorithm, "serial", sparse, "numpy")
+        # A linear scan seeded with the gradient runs mat-vecs only.
+        ref = reference_cell(
+            run_cell, algorithm, "serial", sparse,
+            spgemm=algorithm != "linear",
+        )
         for backend in BACKENDS:
-            for kernel in KERNELS:
-                if (backend, kernel) == ("serial", "numpy"):
-                    continue
-                got = run_cell(algorithm, backend, sparse, kernel)
-                assert got == ref, (
-                    f"cell ({algorithm}, {backend}, sparse={sparse}, "
-                    f"kernel={kernel}) diverged from the reference"
-                )
-
-    def test_kernel_object_cell_matches_named_cell(self):
-        """Passing a ScanKernel instance equals passing its name."""
-        by_name = run_cell("blelloch", "serial", "on", "numba")
-        by_obj = run_cell("blelloch", "serial", "on", get_kernel("numba"))
-        assert by_obj == by_name
+            got = run_cell(algorithm, backend, sparse)
+            assert got == ref, (
+                f"cell ({algorithm}, {backend}, sparse={sparse}) diverged "
+                "from the reference"
+            )
 
 
 # ---------------------------------------------------------------------------
-# direct kernel differential
+# direct differential
 # ---------------------------------------------------------------------------
 class TestKernelDifferential:
-    """kernel.numeric ≡ spgemm_numeric_batched on random plans."""
+    """spgemm_numeric ≡ spgemm_numeric_batched on random plans."""
 
-    def test_numba_kernel_matches_reference_bitwise(self):
+    def test_numeric_phase_matches_reference_bitwise(self):
         rng = np.random.default_rng(2024)
-        kernel = get_kernel("numba")
         arena = KernelArena()
         for _ in range(60):
             m, k, n = (int(v) for v in rng.integers(1, 14, size=3))
@@ -202,37 +230,37 @@ class TestKernelDifferential:
                 else rng.standard_normal((batch, b.nnz))
             )
             eff_batch = max(da.shape[0], db.shape[0])
-            ref = spgemm_numeric_batched(
-                plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, da, db
-            )
+            raw = (plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, da, db)
+            ref = spgemm_numeric_batched(*raw)
             for got in (
-                kernel.numeric(plan, da, db),
-                kernel.numeric(plan, da, db, arena=arena),
-                kernel.numeric_raw(
-                    plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, da, db
-                ),
+                plan.execute_batched(da, db),
+                plan.execute_batched(da, db, arena=arena),
+                spgemm_numeric(*raw),  # the process worker's entry
             ):
                 assert got.shape == (eff_batch, plan.out_nnz) == ref.shape
                 assert got.tobytes() == ref.tobytes()
             out = np.empty((eff_batch, plan.out_nnz), dtype=np.float64)
-            got = kernel.numeric(plan, da, db, arena=arena, out=out)
+            got = plan.execute_batched(da, db, arena=arena, out=out)
             assert got is out and out.tobytes() == ref.tobytes()
+        assert arena.reuses > 0  # warmed workspaces served repeat calls
 
     def test_plan_execute_batched_kernel_path_matches_legacy(self):
+        # A 1-D shared value array broadcasts like the reference's.
         rng = np.random.default_rng(7)
         a = random_pattern(rng, 9, 10, density=0.4)
         b = random_pattern(rng, 10, 8, density=0.4)
         plan = build_spgemm_plan(a, b)
-        da = rng.standard_normal((3, a.nnz))
         db = rng.standard_normal((3, b.nnz))
-        legacy = plan.execute_batched(da, db)  # kernel=None: historic path
-        for name in KERNELS:
-            got = plan.execute_batched(da, db, kernel=get_kernel(name))
-            assert got.tobytes() == legacy.tobytes()
+        ref = spgemm_numeric_batched(
+            plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, a.data, db
+        )
+        got = plan.execute_batched(a.data, db, arena=KernelArena())
+        assert got.shape == (3, plan.out_nnz)
+        assert got.tobytes() == ref.tobytes()
 
     def test_negative_zero_normalization_matches(self):
         # bincount starts every slot at +0.0, turning a lone -0.0
-        # product into +0.0; the compiled loop must do the same.
+        # product into +0.0; the numeric phase must do the same.
         a = CSRMatrix.from_dense(np.array([[-0.0 + 1e-300, 0.0], [0.0, 1.0]]))
         a.data[0] = -0.0  # force an explicit -0.0 stored value
         b = CSRMatrix.from_dense(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -241,12 +269,59 @@ class TestKernelDifferential:
         ref = spgemm_numeric_batched(
             plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, da, db
         )
-        got = get_kernel("numba").numeric(plan, da, db)
+        got = plan.execute_batched(da, db, arena=KernelArena())
         assert got.tobytes() == ref.tobytes()
+
+    def test_empty_plan_matches_reference(self):
+        # No expanded product at all: zero values, no scratch touched.
+        a = CSRMatrix.from_dense(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        b = CSRMatrix.from_dense(np.array([[2.0, 0.0], [0.0, 0.0]]))
+        plan = build_spgemm_plan(a, b)
+        assert len(plan.src_a) == 0 and plan.out_nnz == 0
+        da, db = np.ones((3, a.nnz)), np.ones((1, b.nnz))
+        ref = spgemm_numeric_batched(
+            plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, da, db
+        )
+        arena = KernelArena()
+        out = np.full((3, 0), np.nan)
+        got = plan.execute_batched(da, db, arena=arena, out=out)
+        assert got is out and got.shape == ref.shape == (3, 0)
+        assert (arena.allocations, arena.reuses) == (0, 0)
+
+
+    def test_results_never_alias_arena_scratch(self):
+        # Scan results outlive the level that made them, so the next
+        # product on the same plan must not overwrite an earlier one.
+        rng = np.random.default_rng(5)
+        a = random_pattern(rng, 8, 8, density=0.5)
+        plan = build_spgemm_plan(a, a)
+        arena = KernelArena()
+        da = rng.standard_normal((2, a.nnz))
+        first = plan.execute_batched(da, da, arena=arena)
+        kept = first.copy()
+        plan.execute_batched(2 * da, da, arena=arena)
+        assert arena.reuses == 1
+        assert first.tobytes() == kept.tobytes()
+
+    def test_arena_scratch_is_per_thread(self):
+        # Concurrent ⊙ products of one scan level must not share scratch.
+        rng = np.random.default_rng(6)
+        a = random_pattern(rng, 6, 6, density=0.5)
+        plan = build_spgemm_plan(a, a)
+        arena = KernelArena()
+        seen = []
+        worker = threading.Thread(
+            target=lambda: seen.append(arena.workspace(plan, 2))
+        )
+        worker.start()
+        worker.join()
+        mine = arena.workspace(plan, 2)
+        assert seen[0] is not mine
+        assert arena.allocations == 2 and arena.workspace(plan, 2) is mine
 
 
 # ---------------------------------------------------------------------------
-# process backend: the kernel crosses the boundary by name
+# process backend: the worker runs the same numeric phase
 # ---------------------------------------------------------------------------
 class _CountingProcessExecutor(ProcessPoolScanExecutor):
     def __init__(self, *args, **kwargs):
@@ -275,12 +350,52 @@ class TestProcessBackendKernel:
             )
         return tasks
 
-    @pytest.mark.parametrize("kernel", KERNELS)
-    def test_shm_offload_bitwise_per_kernel(self, kernel):
-        ref_ctx = ScanContext(sparse="on", kernel="numpy")
-        ref = SerialExecutor().run_level(self._level(11, ref_ctx))
+    def test_worker_entry_matches_reference(self):
+        # The worker function itself, on shared-memory segments, in
+        # this process.
+        rng = np.random.default_rng(12)
+        a = random_pattern(rng, 10, 9, density=0.4)
+        b = random_pattern(rng, 9, 7, density=0.4)
+        plan = build_spgemm_plan(a, b)
+        dp = rng.standard_normal((3, a.nnz))
+        dq = b.data[None, :]
+        ref = spgemm_numeric_batched(
+            plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, dp, dq
+        )
+        arrays = (dp, dq, plan.src_a, plan.src_b, plan.scatter, ref)
+        segments = [
+            shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
+            for arr in arrays
+        ]
+        try:
+            for shm, arr in zip(segments[:5], arrays):
+                np.ndarray(arr.shape, arr.dtype, buffer=shm.buf)[...] = arr
+            names = [shm.name for shm in segments]
+            assert _spgemm_worker(
+                names[0], dp.shape, names[1], dq.shape,
+                names[2], names[3], names[4], len(plan.src_a),
+                names[5], ref.shape,
+            )
+            out = np.array(np.ndarray(ref.shape, np.float64, buffer=segments[5].buf))
+        finally:
+            for shm in segments:
+                shm.close()
+                shm.unlink()
+        assert out.tobytes() == ref.tobytes()
 
-        ctx = ScanContext(sparse="on", kernel=kernel)
+    # The ids keep the names of the two kernels this cell once ran:
+    # ``numpy`` was the plain reference numeric phase, ``numba`` the
+    # fast path that is now the only one.  The offload must match the
+    # serial cell of each byte for byte.
+    @pytest.mark.parametrize("kernel", ("numpy", "numba"))
+    def test_shm_offload_bitwise_per_kernel(self, kernel):
+        def serial_cell():
+            return SerialExecutor().run_level(
+                self._level(11, ScanContext(sparse="on"))
+            )
+
+        ref = reference_cell(serial_cell) if kernel == "numpy" else serial_cell()
+        ctx = ScanContext(sparse="on")
         ex = _CountingProcessExecutor(num_workers=2, min_offload_mnk=1)
         try:
             out = ex.run_level(self._level(11, ctx))
@@ -295,21 +410,18 @@ class TestProcessBackendKernel:
 # ---------------------------------------------------------------------------
 class TestEngineKernelOracle:
     @staticmethod
-    def _grads(kernel):
+    def _grads():
         net = LeNet5(rng=np.random.default_rng(0), width_multiplier=0.25)
         model = Sequential(*(list(net.features) + list(net.classifier)))
         x = np.random.default_rng(1).standard_normal((2, 3, 32, 32))
         y = np.array([0, 1])
-        with FeedforwardBPPSA(
-            model, executor="serial", sparse="on", config={"kernel": kernel}
-        ) as eng:
+        with FeedforwardBPPSA(model, executor="serial", sparse="on") as eng:
             grads = eng.compute_gradients(x, y)
-            assert eng.context.kernel.name == kernel
         return [grads[id(p)] for p in model.parameters() if id(p) in grads]
 
     def test_gradients_bitwise_independent_of_kernel(self):
-        ref = self._grads("numpy")
-        out = self._grads("numba")
+        ref = reference_cell(self._grads)
+        out = self._grads()
         assert len(ref) == len(out) > 0
         for a, b in zip(ref, out):
             assert np.array_equal(a, b)
@@ -320,27 +432,22 @@ class TestEngineKernelOracle:
 # ---------------------------------------------------------------------------
 class TestTransformerWorkloadOracle:
     """The ``transformer_block`` workload's gradients are bitwise-
-    identical across backend × sparse mode × kernel.
+    identical across backend × sparse mode.
 
     The chain mixes every Jacobian storage form the engine produces
     (dense per-sample attention, per-sample CSR LayerNorm/ReLU, shared
     CSR position-wise Linears, a shared dense head), so this one cell
-    pins the composition rules of all of them to the (serial,
-    ``numpy``) reference of each sparse mode."""
+    pins the composition rules of all of them to the serial reference
+    cell of each sparse mode."""
 
     @staticmethod
-    def _grads(backend, sparse, kernel):
+    def _grads(backend, sparse):
         from repro.workloads import get_workload
 
         wl = get_workload("transformer_block")
         model = wl.build_model("smoke")
         x, y = wl.make_batch("smoke")
-        with FeedforwardBPPSA(
-            model,
-            executor=backend,
-            sparse=sparse,
-            config={"kernel": kernel},
-        ) as eng:
+        with FeedforwardBPPSA(model, executor=backend, sparse=sparse) as eng:
             grads = eng.compute_gradients(x, y)
         return {
             name: grads[id(p)].tobytes()
@@ -349,41 +456,47 @@ class TestTransformerWorkloadOracle:
 
     @pytest.mark.parametrize("sparse", ("on", "off", "auto:0.4"))
     def test_bitwise_identical_across_cells(self, sparse):
-        ref = self._grads("serial", sparse, "numpy")
+        ref = reference_cell(
+            self._grads, "serial", sparse, spgemm=sparse != "off"
+        )
         assert len(ref) == 9
-        for backend in ("thread:2", "process:2"):
-            for kernel in KERNELS:
-                got = self._grads(backend, sparse, kernel)
-                assert got == ref, (
-                    f"transformer cell ({backend}, sparse={sparse}, "
-                    f"kernel={kernel}) diverged from the reference"
-                )
+        for backend in ("serial", "thread:2", "process:2"):
+            got = self._grads(backend, sparse)
+            assert got == ref, (
+                f"transformer cell ({backend}, sparse={sparse}) diverged "
+                "from the reference"
+            )
 
 
 # ---------------------------------------------------------------------------
-# resolution semantics
+# removed spellings
 # ---------------------------------------------------------------------------
+class TestRemovedSpellings:
+    """The kernel knob and the densify_threshold shims are gone, loudly."""
+
+    def test_kernel_spec_segment_rejected(self):
+        with pytest.raises(ValueError, match="known keys"):
+            ScanConfig.from_spec("blelloch/kernel=numba")
+        with pytest.raises(TypeError):
+            ScanConfig(kernel="numba")
+
+    def test_densify_threshold_kwarg_rejected(self):
+        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
+        with pytest.raises(TypeError, match="densify_threshold"):
+            FeedforwardBPPSA(model, densify_threshold=0.4)
+        with pytest.raises(TypeError, match="densify_threshold"):
+            ScanContext(densify_threshold=None)
+
+
 class TestKernelResolution:
-    def test_numba_name_never_raises(self):
-        k = get_kernel("numba")
-        assert k.name == "numba"
-        assert isinstance(numba_available(), bool)
-        assert k.compiled == numba_available()  # fallback ⇔ not compiled
-
-    def test_env_default_and_set_kernel(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "numba")
-        ctx = ScanContext()
-        assert ctx.kernel.name == "numba"
-        ctx.set_kernel("numpy")
-        assert ctx.kernel.name == "numpy"
-        ctx.set_kernel(None)  # re-resolve the environment
-        assert ctx.kernel.name == "numba"
-
-    def test_invalid_kernel_rejected(self, monkeypatch):
-        with pytest.raises(ValueError, match="kernel"):
-            ScanContext(kernel="fortran")
-        with pytest.raises(TypeError, match="kernel"):
-            get_kernel(3.14)
-        monkeypatch.setenv(KERNEL_ENV_VAR, "fortran")
-        with pytest.raises(ValueError, match="kernel"):
-            ScanContext()
+    def test_invalid_kernel_rejected(self):
+        # With one numeric phase every kernel name is invalid.
+        for name in ("numba", "numpy", "fortran"):
+            with pytest.raises(ValueError, match="kernel"):
+                ScanContext(kernel=name)
+        # The inert spelling still constructs, and a config's kernel is
+        # always None without being a field.
+        cfg = ScanConfig.from_spec("blelloch/serial").resolve()
+        assert cfg.kernel is None
+        assert "kernel" not in cfg.to_dict() and "kernel" not in cfg.spec()
+        ScanContext(sparse=cfg.sparse_policy(), kernel=cfg.kernel)

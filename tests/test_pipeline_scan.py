@@ -193,13 +193,11 @@ class TestPipelineOracleMatrix:
     @pytest.mark.parametrize("sparse", SPARSE_MODES)
     @pytest.mark.parametrize("schedule", SCHEDULES)
     def test_bitwise_identical_across_cells(self, schedule, sparse, workload):
-        spec = f"truncated/up=2/serial/sparse={sparse}/kernel=numpy"
+        spec = f"truncated/up=2/serial/sparse={sparse}"
         ref = staged_grads(workload, 1, 2, "gpipe", spec)
         for backend in BACKENDS:
             for num_stages in (2, 3, 4):
-                configs = (
-                    f"truncated/up=2/{backend}/sparse={sparse}/kernel=numpy"
-                )
+                configs = f"truncated/up=2/{backend}/sparse={sparse}"
                 got = staged_grads(workload, num_stages, 2, schedule, configs)
                 assert got == ref, (
                     f"cell (K={num_stages}, {schedule}, {backend}, "

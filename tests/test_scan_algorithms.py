@@ -192,7 +192,7 @@ def test_exclusive_scans_never_read_the_last_element(n, k):
     # its carry (strings: concatenation is exact).
     words = [chr(ord("A") + i % 26) + str(i) for i in range(n + 1)]
     _, carry = stage_truncated_scan(
-        words, concat, up_levels=k, prefix="", identity="", compose_tail=True
+        words, concat, up_levels=k, prefix="", compose_tail=True
     )
     assert carry == "".join(reversed(words))
 
@@ -242,6 +242,33 @@ def test_truncated_zero_levels_is_serial(rng):
     """up_levels=0 must degenerate to a linear scan (only mv ops)."""
     c = count_ops(truncated_blelloch_scan, 12, up_levels=0)
     assert c["mm"] == 0
+
+
+def test_truncated_is_one_clamped_stage():
+    """The monolithic truncated scan runs exactly the ⊙ schedule of one
+    stage over the whole array at the clamped depth."""
+
+    def recording(log):
+        def op(a, b, info):
+            log.append(info)
+            return b + a
+
+        return op
+
+    for n in (1, 2, 5, 8, 13):
+        words = [chr(ord("A") + i) for i in range(n)]
+        for k in (0, 1, 2, 9):
+            clamped = max(0, min(k, blelloch_num_levels(n) - 1))
+            mono, staged = [], []
+            out = truncated_blelloch_scan(
+                words, recording(mono), up_levels=k, identity=""
+            )
+            ref, _ = stage_truncated_scan(
+                words, recording(staged), up_levels=clamped, prefix=""
+            )
+            assert out == ref and mono == staged, (n, k)
+    with pytest.raises(ValueError):
+        truncated_blelloch_scan([], concat, up_levels=2, identity="")
 
 
 def test_truncated_full_levels_matches_blelloch():

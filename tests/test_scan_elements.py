@@ -99,7 +99,7 @@ class TestMatMat:
         np.testing.assert_allclose(out.data, ref)
 
     def test_sparse_sparse_shared(self, rng):
-        ctx = ScanContext(densify_threshold=None)
+        ctx = ScanContext(sparse="on")
         a, da = sparse_from(rng, 4, 5, 0.4)
         b, db = sparse_from(rng, 3, 4, 0.4)
         out = ctx.op(a, b)
@@ -107,7 +107,7 @@ class TestMatMat:
         np.testing.assert_allclose(out.pattern.to_dense(), db @ da, atol=1e-12)
 
     def test_sparse_sparse_batched(self, rng):
-        ctx = ScanContext(densify_threshold=None)
+        ctx = ScanContext(sparse="on")
         a, da = sparse_from(rng, 4, 5, 0.5, batch=3)
         b, db = sparse_from(rng, 3, 4, 0.5, batch=3)
         out = ctx.op(a, b)
@@ -117,7 +117,7 @@ class TestMatMat:
             np.testing.assert_allclose(dense[i], db[i] @ da[i], atol=1e-12)
 
     def test_sparse_shared_times_batched(self, rng):
-        ctx = ScanContext(densify_threshold=None)
+        ctx = ScanContext(sparse="on")
         a, da = sparse_from(rng, 4, 5, 0.5, batch=2)
         b, db = sparse_from(rng, 3, 4, 0.5)
         out = ctx.op(a, b)
@@ -136,14 +136,14 @@ class TestMatMat:
         assert isinstance(out2, DenseJacobian)
 
     def test_densify_threshold(self, rng):
-        ctx = ScanContext(densify_threshold=0.0)  # densify everything
+        ctx = ScanContext(sparse="auto:0.0")  # densify everything
         a, _ = sparse_from(rng, 4, 4, 0.9)
         b, _ = sparse_from(rng, 4, 4, 0.9)
         out = ctx.op(a, b)
         assert isinstance(out, DenseJacobian)
 
     def test_plan_cache_reused_across_ops(self, rng):
-        ctx = ScanContext(densify_threshold=None)
+        ctx = ScanContext(sparse="on")
         a, _ = sparse_from(rng, 4, 4, 0.5)
         b, _ = sparse_from(rng, 4, 4, 0.5)
         ctx.op(a, b)

@@ -1,4 +1,4 @@
-"""Hypothesis property tests for the sparse engine and kernel layer."""
+"""Hypothesis property tests for the sparse engine and its numeric phase."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,18 @@ from hypothesis import strategies as st
 
 from repro.scan import (
     GradientVector,
-    KernelArena,
     ScanContext,
     SparseJacobian,
     blelloch_scan,
-    get_kernel,
 )
-from repro.scan.kernels import FastNumPyKernel
-from repro.sparse import CSRMatrix, build_spgemm_plan, spgemm, spgemm_flops
+from repro.sparse import (
+    CSRMatrix,
+    KernelArena,
+    build_spgemm_plan,
+    spgemm,
+    spgemm_flops,
+    spgemm_numeric_batched,
+)
 
 dim = st.integers(min_value=1, max_value=12)
 density = st.floats(min_value=0.0, max_value=0.9)
@@ -92,10 +96,10 @@ def test_matvec_linearity(m, n, seed):
 
 
 # ---------------------------------------------------------------------------
-# kernel layer properties (see DESIGN.md § Kernel layer)
+# numeric-phase properties (see DESIGN.md § The numeric phase)
 # ---------------------------------------------------------------------------
 def _plan_bytes(plan):
-    """Byte snapshot of every array a numeric kernel may touch."""
+    """Byte snapshot of every array the numeric phase may touch."""
     return tuple(
         arr.tobytes()
         for arr in (
@@ -122,43 +126,64 @@ def test_symbolic_pattern_determinism(m, k, n, seed):
 @settings(max_examples=20, deadline=None)
 @given(m=dim, k=dim, n=dim, batch=st.integers(1, 3), seed=st.integers(0, 2**16))
 def test_numeric_reuse_never_mutates_plan(m, k, n, batch, seed):
-    """Numeric calls (any kernel, with or without arena) leave the
-    symbolic plan bit-for-bit untouched — the reuse contract."""
+    """Numeric calls (reference or production, with or without arena)
+    leave the symbolic plan bit-for-bit untouched — the reuse contract."""
     rng = np.random.default_rng(seed)
     a = CSRMatrix.from_dense(make(seed, m, k, 0.5))
     b = CSRMatrix.from_dense(make(seed + 1, k, n, 0.5))
     plan = build_spgemm_plan(a, b)
     before = _plan_bytes(plan)
     arena = KernelArena()
-    for kern in (get_kernel("numpy"), get_kernel("numba"), FastNumPyKernel()):
+    for numeric in (
+        lambda da, db: spgemm_numeric_batched(
+            plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, da, db
+        ),
+        plan.execute_batched,
+        lambda da, db: plan.execute_batched(da, db, arena=arena),
+    ):
         for _ in range(2):
-            kern.numeric(
-                plan,
+            numeric(
                 rng.standard_normal((batch, a.nnz)),
                 rng.standard_normal((batch, b.nnz)),
-                arena=arena,
             )
     assert _plan_bytes(plan) == before
 
 
-def test_arena_workspaces_actually_reused():
-    """Steady-state numeric calls are served from existing buffers.
+@settings(max_examples=40, deadline=None)
+@given(
+    m=dim,
+    k=dim,
+    n=dim,
+    batch=st.integers(1, 4),
+    shared=st.sampled_from(["none", "a", "b"]),
+    seed=st.integers(0, 2**16),
+)
+def test_numeric_phase_bitwise_matches_reference(m, k, n, batch, shared, seed):
+    """The production numeric phase equals the reference byte for byte,
+    with a (1, nnz) shared operand on either side."""
+    rng = np.random.default_rng(seed)
+    a = CSRMatrix.from_dense(make(seed, m, k, 0.4))
+    b = CSRMatrix.from_dense(make(seed + 1, k, n, 0.4))
+    plan = build_spgemm_plan(a, b)
+    da = rng.standard_normal((1 if shared == "a" else batch, a.nnz))
+    db = rng.standard_normal((1 if shared == "b" else batch, b.nnz))
+    ref = spgemm_numeric_batched(
+        plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, da, db
+    )
+    got = plan.execute_batched(da, db, arena=KernelArena())
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
 
-    Targets :class:`FastNumPyKernel` directly: it is the arena's one
-    consumer (the compiled Numba build writes straight into ``out=``
-    and legitimately ignores scratch), so the assertion holds whether
-    or not Numba is installed.
-    """
+
+def test_arena_workspaces_actually_reused():
+    """Steady-state numeric calls are served from existing buffers."""
     rng = np.random.default_rng(3)
     a = CSRMatrix.from_dense(make(3, 10, 10, 0.5))
     b = CSRMatrix.from_dense(make(4, 10, 10, 0.5))
     plan = build_spgemm_plan(a, b)
     arena = KernelArena()
-    kern = FastNumPyKernel()
 
     def run(batch):
-        kern.numeric(
-            plan,
+        plan.execute_batched(
             rng.standard_normal((batch, a.nnz)),
             rng.standard_normal((batch, b.nnz)),
             arena=arena,
@@ -205,7 +230,7 @@ def test_steady_state_scan_allocates_no_csr(csr_alloc_counter):
             its.append(SparseJacobian(pat, rng.standard_normal((batch, pat.nnz))))
         return its
 
-    ctx = ScanContext(sparse="on", kernel="numba")
+    ctx = ScanContext(sparse="on")
     blelloch_scan(items(), ctx.op)  # warm-up: symbolic phase + patterns
     warm = csr_alloc_counter["n"]
     for _ in range(3):

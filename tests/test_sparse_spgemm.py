@@ -94,8 +94,9 @@ class TestSpGEMM:
         np.testing.assert_array_equal(c.to_dense(), A @ B)
 
     def test_empty_intersection_rows_via_kernels(self, rng):
-        """The numeric kernels agree bitwise on plans with empty rows."""
-        from repro.scan import KERNELS, get_kernel
+        """The numeric phase matches the reference bitwise on plans with
+        empty rows."""
+        from repro.sparse import KernelArena, spgemm_numeric_batched
 
         A = np.zeros((4, 4))
         A[1, 0] = 1.5
@@ -106,9 +107,11 @@ class TestSpGEMM:
         plan = build_spgemm_plan(a, b)
         da = rng.standard_normal((2, a.nnz))
         db = rng.standard_normal((2, b.nnz))
-        ref = plan.execute_batched(da, db)
-        for name in KERNELS:
-            got = plan.execute_batched(da, db, kernel=get_kernel(name))
+        ref = spgemm_numeric_batched(
+            plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, da, db
+        )
+        for arena in (None, KernelArena()):
+            got = plan.execute_batched(da, db, arena=arena)
             assert got.tobytes() == ref.tobytes()
 
     def test_execute_batched_broadcasts_shared_side(self, rng):
@@ -221,7 +224,7 @@ class TestPatternCache:
         import gc
         import weakref
 
-        from repro.scan.kernels import KernelArena
+        from repro.sparse import KernelArena
 
         cache = PatternCache(maxsize=1)
         (a0, b0), (a1, b1) = self._distinct_operands(2)

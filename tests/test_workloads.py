@@ -207,7 +207,7 @@ class TestBenchWorkloads:
         from repro.experiments.common import Scale
         from repro.workloads import transformer_scan_rows
 
-        rows = transformer_scan_rows(Scale.SMOKE, "serial", "on", None)
+        rows = transformer_scan_rows(Scale.SMOKE, "serial", "on")
         assert len(rows) == 8
         assert {r["structure"] for r in rows} == {
             "dense-per-sample",
@@ -225,7 +225,7 @@ class TestBenchWorkloads:
             pruned_sparsity_rows,
         )
 
-        rows = pruned_sparsity_rows(Scale.SMOKE, "serial", None, None)
+        rows = pruned_sparsity_rows(Scale.SMOKE, "serial", None)
         fractions = [r["fraction"] for r in rows]
         assert fractions == [0.0, 0.5, 0.9]
         # pruning must drain the scan operands monotonically
