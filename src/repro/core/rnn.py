@@ -7,9 +7,11 @@ chain becomes an exclusive scan over
 
     [∇h_T ℓ, (∂h_T/∂h_{T−1})^T, …, (∂h_1/∂h_0)^T]
 
-with per-sample dense H×H Jacobians ``W_hh^T · diag(1 − h_t²)``
-(Eq. 9 differentiated), after which all parameter gradients follow from
-Eq. 2 with no dependency along t.
+with per-sample H×H Jacobians ``W_hh^T · diag(1 − h_t²)`` (Eq. 9
+differentiated), after which all parameter gradients follow from Eq. 2
+with no dependency along t.  Each Jacobian stays structured
+(:class:`~repro.scan.ScaledShared`: the shared ``W_hh`` plus one
+H-vector per sample), so no step materializes a T×B×H×H tensor.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from repro.backend import ExecutorOwner, ScanExecutor
 from repro.config import ScanConfig
 from repro.config.facade import construction_executor as _construction_executor
 from repro.nn.loss import softmax_xent_grad
-from repro.nn.rnn import RNNClassifier
+from repro.nn.rnn import RNN, RNNClassifier
 from repro.scan import (
-    DenseJacobian,
     GradientVector,
+    ScaledShared,
     ScanContext,
     SparsePolicy,
     blelloch_scan,
@@ -33,6 +35,19 @@ from repro.scan import (
     linear_scan,
     truncated_blelloch_scan,
 )
+
+
+def hidden_jacobian_elements(rnn: RNN, hidden: np.ndarray) -> List[ScaledShared]:
+    """``(∂h_t/∂h_{t−1})^T = W_hh^T · diag(1 − h_t²)`` for each step of
+    ``hidden`` (T, B, H), in time order, as structured scan elements.
+
+    Both RNN engines build their scan arrays here, so their ⊙ operands
+    are the same bits.  The elements share one pair table, built once
+    per call, that is, per scan.
+    """
+    w_hh = rnn.cell.weight_hh.data
+    pairs = ScaledShared.pair_table(w_hh)
+    return [ScaledShared(w_hh, damp, pairs) for damp in 1.0 - hidden**2]
 
 
 class RNNBPPSA(ExecutorOwner):
@@ -156,11 +171,9 @@ class RNNBPPSA(ExecutorOwner):
     def scan_hidden_grads(self, grad_h_last: np.ndarray) -> np.ndarray:
         """Run the scan; returns ``∇h_t ℓ`` stacked as (T, B, H)."""
         seq_len = self._hidden.shape[0]
-        jacs = self.clf.rnn.hidden_jacobians_T(self._hidden)  # (T, B, H, H)
-        items: List = [GradientVector(grad_h_last)]
+        jacs = hidden_jacobian_elements(self.clf.rnn, self._hidden)
         # Array order: T_J(h_T), T_J(h_{T−1}), …, T_J(h_1).
-        for t in range(seq_len - 1, -1, -1):
-            items.append(DenseJacobian(jacs[t]))
+        items: List = [GradientVector(grad_h_last), *reversed(jacs)]
 
         self.context.reset_trace()
         if self.algorithm == "linear":

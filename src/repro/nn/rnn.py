@@ -6,9 +6,10 @@ The paper's Eq. 9::
 
 The backward recurrence ``∇h_t ℓ ← (∂h_{t+1}/∂h_t)^T ∇h_{t+1} ℓ`` over a
 sequence of length ``T`` is exactly the strong sequential dependency
-BPPSA parallelizes; :meth:`RNN.hidden_jacobians_T` exposes the per-step
-transposed Jacobians ``(∂h_{t}/∂h_{t-1})^T = W_hh^T diag(1 - h_t²)`` that
-form the scan's input array (Eq. 5).
+BPPSA parallelizes; :meth:`RNN.hidden_jacobians_T` materializes the
+per-step transposed Jacobians ``(∂h_{t}/∂h_{t-1})^T = W_hh^T diag(1 - h_t²)``
+of the scan's input array (Eq. 5), which the scan engines keep
+structured instead (:class:`repro.scan.ScaledShared`).
 """
 
 from __future__ import annotations
@@ -102,14 +103,15 @@ class RNN(Module):
 
         Returns
         -------
-        Array (T, B, H, H) where entry ``[t, b]`` is
+        C-contiguous array (T, B, H, H) where entry ``[t, b]`` is
         ``W_hh^T @ diag(1 - h_t[b]**2)`` — the per-sample transposed
-        Jacobian feeding the scan at position t.
+        Jacobian at position t, bitwise what the scan engines' structured
+        :class:`~repro.scan.ScaledShared` elements densify to.
         """
         w_hh_t = self.cell.weight_hh.data.T  # (H, H)
         damp = 1.0 - hidden_states**2  # (T, B, H)
         # (H, H) * (T, B, 1, H) — scale *columns* j of W_hh^T by damp_j.
-        return w_hh_t[None, None, :, :] * damp[:, :, None, :]
+        return np.multiply(w_hh_t, damp[:, :, None, :], order="C")
 
     def parameter_gradients_from_hidden_grads(
         self,

@@ -53,10 +53,14 @@ def staged_memory_model(
     terms the staged runner actually materializes per micro-batch:
 
     * ``jacobian_bytes`` — the stage's slice of the scan array: one
-      H×H transposed Jacobian per owned scan slot per sample, dense
-      (``slots · B · H² · itemsize``) at ``density = 1.0``, else the
-      exact batched-CSR cost (:func:`csr_jacobian_bytes` with
-      ``nnz = density · H²``);
+      H×H transposed Jacobian per owned scan slot per sample.  At
+      ``density = 1.0`` it is ``W_hhᵀ·diag(1 − h_t²)`` kept structured
+      (:class:`~repro.scan.ScaledShared`): the slot holds only its
+      (B, H) scales, ``slots · B · H · itemsize``, because the shared
+      ``W_hh`` is the model's parameter, not per-slot state — paper
+      Section 3.6's ``M_Jacob``, H-fold below a dense H×H slot.  Below
+      1.0 it is the exact batched-CSR cost (:func:`csr_jacobian_bytes`
+      with ``nnz = density · H²``);
     * ``hidden_bytes`` — the cached hidden-state span feeding those
       Jacobians (GPipe's per-stage activation term);
     * ``boundary_bytes`` — the (B, H) boundary gradient handed to the
@@ -79,7 +83,7 @@ def staged_memory_model(
             1, seq_len - g_hi + 2
         ) + 1
         if density >= 1.0:
-            jac_bytes = jac_slots * micro_batch * hidden * hidden * itemsize
+            jac_bytes = jac_slots * micro_batch * hidden * itemsize
         else:
             nnz = int(round(density * hidden * hidden))
             jac_bytes = jac_slots * csr_jacobian_bytes(nnz, hidden, micro_batch)

@@ -46,6 +46,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.config import ScanConfig, stage_configs
+from repro.core.rnn import hidden_jacobian_elements
 from repro.nn.loss import softmax_xent_grad
 from repro.nn.rnn import RNNClassifier
 from repro.pipeline.gpipe import GPipeSchedule, SlotEvent
@@ -55,6 +56,7 @@ from repro.scan import (
     IDENTITY,
     DenseJacobian,
     GradientVector,
+    ScaledShared,
     blelloch_num_levels,
 )
 from repro.serve.pool import EnginePool
@@ -68,11 +70,17 @@ STAGE_DEFAULTS = {"algorithm": "truncated", "densify_threshold": 1.0}
 
 
 def scan_element_nbytes(element: Any) -> int:
-    """Actual bytes held by one scan element (dense or batched CSR)."""
+    """Actual bytes held by one scan element (dense, structured or CSR).
+
+    A :class:`~repro.scan.ScaledShared` element counts its (B, H) scales
+    only: its ``W`` is the model's parameter, not per-slot scan state.
+    """
     if element is IDENTITY:
         return 0
     if isinstance(element, (GradientVector, DenseJacobian)):
         return element.data.nbytes
+    if isinstance(element, ScaledShared):
+        return element.scale.nbytes
     pattern = element.pattern  # SparseJacobian
     values = pattern.data if element.data is None else element.data
     return pattern.indptr.nbytes + pattern.indices.nbytes + values.nbytes
@@ -368,8 +376,7 @@ class _RunState:
         s = engine.K - 1 - device  # scan stage
         g_lo, g_hi = self.plan["slot_spans"][s]
         lo, hi = self.plan["time_spans"][device]
-        rnn = engine.clf.rnn
-        jacs = rnn.hidden_jacobians_T(self.hidden[(device, m)])
+        jacs = hidden_jacobian_elements(engine.clf.rnn, self.hidden[(device, m)])
         items: List[Any] = []
         if s == 0:
             items.append(GradientVector(self.seed[m]))
@@ -377,7 +384,7 @@ class _RunState:
         # slice's items walk this stage's cached span in reverse time.
         for p in range(max(g_lo, 1), g_hi):
             t = self.x.shape[1] - p + 1
-            items.append(DenseJacobian(jacs[t - lo]))
+            items.append(jacs[t - lo])
         self.jacobian_bytes[(device, m)] = sum(
             scan_element_nbytes(item) for item in items[1 if s == 0 else 0 :]
         )

@@ -7,9 +7,10 @@ binary, associative, *non-commutative* operator ``A ⊙ B = B·A`` over
 
 producing ``[I, ∇x_n ℓ, ..., ∇x_1 ℓ]``.  This package provides:
 
-* typed scan elements (identity / gradient vector / dense / CSR
-  Jacobians, batched across samples) and a :class:`ScanContext` that
-  evaluates ⊙ with FLOP accounting and SpGEMM plan caching;
+* typed scan elements (identity / gradient vector / dense / CSR /
+  shared-``W`` scaled Jacobians, batched across samples) and a
+  :class:`ScanContext` that evaluates ⊙ with FLOP accounting and
+  SpGEMM plan caching;
 * a density-threshold dispatch layer (:class:`SparsePolicy`) deciding
   per element and per product whether composition runs in CSR/SpGEMM
   or dense BLAS — ``REPRO_SCAN_SPARSE=auto|on|off`` overridable, see
@@ -41,6 +42,7 @@ from repro.scan.elements import (
     Identity,
     IDENTITY,
     OpInfo,
+    ScaledShared,
     ScanContext,
     SparseJacobian,
     StepRecord,
@@ -84,6 +86,7 @@ __all__ = [
     "GradientVector",
     "DenseJacobian",
     "SparseJacobian",
+    "ScaledShared",
     "ScanContext",
     "SparsePolicy",
     "SPARSE_ENV_VAR",

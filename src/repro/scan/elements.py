@@ -12,15 +12,20 @@ A (left operand)      B (right operand)      result ``B·A``
 Identity              anything               B
 anything              Identity               A
 GradientVector        Dense/SparseJacobian   GradientVector (mat-vec)
+GradientVector        ScaledShared           GradientVector ``(v·s)·W``
 DenseJacobian         DenseJacobian          DenseJacobian (mat-mat)
 SparseJacobian        SparseJacobian         SparseJacobian (SpGEMM)
-Dense/Sparse mixes    —                      DenseJacobian
+ScaledShared          ScaledShared, same W   DenseJacobian (pair table)
+any other mix         —                      DenseJacobian
 ====================  =====================  =========================
 
 Elements are *batched*: one logical element per sample, vectorized
 across the batch.  Sparse elements share a deterministic CSR pattern
 (paper Section 3.3) with per-sample data, so one cached SpGEMM plan
-serves the whole batch.
+serves the whole batch.  A :class:`ScaledShared` element keeps the
+known structure ``Wᵀ·diag(s_b)`` of an RNN step's Jacobian (paper
+Eq. 9): one shared ``W`` plus a per-sample scale vector; mixes with
+other matrix kinds densify it.
 
 Every combine records FLOPs and a dense-equivalent ``m·n·k`` size —
 the quantities Figure 11 plots per scan step.
@@ -169,7 +174,57 @@ class SparseJacobian:
         return f"SparseJacobian({self.shape}, nnz={self.nnz}, {tag})"
 
 
-ScanElement = Union[Identity, GradientVector, DenseJacobian, SparseJacobian]
+class ScaledShared:
+    """A batch of transposed Jacobians ``Wᵀ·diag(s_b)``.
+
+    ``w``: the (d, d_out) matrix shared by every sample, held once;
+    ``scale``: the (B, d) per-sample scales.  ``pairs``: optionally the
+    :meth:`pair_table` of a square ``w``; two elements holding the same
+    table multiply as one GEMM, without materializing either factor.
+    """
+
+    __slots__ = ("w", "scale", "pairs")
+
+    def __init__(
+        self, w: np.ndarray, scale: np.ndarray, pairs: Optional[np.ndarray] = None
+    ) -> None:
+        w = np.asarray(w, dtype=np.float64)
+        scale = np.asarray(scale, dtype=np.float64)
+        if w.ndim != 2 or scale.ndim != 2 or scale.shape[1] != w.shape[0]:
+            raise ValueError(
+                f"expected w (d, d_out) and scale (B, d), got {w.shape}, {scale.shape}"
+            )
+        self.w, self.scale, self.pairs = w, scale, pairs
+
+    @staticmethod
+    def pair_table(w: np.ndarray) -> np.ndarray:
+        """``Q[j, i·d + k] = Wᵀ[i,j]·Wᵀ[j,k]`` for a square (d, d) ``w``.
+
+        Then ``(Wᵀ·diag(s_b))·(Wᵀ·diag(s_a)) = (s_b @ Q)·diag(s_a)``,
+        reshaped to (B, d, d).  The table holds d³ floats (64 KB at
+        d = 20); the caller builds it once per scan.
+        """
+        d = w.shape[0]
+        return np.multiply(w[:, :, None], w.T[:, None, :], order="C").reshape(d, d * d)
+
+    @property
+    def shape(self) -> Tuple[int, int]:
+        return self.w.shape[1], self.w.shape[0]
+
+    @property
+    def batch(self) -> int:
+        return self.scale.shape[0]
+
+    def to_dense(self) -> DenseJacobian:
+        return DenseJacobian(np.multiply(self.w.T, self.scale[:, None, :], order="C"))
+
+    def __repr__(self) -> str:
+        return f"ScaledShared({self.shape}, B={self.batch})"
+
+
+ScanElement = Union[
+    Identity, GradientVector, DenseJacobian, SparseJacobian, ScaledShared
+]
 
 
 @dataclass(frozen=True)
@@ -306,10 +361,16 @@ class ScanContext:
             out = csr_matvec_batched(b.pattern, b.values(), v.data)
             flops = 2 * b.nnz * v.batch
         else:
-            if b.shared:
-                out = v.data @ b.data.T  # (B, d_out) @ (d_out, d_in)^T
-            else:
-                out = np.einsum("bmn,bn->bm", b.data, v.data)
+            if isinstance(b, DenseJacobian):
+                if b.shared:
+                    out = v.data @ b.data.T  # (B, d_out) @ (d_out, d_in)^T
+                else:
+                    out = np.einsum("bmn,bn->bm", b.data, v.data)
+            else:  # ScaledShared: Wᵀ·diag(s)·v, one GEMM, no matrix built
+                if b.batch != v.batch:
+                    raise ValueError(f"inconsistent batch sizes {[b.batch, v.batch]}")
+                out = (v.data * b.scale) @ b.w
+            # The GEMM's FLOPs; a ScaledShared scale's B·n are left out.
             flops = 2 * m * n * v.batch
         return GradientVector(out), flops, m * n
 
@@ -330,9 +391,23 @@ class ScanContext:
             result, flops = self._wrap_sparse_product(a, b, plan, vals)
             return result, flops, mnk
 
-        # At least one dense operand → dense result.
-        b_dense = b.to_dense().data if isinstance(b, SparseJacobian) else b.data
-        a_dense = a.to_dense().data if isinstance(a, SparseJacobian) else a.data
+        if (
+            isinstance(a, ScaledShared)
+            and isinstance(b, ScaledShared)
+            and a.pairs is not None
+            and a.pairs is b.pairs
+        ):
+            # Same W: one GEMM of s_b against the pair table, then a
+            # column scale by s_a.  FLOPs: the GEMM's, as the dense rule
+            # counts them; the scale's B·m·n are left out.
+            out = (b.scale @ a.pairs).reshape(batch, m, n)
+            out *= a.scale[:, None, :]
+            return DenseJacobian(out), 2 * mnk * batch, mnk
+
+        # Any other product → dense result; CSR and ScaledShared
+        # operands are densified.
+        b_dense = b.data if isinstance(b, DenseJacobian) else b.to_dense().data
+        a_dense = a.data if isinstance(a, DenseJacobian) else a.to_dense().data
         if isinstance(b, SparseJacobian):
             flops = 2 * b.nnz * n * max(batch or 1, 1)
         elif isinstance(a, SparseJacobian):

@@ -26,6 +26,7 @@ from repro.backend import (
 from repro.scan import (
     DenseJacobian,
     GradientVector,
+    ScaledShared,
     ScanContext,
     blelloch_scan,
     hillis_steele_scan,
@@ -35,9 +36,18 @@ from repro.scan import (
 )
 
 
-def chain(rng, n, batch=2, h=4):
+def chain(rng, n, batch=2, h=4, kind="dense"):
+    """A seed vector and ``n`` per-sample Jacobians: ``dense`` ones, or
+    RNN-style ``scaled`` ones (``Wᵀ·diag(s_b)``, one W and pair table)."""
     items = [GradientVector(rng.standard_normal((batch, h)))]
-    items += [DenseJacobian(rng.standard_normal((batch, h, h))) for _ in range(n)]
+    if kind == "dense":
+        items += [DenseJacobian(rng.standard_normal((batch, h, h))) for _ in range(n)]
+    else:
+        w = rng.standard_normal((h, h))
+        pairs = ScaledShared.pair_table(w)
+        items += [
+            ScaledShared(w, rng.standard_normal((batch, h)), pairs) for _ in range(n)
+        ]
     return items
 
 
@@ -158,10 +168,12 @@ EXECUTOR_SPECS = ["serial", "thread:4", "process:2"]
 
 
 class TestEquivalence:
+    kind = "dense"  # chain() element kind
+
     @pytest.mark.parametrize("spec", EXECUTOR_SPECS)
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 16, 33])
     def test_blelloch_matches_linear(self, rng, spec, n):
-        items = chain(rng, n)
+        items = chain(rng, n, kind=self.kind)
         ref = linear_scan(items, ScanContext().op)
         with get_executor(spec) as ex:
             out = blelloch_scan(items, ScanContext().op, executor=ex)
@@ -171,7 +183,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("spec", ["thread:4", "process:2"])
     def test_blelloch_bitwise_identical_to_serial(self, rng, spec):
         """Same ops in the same per-op order ⇒ bitwise identical."""
-        items = chain(rng, 12, h=8)
+        items = chain(rng, 12, h=8, kind=self.kind)
         serial = blelloch_scan(items, ScanContext().op, executor="serial")
         with get_executor(spec) as ex:
             out = blelloch_scan(items, ScanContext().op, executor=ex)
@@ -180,7 +192,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("spec", ["thread:4", "process:2"])
     def test_hillis_steele_bitwise(self, rng, spec):
-        items = chain(rng, 11)
+        items = chain(rng, 11, kind=self.kind)
         serial = hillis_steele_scan(items, ScanContext().op)
         with get_executor(spec) as ex:
             out = hillis_steele_scan(items, ScanContext().op, executor=ex)
@@ -190,7 +202,7 @@ class TestEquivalence:
     @pytest.mark.parametrize("spec", ["thread:4", "process:2"])
     @pytest.mark.parametrize("up_levels", [0, 1, 2, 5])
     def test_truncated_bitwise(self, rng, spec, up_levels):
-        items = chain(rng, 14)
+        items = chain(rng, 14, kind=self.kind)
         serial = truncated_blelloch_scan(
             items, ScanContext().op, up_levels=up_levels
         )
@@ -217,6 +229,13 @@ class TestEquivalence:
                 ["x"], simple_op(lambda a, b: b + a), identity="", executor=ex
             )
         assert out == [""]
+
+
+class TestEquivalenceScaledShared(TestEquivalence):
+    """The same cells over ScaledShared chains: level-0 products take the
+    pair-table rule, later ones the dense rule, mat-vecs ``(v·s)·W``."""
+
+    kind = "scaled"
 
 
 # ---------------------------------------------------------------------------

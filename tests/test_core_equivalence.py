@@ -31,6 +31,8 @@ from repro.nn.layers import (
     Tanh,
 )
 from repro.nn.module import Module
+from repro.nn.rnn import RNN
+from repro.pipeline import StagedRNNBPPSA
 from repro.pruning import magnitude_prune
 from repro.tensor import Tensor
 
@@ -227,6 +229,23 @@ class TestRNN:
         x = rng.standard_normal((3, 11, 2))
         y = rng.integers(0, 4, 3)
         assert_engine_matches(clf, RNNBPPSA(clf, algorithm=algorithm), x, y)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_no_dense_hidden_jacobians(self, rng, monkeypatch, algorithm):
+        """Both RNN engines scan structured ``W_hhᵀ·diag(1 − h²)``
+        elements: neither builds the dense (T, B, H, H) tensor."""
+
+        def refuse(self, hidden_states):
+            raise AssertionError("an RNN engine built dense hidden Jacobians")
+
+        monkeypatch.setattr(RNN, "hidden_jacobians_T", refuse)
+        clf = RNNClassifier(2, 7, 4, rng=rng)
+        x = rng.standard_normal((3, 11, 2))
+        y = rng.integers(0, 4, 3)
+        assert_engine_matches(clf, RNNBPPSA(clf, algorithm=algorithm), x, y)
+        if algorithm in ("linear", "truncated"):
+            with StagedRNNBPPSA(clf, 2, configs=algorithm) as staged:
+                assert_engine_matches(clf, staged, x, y)
 
     @pytest.mark.parametrize("seq_len", [1, 2, 3, 8, 17])
     def test_various_sequence_lengths(self, rng, seq_len):

@@ -111,6 +111,21 @@ class TestRNN:
         tjacs = rnn.hidden_jacobians_T(h_new[None])  # (1, 1, 3, 3)
         np.testing.assert_allclose(tjacs[0, 0], J.T, atol=1e-10)
 
+    def test_hidden_jacobians_layout(self, rng):
+        """C-contiguous, and bitwise the engines' ScaledShared elements
+        densified."""
+        from repro.scan import ScaledShared
+
+        rnn = RNN(1, 5, rng=rng)
+        hidden = np.tanh(rng.standard_normal((7, 3, 5)))
+        tjacs = rnn.hidden_jacobians_T(hidden)
+        assert tjacs.shape == (7, 3, 5, 5) and tjacs.flags.c_contiguous
+        w_hh = rnn.cell.weight_hh.data
+        stacked = np.stack(
+            [ScaledShared(w_hh, 1.0 - h**2).to_dense().data for h in hidden]
+        )
+        assert np.array_equal(tjacs, stacked)
+
     def test_parameter_gradients_from_hidden_grads(self, rng):
         """Eq. 2 contraction matches the taped full backward."""
         clf = RNNClassifier(2, 4, 3, rng=rng)

@@ -461,7 +461,7 @@ class TestStagedMemoryModel:
         rows = staged_memory_model(24, 4, 2, 16, up_levels=2)
         assert sum(r["scan_slots"] for r in rows) == 25
         total_jac = sum(r["jacobian_bytes"] for r in rows)
-        assert total_jac == 24 * 2 * 16 * 16 * 8  # T Jacobians, B=2, H=16
+        assert total_jac == 24 * 2 * 16 * 8  # T Jacobians of (B=2, H=16) scales
 
 
 # ---------------------------------------------------------------------------

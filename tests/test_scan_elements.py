@@ -8,6 +8,7 @@ from repro.scan import (
     GradientVector,
     IDENTITY,
     Identity,
+    ScaledShared,
     ScanContext,
     SparseJacobian,
 )
@@ -24,6 +25,15 @@ def sparse_from(rng, m, n, density=0.6, batch=None):
     rows = pattern.row_ids()
     per_sample[:, rows, pattern.indices] = data
     return SparseJacobian(pattern, data), per_sample
+
+
+def scaled_from(rng, d, batch, d_out=None):
+    """A ScaledShared element ``Wᵀ·diag(s_b)`` (with a pair table when
+    square) and its (B, d_out, d) densified form."""
+    w = rng.standard_normal((d, d if d_out is None else d_out))
+    scale = rng.standard_normal((batch, d))
+    table = ScaledShared.pair_table(w) if d_out is None else None
+    return ScaledShared(w, scale, table), np.einsum("ji,bj->bij", w, scale)
 
 
 class TestIdentityLaws:
@@ -65,6 +75,27 @@ class TestMatVec:
         ref = np.einsum("bmn,bn->bm", dense, v.data)
         np.testing.assert_allclose(out.data, ref)
         assert ctx.total_flops == 2 * s.nnz * 2
+
+    def test_scaled_shared(self, rng):
+        ctx = ScanContext()
+        v = GradientVector(rng.standard_normal((4, 5)))
+        s, dense = scaled_from(rng, 5, 4, d_out=3)
+        out = ctx.op(v, s)
+        assert isinstance(out, GradientVector)
+        np.testing.assert_allclose(out.data, np.einsum("bmn,bn->bm", dense, v.data))
+        rec = ctx.trace[-1]
+        assert rec.kind == "mv" and rec.dense_mnk == 3 * 5
+        assert rec.flops == ctx.total_flops == 2 * 3 * 5 * 4
+
+    def test_scaled_shared_mismatches_raise(self, rng):
+        ctx = ScanContext()
+        s, _ = scaled_from(rng, 5, 4, d_out=3)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ctx.op(GradientVector(rng.standard_normal((4, 3))), s)
+        with pytest.raises(ValueError, match="batch"):
+            ctx.op(GradientVector(rng.standard_normal((1, 5))), s)
+        with pytest.raises(ValueError, match="expected w"):
+            ScaledShared(rng.standard_normal((5, 3)), rng.standard_normal((4, 3)))
 
     def test_vector_cannot_be_right_operand(self, rng):
         ctx = ScanContext()
@@ -135,6 +166,60 @@ class TestMatMat:
         out2 = ctx.op(DenseJacobian(da), sparse_from(rng, 3, 4, 0.5)[0])
         assert isinstance(out2, DenseJacobian)
 
+    def test_scaled_shared_same_w(self, rng):
+        ctx = ScanContext()
+        a, da = scaled_from(rng, 6, 3)
+        b = ScaledShared(a.w, rng.standard_normal((3, 6)), a.pairs)
+        out = ctx.op(a, b)  # B @ A via the pair table
+        assert isinstance(out, DenseJacobian) and out.data.flags.c_contiguous
+        np.testing.assert_allclose(out.data, b.to_dense().data @ da, atol=1e-12)
+        rec = ctx.trace[-1]
+        assert rec.kind == "mm" and rec.dense_mnk == 6 * 6 * 6
+        assert rec.flops == 2 * 6 * 6 * 6 * 3
+        # Without a shared table the same product densifies: same values.
+        plain = ScaledShared(a.w, b.scale)
+        np.testing.assert_allclose(ctx.op(a, plain).data, out.data, atol=1e-12)
+        assert ctx.trace[-1].flops == rec.flops
+        # With one, the product is read from the table alone.
+        zeros = np.zeros_like(a.pairs)
+        a0, b0 = ScaledShared(a.w, a.scale, zeros), ScaledShared(b.w, b.scale, zeros)
+        assert not ctx.op(a0, b0).data.any()
+
+    @pytest.mark.parametrize("sparse", ["on", "off"])
+    def test_scaled_shared_mixes(self, rng, sparse):
+        """Any product but same-W densifies the ScaledShared operand."""
+        ctx = ScanContext(sparse=sparse)
+        s, ds = scaled_from(rng, 4, 2)
+        batched = DenseJacobian(rng.standard_normal((2, 4, 4)))
+        shared = DenseJacobian(rng.standard_normal((4, 4)))
+        others = [
+            (batched, batched.data),
+            (shared, shared.data),
+            sparse_from(rng, 4, 4, 0.5, batch=2),
+            sparse_from(rng, 4, 4, 0.5),
+        ]
+        for other, dense in others:
+            csr = isinstance(other, SparseJacobian) and sparse == "on"
+            for a, da, b, db in ((s, ds, other, dense), (other, dense, s, ds)):
+                out = ctx.op(a, b)
+                assert isinstance(out, DenseJacobian)
+                np.testing.assert_allclose(out.data, db @ da, atol=1e-12)
+                rec = ctx.trace[-1]
+                assert rec.kind == "mm" and rec.dense_mnk == 4 * 4 * 4
+                # A CSR operand times a densified one counts its nnz.
+                nnz = other.nnz if csr else 4 * 4
+                assert rec.flops == 2 * nnz * 4 * 2
+
+    def test_scaled_shared_mismatches_raise_in_products(self, rng):
+        ctx = ScanContext()
+        a, _ = scaled_from(rng, 4, 2)
+        with pytest.raises(ValueError, match="batch"):
+            ctx.op(a, ScaledShared(a.w, rng.standard_normal((3, 4)), a.pairs))
+        with pytest.raises(ValueError, match="batch"):
+            ctx.op(a, DenseJacobian(rng.standard_normal((3, 4, 4))))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ctx.op(a, DenseJacobian(rng.standard_normal((4, 5))))
+
     def test_densify_threshold(self, rng):
         ctx = ScanContext(sparse="auto:0.0")  # densify everything
         a, _ = sparse_from(rng, 4, 4, 0.9)
@@ -181,6 +266,14 @@ class TestElementTypes:
         assert "B=2" in repr(v)
         d = DenseJacobian(rng.standard_normal((3, 3)))
         assert "shared" in repr(d)
+        assert "B=4" in repr(scaled_from(rng, 3, 4)[0])
+
+    def test_scaled_shared_to_dense(self, rng):
+        s, dense = scaled_from(rng, 5, 3, d_out=2)
+        assert s.shape == (2, 5) and s.batch == 3
+        out = s.to_dense().data
+        assert out.flags.c_contiguous
+        np.testing.assert_allclose(out, dense)
 
     def test_reset_trace(self, rng):
         ctx = ScanContext()
