@@ -5,10 +5,13 @@ A scan algorithm (``repro.scan.algorithms``) reduces to a sequence of
 slots and are therefore mutually independent.  Executors exploit
 exactly that freedom and nothing more: the algorithm hands each level
 to :meth:`ScanExecutor.run_level` as a list of :class:`LevelTask` and
-writes the results back itself.  Because every task still performs one
-⊙ call with the same operands in the same per-op association order as
-the serial loop, **all executors produce bitwise-identical results** —
-only inter-task scheduling varies.
+writes the results back itself.  A task holds the only reference to the
+value its result replaces, so the executor decides how long that value
+lives; the serial executor frees it as soon as the task has run.
+Because every task still performs one ⊙ call with the same operands in
+the same per-op association order as the serial loop, **all executors
+produce bitwise-identical results** — only inter-task scheduling
+varies.
 
 Executors own their worker resources (threads / processes) and follow
 a uniform lifecycle: construct, use across any number of scans, then
@@ -20,12 +23,10 @@ from __future__ import annotations
 
 import abc
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, NamedTuple, Optional
 
 
-@dataclass
-class LevelTask:
+class LevelTask(NamedTuple):
     """One ⊙ application: ``op(a, b, info)``.
 
     ``a`` and ``b`` are scan elements (or arbitrary operands for
@@ -34,7 +35,7 @@ class LevelTask:
     schedule.  Kept as a structured record — not a closure — so that
     executors can introspect operands (the process-pool executor
     offloads only large dense products and runs everything else
-    inline).
+    inline).  A tuple: cheap to build once per ⊙, and immutable.
     """
 
     op: Callable[[Any, Any, Any], Any]
@@ -59,8 +60,17 @@ class ScanExecutor(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def run_level(self, tasks: Sequence[LevelTask]) -> List[Any]:
-        """Run one level's tasks, returning their results in order."""
+    def run_level(self, tasks: List[LevelTask]) -> List[Any]:
+        """Run one level's tasks, returning their results in order.
+
+        The executor owns ``tasks``: the scan hands each task the only
+        reference to the value its result replaces (the up-sweep's old
+        right operand, the down-sweep's consumed left one), and the
+        caller never reads the list again.  An executor may therefore
+        empty the list as it goes; the serial executor drops each task
+        once it has run, so a dead operand is freed before the next ⊙
+        allocates.
+        """
 
     @property
     def workers(self) -> int:
@@ -125,8 +135,12 @@ class SerialExecutor(ScanExecutor):
 
     name = "serial"
 
-    def run_level(self, tasks: Sequence[LevelTask]) -> List[Any]:
-        return [t.run() for t in tasks]
+    def run_level(self, tasks: List[LevelTask]) -> List[Any]:
+        results = []
+        for i, (op, a, b, info) in enumerate(tasks):
+            tasks[i] = None  # its operands die once this ⊙ returns
+            results.append(op(a, b, info))
+        return results
 
 
 class ThreadPoolScanExecutor(ScanExecutor):
@@ -161,7 +175,7 @@ class ThreadPoolScanExecutor(ScanExecutor):
     def workers(self) -> int:
         return self.num_workers
 
-    def run_level(self, tasks: Sequence[LevelTask]) -> List[Any]:
+    def run_level(self, tasks: List[LevelTask]) -> List[Any]:
         if self._pool is None or len(tasks) == 1:
             return [t.run() for t in tasks]
         return list(self._pool.map(LevelTask.run, tasks))

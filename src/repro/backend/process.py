@@ -52,7 +52,7 @@ import threading
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
@@ -326,7 +326,7 @@ class ProcessPoolScanExecutor(ScanExecutor):
         )
         return fut, shm_out, out_shape
 
-    def run_level(self, tasks: Sequence[LevelTask]) -> List[Any]:
+    def run_level(self, tasks: List[LevelTask]) -> List[Any]:
         if self._broken or len(tasks) == 1:
             return [t.run() for t in tasks]
         # i → None for a dense offload, or the SpGEMM plan for a sparse one.

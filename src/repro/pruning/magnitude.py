@@ -9,6 +9,7 @@ during retraining so pruned weights stay zero.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Literal
 
@@ -88,6 +89,12 @@ def magnitude_prune(
     """Prune the smallest-magnitude ``fraction`` of prunable weights.
 
     Returns the mask set *and* applies it to the model in place.
+
+    Global pruning of an untrained model ranks weights by their
+    initialization scale, so it can empty a whole layer; every layer
+    below an emptied one then gets an identically zero gradient.  One
+    ``RuntimeWarning`` names the emptied weights' shapes; the masks are
+    returned unchanged.
     """
     if not 0.0 <= fraction < 1.0:
         raise ValueError(f"fraction must be in [0, 1), got {fraction}")
@@ -112,6 +119,14 @@ def magnitude_prune(
         raise ValueError(f"unknown scope {scope!r}")
 
     apply_masks(model, mask_set)
+    emptied = [w.data.shape for w, m in mask_set.masks.items() if not m.any()]
+    if emptied:
+        warnings.warn(
+            f"magnitude_prune({fraction}, scope={scope!r}) kept no weight of "
+            f"shape(s) {emptied}: every layer before them gets a zero gradient",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return mask_set
 
 

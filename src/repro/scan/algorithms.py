@@ -101,13 +101,18 @@ def _up_sweep(
     they run only with ``spine=True`` (a pipeline stage whose carry
     composes that summary).  No other pair reads ``a[n]``: ``l < n``
     always, so skipping them changes no other operand.
+
+    Each task takes the only reference to the ``a[r]`` it replaces, so
+    the executor can free that operand as soon as its ⊙ has run.
     """
     for d in d_values:
-        pairs = [(l, r) for l, r in _level_pairs(n, d) if spine or r < n]
-        tasks = [
-            LevelTask(op, a[l], a[r], OpInfo("up", d, l, r)) for l, r in pairs
-        ]
-        for (_, r), res in zip(pairs, ex.run_level(tasks)):
+        rs, tasks = [], []
+        for l, r in _level_pairs(n, d):
+            if spine or r < n:
+                rs.append(r)
+                tasks.append(LevelTask(op, a[l], a[r], OpInfo("up", d, l, r)))
+                a[r] = None
+        for r, res in zip(rs, ex.run_level(tasks)):
             a[r] = res
 
 
@@ -118,20 +123,18 @@ def _down_sweep(
     for the non-commutative ⊙):
     ``T ← a[l]; a[l] ← a[r]; a[r] ← a[r] ⊙ T``.
 
-    Operands are snapshotted per level before dispatch; the pairs of
-    one level are disjoint, so this is exactly the sequential in-place
-    semantics.
+    The first two assignments happen as each task is built: the pairs
+    of one level are disjoint, so this is exactly the sequential
+    in-place semantics, and the task holds the only reference to the
+    consumed ``T``.
     """
     for d in d_values:
         pairs = _level_pairs(n, d)
-        snap = [(a[l], a[r]) for l, r in pairs]
-        tasks = [
-            LevelTask(op, ar, al, OpInfo("down", d, l, r))
-            for (l, r), (al, ar) in zip(pairs, snap)
-        ]
-        results = ex.run_level(tasks)
-        for (l, r), (_, ar), res in zip(pairs, snap, results):
-            a[l] = ar
+        tasks = []
+        for l, r in pairs:
+            tasks.append(LevelTask(op, a[r], a[l], OpInfo("down", d, l, r)))
+            a[l] = a[r]
+        for (_, r), res in zip(pairs, ex.run_level(tasks)):
             a[r] = res
 
 

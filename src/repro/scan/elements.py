@@ -34,8 +34,7 @@ the quantities Figure 11 plots per scan step.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -227,8 +226,7 @@ ScanElement = Union[
 ]
 
 
-@dataclass(frozen=True)
-class OpInfo:
+class OpInfo(NamedTuple):
     """Where an ⊙ application sits inside a scan algorithm."""
 
     phase: str  # "up", "down", "linear", "serial-mid"
@@ -237,8 +235,11 @@ class OpInfo:
     right: int
 
 
-@dataclass
-class StepRecord:
+#: The place of an ⊙ applied outside any scan (``op(a, b)`` with no info).
+_ADHOC = OpInfo("adhoc", -1, -1, -1)
+
+
+class StepRecord(NamedTuple):
     """Cost record of one ⊙ application (one Figure 11 data point)."""
 
     info: OpInfo
@@ -318,34 +319,31 @@ class ScanContext:
     def _record(self, info: OpInfo, kind: str, flops: int, mnk: int) -> None:
         with self._lock:
             self.total_flops += flops
-            self.trace.append(
-                StepRecord(info=info, kind=kind, flops=flops, dense_mnk=mnk)
-            )
+            self.trace.append(StepRecord(info, kind, flops, mnk))
 
     def op(self, a: ScanElement, b: ScanElement, info: Optional[OpInfo] = None):
         """Apply ``a ⊙ b`` (= ``b·a``), recording cost."""
+        # Exact-type tests: the element classes are final, and a scan
+        # runs this once per ⊙.
         if self.sparse_policy.mode == "off":
             # Pure dense path: sparse storage never reaches a kernel.
-            if isinstance(a, SparseJacobian):
+            if type(a) is SparseJacobian:
                 a = a.to_dense()
-            if isinstance(b, SparseJacobian):
+            if type(b) is SparseJacobian:
                 b = b.to_dense()
-        if isinstance(a, Identity):
+        if a is IDENTITY:
             return b
-        if isinstance(b, Identity):
+        if b is IDENTITY:
             return a
-        if isinstance(b, GradientVector):
+        if type(b) is GradientVector:
             raise TypeError("right operand of ⊙ must be a matrix or identity")
-        if info is None:
-            info = OpInfo("adhoc", -1, -1, -1)
-
-        if isinstance(a, GradientVector):
+        if type(a) is GradientVector:
             result, flops, mnk = self._matvec(b, a)
             kind = "mv"
         else:
             result, flops, mnk = self._matmat(b, a)
             kind = "mm"
-        self._record(info, kind, flops, mnk)
+        self._record(_ADHOC if info is None else info, kind, flops, mnk)
         return result
 
     # ------------------------------------------------------------------
@@ -355,45 +353,39 @@ class ScanContext:
         self, b: ScanElement, v: GradientVector
     ) -> Tuple[GradientVector, int, int]:
         m, n = b.shape
-        if n != v.dim:
-            raise ValueError(f"shape mismatch: {b.shape} @ (B, {v.dim})")
-        if isinstance(b, SparseJacobian):
+        batch, dim = v.data.shape
+        if n != dim:
+            raise ValueError(f"shape mismatch: {b.shape} @ (B, {dim})")
+        # A shared matrix (batch None) takes any vector batch.
+        _result_batch(batch, b.batch)
+        kind = type(b)
+        if kind is SparseJacobian:
             out = csr_matvec_batched(b.pattern, b.values(), v.data)
-            flops = 2 * b.nnz * v.batch
+            return GradientVector(out), 2 * b.nnz * batch, m * n
+        if kind is ScaledShared:  # Wᵀ·diag(s)·v, one GEMM, no matrix built
+            out = (v.data * b.scale) @ b.w
+        elif b.data.ndim == 2:
+            out = v.data @ b.data.T  # (B, d_out) @ (d_out, d_in)^T
         else:
-            if isinstance(b, DenseJacobian):
-                if b.shared:
-                    out = v.data @ b.data.T  # (B, d_out) @ (d_out, d_in)^T
-                else:
-                    out = np.einsum("bmn,bn->bm", b.data, v.data)
-            else:  # ScaledShared: Wᵀ·diag(s)·v, one GEMM, no matrix built
-                if b.batch != v.batch:
-                    raise ValueError(f"inconsistent batch sizes {[b.batch, v.batch]}")
-                out = (v.data * b.scale) @ b.w
-            # The GEMM's FLOPs; a ScaledShared scale's B·n are left out.
-            flops = 2 * m * n * v.batch
-        return GradientVector(out), flops, m * n
+            out = np.einsum("bmn,bn->bm", b.data, v.data)
+        # The GEMM's FLOPs; a ScaledShared scale's B·n are left out.
+        return GradientVector(out), 2 * m * n * batch, m * n
 
     # ------------------------------------------------------------------
     # B @ A (matrix–matrix), result replaces the combined range
     # ------------------------------------------------------------------
     def _matmat(self, b: ScanElement, a: ScanElement):
-        if b.shape[1] != a.shape[0]:
-            raise ValueError(f"shape mismatch: {b.shape} @ {a.shape}")
         m, k = b.shape
-        _, n = a.shape
+        k_a, n = a.shape
+        if k != k_a:
+            raise ValueError(f"shape mismatch: {b.shape} @ {a.shape}")
         mnk = m * n * k
-        batch = _result_batch(a, b)
-
-        if isinstance(b, SparseJacobian) and isinstance(a, SparseJacobian):
-            plan = self.cache.plan_for(b.pattern, a.pattern)
-            vals = plan.execute_batched(b.values(), a.values(), arena=self.arena)
-            result, flops = self._wrap_sparse_product(a, b, plan, vals)
-            return result, flops, mnk
+        batch = _result_batch(a.batch, b.batch)
+        kind_a, kind_b = type(a), type(b)
 
         if (
-            isinstance(a, ScaledShared)
-            and isinstance(b, ScaledShared)
+            kind_a is ScaledShared
+            and kind_b is ScaledShared
             and a.pairs is not None
             and a.pairs is b.pairs
         ):
@@ -402,23 +394,25 @@ class ScanContext:
             # counts them; the scale's B·m·n are left out.
             out = (b.scale @ a.pairs).reshape(batch, m, n)
             out *= a.scale[:, None, :]
-            return DenseJacobian(out), 2 * mnk * batch, mnk
+            return DenseJacobian(out), _dense_mm_flops(mnk, batch), mnk
+
+        if kind_a is SparseJacobian and kind_b is SparseJacobian:
+            plan = self.cache.plan_for(b.pattern, a.pattern)
+            vals = plan.execute_batched(b.values(), a.values(), arena=self.arena)
+            result, flops = self._wrap_sparse_product(a, b, plan, vals, batch)
+            return result, flops, mnk
 
         # Any other product → dense result; CSR and ScaledShared
         # operands are densified.
-        b_dense = b.data if isinstance(b, DenseJacobian) else b.to_dense().data
-        a_dense = a.data if isinstance(a, DenseJacobian) else a.to_dense().data
-        if isinstance(b, SparseJacobian):
-            flops = 2 * b.nnz * n * max(batch or 1, 1)
-        elif isinstance(a, SparseJacobian):
-            flops = 2 * a.nnz * m * max(batch or 1, 1)
+        b_dense = b.data if kind_b is DenseJacobian else b.to_dense().data
+        a_dense = a.data if kind_a is DenseJacobian else a.to_dense().data
+        if kind_b is SparseJacobian:
+            flops = 2 * b.nnz * n * (batch or 1)
+        elif kind_a is SparseJacobian:
+            flops = 2 * a.nnz * m * (batch or 1)
         else:
-            flops, _ = _dense_mm_cost(a, b)
-        if b_dense.ndim == 2 and a_dense.ndim == 2:
-            out_data = b_dense @ a_dense
-        else:
-            out_data = np.matmul(b_dense, a_dense)
-        return DenseJacobian(out_data), flops, mnk
+            flops = _dense_mm_flops(mnk, batch)
+        return DenseJacobian(np.matmul(b_dense, a_dense)), flops, mnk
 
     def record_dense_matmat(
         self,
@@ -431,10 +425,12 @@ class ScanContext:
         The process-pool backend offloads the raw ``b·a`` matmul to a
         worker; the cost bookkeeping must still happen here, in the
         parent's trace, with exactly the figures the in-process dense
-        path would have recorded (both paths share ``_dense_mm_cost``).
+        path would have recorded (both paths share ``_dense_mm_flops``).
         """
-        flops, mnk = _dense_mm_cost(a, b)
-        self._record(info, "mm", flops, mnk)
+        m, k = b.shape
+        mnk = m * a.shape[1] * k
+        batch = _result_batch(a.batch, b.batch)
+        self._record(info, "mm", _dense_mm_flops(mnk, batch), mnk)
 
     def _maybe_densify(self, s: SparseJacobian) -> ScanElement:
         if not self.sparse_policy.keep_product_sparse(s.pattern.density):
@@ -442,12 +438,18 @@ class ScanContext:
         return s
 
     def _wrap_sparse_product(
-        self, a: SparseJacobian, b: SparseJacobian, plan, out_values: np.ndarray
+        self,
+        a: SparseJacobian,
+        b: SparseJacobian,
+        plan,
+        out_values: np.ndarray,
+        batch: Optional[int],
     ) -> Tuple[ScanElement, int]:
         """Wrap an SpGEMM numeric-phase output into the result element.
 
         ``out_values`` is the ``(B, out_nnz)`` value matrix of ``plan``
-        for ``a ⊙ b = b·a``.  The single source of truth for sparse
+        for ``a ⊙ b = b·a``, and ``batch`` the product's batch (``None``
+        when both operands are shared).  The single source of truth for sparse
         mat–mat result representation, densify decision, and FLOP cost
         — shared by the inline path (:meth:`_matmat`) and the process
         backend's parent-side completion
@@ -464,8 +466,7 @@ class ScanContext:
             # The plan's cached pattern object: zero fresh CSR
             # allocations per product once the plan is warm.
             out = SparseJacobian(plan.out_pattern(), out_values)
-        flops = plan.flops * max(_result_batch(a, b) or 1, 1)
-        return self._maybe_densify(out), flops
+        return self._maybe_densify(out), plan.flops * (batch or 1)
 
     # ------------------------------------------------------------------
     # process-backend sparse offload protocol
@@ -498,28 +499,26 @@ class ScanContext:
         policy, and records FLOPs in the parent's trace.
         """
         out_values = np.asarray(out_values, dtype=np.float64)
-        result, flops = self._wrap_sparse_product(a, b, plan, out_values)
+        batch = _result_batch(a.batch, b.batch)
+        result, flops = self._wrap_sparse_product(a, b, plan, out_values, batch)
         m, k = b.shape
         n = a.shape[1]
         self._record(info, "mm", flops, m * n * k)
         return result
 
 
-def _dense_mm_cost(a: ScanElement, b: ScanElement) -> Tuple[int, int]:
-    """(flops, m·n·k) of the dense product ``a ⊙ b = b·a`` — the single
+def _dense_mm_flops(mnk: int, batch: Optional[int]) -> int:
+    """FLOPs of a dense product of per-sample size ``m·n·k`` — the single
     source of truth for dense mat–mat accounting, shared by the
     in-process path and the process backend's parent-side record."""
-    m, k = b.shape
-    n = a.shape[1]
-    mnk = m * n * k
-    return 2 * mnk * max(_result_batch(a, b) or 1, 1), mnk
+    return 2 * mnk * (batch or 1)
 
 
-def _result_batch(a: ScanElement, b: ScanElement) -> Optional[int]:
-    batches = [e.batch for e in (a, b) if not isinstance(e, Identity)]
-    batches = [x for x in batches if x is not None]
-    if not batches:
-        return None
-    if len(set(batches)) > 1:
-        raise ValueError(f"inconsistent batch sizes {batches}")
-    return batches[0]
+def _result_batch(x: Optional[int], y: Optional[int]) -> Optional[int]:
+    """The batch of a product of operands with batches ``x`` and ``y``,
+    where ``None`` marks an operand shared by every sample."""
+    if x is None:
+        return y
+    if y is not None and y != x:
+        raise ValueError(f"inconsistent batch sizes {[x, y]}")
+    return x

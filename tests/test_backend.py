@@ -7,6 +7,7 @@ thread, and process executors.
 """
 
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -564,6 +565,33 @@ class TestProcessSharedMemoryHygiene:
 def test_level_task_runs_op():
     task = LevelTask(lambda a, b, info: (b, a, info), "A", "B", "i")
     assert task.run() == ("B", "A", "i")
+
+
+def test_level_task_is_an_immutable_tuple():
+    task = LevelTask(len, "A", "B", "i")
+    assert task == (len, "A", "B", "i")
+    with pytest.raises(AttributeError):
+        task.a = "C"
+
+
+def test_serial_run_level_drops_each_task_once_run():
+    """``run_level`` owns its list: each task is dropped once it has
+    run, so an operand only a task holds is freed before the next ⊙."""
+
+    class Operand:
+        pass
+
+    alive = []
+
+    def op(a, b, i):
+        alive.append([r() is not None for r in refs[:i]])
+        return i
+
+    tasks = [LevelTask(op, None, Operand(), i) for i in range(3)]
+    refs = [weakref.ref(t.b) for t in tasks]
+    assert SerialExecutor().run_level(tasks) == [0, 1, 2]
+    assert alive == [[], [False], [False, False]]
+    assert all(r() is None for r in refs)
 
 
 def test_scan_executor_is_abstract():

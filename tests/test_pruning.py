@@ -1,9 +1,11 @@
 """Tests for magnitude pruning and masked retraining."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.nn import Sequential, VGG11, make_mlp
+from repro.nn import LeNet5, Sequential, VGG11, make_mlp
 from repro.nn.layers import Conv2d, Linear, ReLU
 from repro.pruning import apply_masks, magnitude_prune, model_sparsity
 
@@ -60,6 +62,22 @@ class TestMagnitudePrune:
         model = make_mlp([4, 4], rng=rng)
         with pytest.raises(ValueError, match="scope"):
             magnitude_prune(model, 0.5, scope="galactic")
+
+    def test_warns_when_global_pruning_empties_a_layer(self):
+        """At initialization LeNet-5's Linear(100→30) holds the smallest
+        weights, so 90% global pruning removes all of them."""
+        model = LeNet5(rng=np.random.default_rng(1), width_multiplier=0.25)
+        with pytest.warns(RuntimeWarning, match=r"kept no weight .*\(30, 100\)"):
+            masks = magnitude_prune(model, 0.9, scope="global")
+        emptied = [w for w, m in masks.masks.items() if not m.any()]
+        assert [w.data.shape for w in emptied] == [(30, 100)]
+
+    def test_layer_scope_empties_no_layer(self):
+        model = LeNet5(rng=np.random.default_rng(1), width_multiplier=0.25)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            masks = magnitude_prune(model, 0.9, scope="layer")
+        assert all(m.any() for m in masks.masks.values())
 
     def test_model_without_prunable_weights(self):
         with pytest.raises(ValueError, match="no prunable"):

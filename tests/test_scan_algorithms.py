@@ -6,6 +6,8 @@ line 13) produces exactly the exclusive-scan outputs for every array
 length — power of two or not.
 """
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -195,6 +197,45 @@ def test_exclusive_scans_never_read_the_last_element(n, k):
         words, concat, up_levels=k, prefix="", compose_tail=True
     )
     assert carry == "".join(reversed(words))
+
+
+@pytest.mark.parametrize("scan", ["blelloch", "truncated", "stage"])
+def test_sweeps_free_each_dead_operand_before_the_next_op(scan):
+    """Each sweep ⊙ frees the product its result replaces (the
+    up-sweep's old ``a[r]``) or consumes (the down-sweep's ``a[l]``)
+    before the level's next ⊙ runs, instead of keeping a level's worth
+    of dead products alive until the level ends."""
+    rng = np.random.default_rng(0)
+    items = [GradientVector(rng.standard_normal((2, 3)))]
+    items += [DenseJacobian(0.5 * rng.standard_normal((2, 3, 3))) for _ in range(31)]
+    ctx = ScanContext()
+    inputs = {id(x) for x in items}
+    level, dead, live, tracked = None, [], [], []
+
+    def op(a, b, info):
+        nonlocal level
+        if (info.phase, info.level) != level:
+            level, dead[:] = (info.phase, info.level), []
+        live.append(sum(ref() is not None for ref in dead))
+        # In both sweeps ``b`` is the operand that dies with this ⊙,
+        # unless ⊙ returns it (``a`` is the identity) or it is an input.
+        if info.phase in ("up", "down") and a is not IDENTITY and id(b) not in inputs:
+            dead.append(weakref.ref(b.data))
+            tracked.append(info)
+        return ctx.op(a, b, info)
+
+    if scan == "blelloch":
+        ref = blelloch_scan(items, ctx.op)
+        out = blelloch_scan(items, op)
+    elif scan == "truncated":
+        ref = truncated_blelloch_scan(items, ctx.op, up_levels=3)
+        out = truncated_blelloch_scan(items, op, up_levels=3)
+    else:
+        ref, _ = stage_truncated_scan(items, ctx.op, 3, compose_tail=True)
+        out, _ = stage_truncated_scan(items, op, 3, compose_tail=True)
+    assert _same_outputs(out, ref)
+    assert {i.phase for i in tracked} == {"up", "down"}
+    assert max(live) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,27 @@ class TestMatVec:
         with pytest.raises(ValueError, match="expected w"):
             ScaledShared(rng.standard_normal((5, 3)), rng.standard_normal((4, 3)))
 
+    @pytest.mark.parametrize("vec_batch", [1, 2])
+    def test_per_sample_matrix_checks_vector_batch(self, rng, vec_batch):
+        """A per-sample matrix takes only a vector of its own batch, as
+        in mat-mat: a batch-1 vector no longer broadcasts silently, and
+        a batch-2 one no longer reaches NumPy's broadcast error."""
+        ctx = ScanContext()
+        v = GradientVector(np.ones((vec_batch, 5)))
+        sparse, _ = sparse_from(rng, 3, 5, batch=4)
+        for m in (DenseJacobian(np.ones((4, 3, 5))), sparse):
+            with pytest.raises(ValueError, match="inconsistent batch sizes"):
+                ctx.op(v, m)
+        assert ctx.total_flops == 0 and not ctx.trace
+
+    @pytest.mark.parametrize("vec_batch", [1, 3])
+    def test_shared_matrix_takes_any_vector_batch(self, rng, vec_batch):
+        ctx = ScanContext()
+        v = GradientVector(rng.standard_normal((vec_batch, 5)))
+        sparse, dense = sparse_from(rng, 3, 5)
+        for m in (DenseJacobian(dense), sparse):
+            np.testing.assert_allclose(ctx.op(v, m).data, v.data @ dense.T)
+
     def test_vector_cannot_be_right_operand(self, rng):
         ctx = ScanContext()
         v = GradientVector(rng.standard_normal((1, 3)))
