@@ -62,7 +62,7 @@ print(f"simulated makespan on RTX 2070: {sched.makespan_seconds * 1e6:.1f} µs")
 # point: any registered backend executes the same schedule with the
 # same per-op order, hence bitwise-identical outputs.
 print(f"\nexecution backends registered: {', '.join(available_backends())}")
-for spec in ("serial", "thread:2", "process:2"):
+for spec in ("serial", "thread:2"):
     with get_executor(spec) as ex:
         alt = blelloch_scan(items, ScanContext().op, executor=ex)
     identical = all(

@@ -29,7 +29,7 @@ without touching process state::
 
     engine = repro.build_engine(model, "truncated:3/thread:8/sparse=auto:0.4")
 
-    with repro.configure(executor="process:4", sparse="off"):
+    with repro.configure(executor="thread:4", sparse="off"):
         engine = repro.build_engine(model)  # scoped override, no env vars
 
 Package map (see DESIGN.md for the full inventory):
@@ -41,7 +41,7 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.sparse``          CSR + plan-cached SpGEMM
 ``repro.jacobian``        analytical transposed-Jacobian generators
 ``repro.scan``            the ⊙ operator; Blelloch / linear / truncated
-``repro.backend``         pluggable scan executors: serial/thread/process
+``repro.backend``         pluggable scan executors: serial/thread
 ``repro.config``          declarative ScanConfig + build_engine facade
 ``repro.core``            BPPSA engines and trainers
 ``repro.pram``            PRAM/GPU simulator and device catalog

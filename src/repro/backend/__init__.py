@@ -4,9 +4,8 @@ The BPPSA scan algorithms (:mod:`repro.scan.algorithms`) expose their
 parallelism as levels of mutually independent ⊙ applications.  This
 package is the seam between that schedule and the machine: an executor
 receives one level at a time as :class:`LevelTask` records and decides
-how to run it — inline, on a thread pool, or in worker processes with
-shared-memory ndarray transport.  Every backend preserves per-op
-association order, so **all backends produce bitwise-identical
+how to run it — inline or on a thread pool.  Every backend preserves
+per-op association order, so **all backends produce bitwise-identical
 results**; they differ only in wall-clock.
 
 Backends
@@ -17,11 +16,6 @@ Backends
 ``thread``  (:class:`ThreadPoolScanExecutor`)
     One thread pool; overlaps levels of large BLAS products (NumPy
     releases the GIL inside gemm).
-``process`` (:class:`ProcessPoolScanExecutor`)
-    Worker processes + ``multiprocessing.shared_memory``; large dense
-    Jacobian products *and* large SpGEMM numeric phases (CSR values +
-    plan index arrays over shared memory) escape the GIL entirely,
-    everything small stays inline in the parent.
 
 Usage::
 
@@ -33,7 +27,7 @@ Usage::
 
 or end to end through an engine, by spec string::
 
-    engine = RNNBPPSA(clf, executor="process:4")
+    engine = RNNBPPSA(clf, executor="thread:4")
 
 The default for every ``executor=None`` call site is taken from the
 ``REPRO_SCAN_BACKEND`` environment variable (falling back to
@@ -62,7 +56,6 @@ from repro.backend.registry import (
     get_executor,
     register_backend,
 )
-from repro.backend.process import ProcessPoolScanExecutor
 
 __all__ = [
     "ExecutorOwner",
@@ -70,7 +63,6 @@ __all__ = [
     "ScanExecutor",
     "SerialExecutor",
     "ThreadPoolScanExecutor",
-    "ProcessPoolScanExecutor",
     "ENV_VAR",
     "available_backends",
     "default_executor",

@@ -1,4 +1,4 @@
-"""The :class:`ScanExecutor` protocol and the in-process executors.
+"""The :class:`ScanExecutor` protocol and the built-in executors.
 
 A scan algorithm (``repro.scan.algorithms``) reduces to a sequence of
 *levels*; the ⊙ applications inside one level touch disjoint array
@@ -13,10 +13,10 @@ the same per-op association order as the serial loop, **all executors
 produce bitwise-identical results** — only inter-task scheduling
 varies.
 
-Executors own their worker resources (threads / processes) and follow
-a uniform lifecycle: construct, use across any number of scans, then
-``close()`` (or use as a context manager).  String-keyed construction
-lives in :mod:`repro.backend.registry`.
+Executors own their worker threads and follow a uniform lifecycle:
+construct, use across any number of scans, then ``close()`` (or use as
+a context manager).  String-keyed construction lives in
+:mod:`repro.backend.registry`.
 """
 
 from __future__ import annotations
@@ -33,9 +33,10 @@ class LevelTask(NamedTuple):
     generic/symbolic scans); ``info`` is the
     :class:`~repro.scan.elements.OpInfo` placing the op in the
     schedule.  Kept as a structured record — not a closure — so that
-    executors can introspect operands (the process-pool executor
-    offloads only large dense products and runs everything else
-    inline).  A tuple: cheap to build once per ⊙, and immutable.
+    the sweeps can hand a task the only reference to a dead operand
+    (the executor frees it once the ⊙ has run) and callers can read
+    the schedule position (``tasks[0].info.phase``).  A tuple: cheap
+    to build once per ⊙, and immutable.
     """
 
     op: Callable[[Any, Any, Any], Any]

@@ -1,7 +1,7 @@
 """String-keyed executor registry and the process-wide default.
 
-Backends are addressed by a compact spec — ``"serial"``, ``"thread:8"``,
-``"process:4"`` — so every layer that accepts an ``executor=`` argument
+Backends are addressed by a compact spec — ``"serial"`` or
+``"thread:8"`` — so every layer that accepts an ``executor=`` argument
 (scan algorithms, gradient engines, the trainer, experiment entry
 points) can take a plain string from a config file, a CLI flag, or the
 ``REPRO_SCAN_BACKEND`` environment variable without importing executor
@@ -10,7 +10,7 @@ classes.  Third-party backends plug in via :func:`register_backend`.
 Spec grammar::
 
     spec     := name [":" workers]
-    name     := registered backend name ("serial" | "thread" | "process" | …)
+    name     := registered backend name ("serial" | "thread" | …)
     workers  := positive integer worker count
 
 ``get_executor`` also accepts ``None`` (→ the process-wide default,
@@ -155,17 +155,5 @@ def _thread_factory(workers: Optional[int]) -> ScanExecutor:
     return ThreadPoolScanExecutor(workers)
 
 
-def _process_factory(workers: Optional[int]) -> ScanExecutor:
-    # Imported lazily: repro.backend.process pulls in repro.scan.elements,
-    # which must not happen while this module is being imported *by*
-    # repro.scan.
-    from repro.backend.process import ProcessPoolScanExecutor
-
-    if workers is None:
-        workers = min(os.cpu_count() or 2, 4)
-    return ProcessPoolScanExecutor(workers)
-
-
 register_backend("serial", _serial_factory)
 register_backend("thread", _thread_factory)
-register_backend("process", _process_factory)

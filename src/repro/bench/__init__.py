@@ -18,8 +18,7 @@ and provides the machinery around that schema:
     :func:`measure` — warmup/repeat wall-clock measurement.
 ``runner``
     :func:`run_bench` — sweeps artifacts × executor specs from the
-    :mod:`repro.backend` registry (``serial``, ``thread:N``,
-    ``process:N``).
+    :mod:`repro.backend` registry (``serial``, ``thread:N``).
 ``writer``
     :func:`write_results` / :func:`load_records` — emits one
     ``BENCH_<artifact>.json`` per artifact plus a combined

@@ -42,7 +42,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--backends",
         default="serial",
         help="comma-separated executor specs for backend-sensitive "
-        'artifacts, e.g. "serial,thread:2,process:4" (default serial)',
+        'artifacts, e.g. "serial,thread:2" (default serial)',
     )
     parser.add_argument(
         "--artifacts",

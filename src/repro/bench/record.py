@@ -102,8 +102,9 @@ class BenchRecord:
         ``"smoke"`` or ``"paper"`` (:class:`repro.experiments.common.Scale`).
     backend
         Executor spec the artifact ran under (``"serial"``,
-        ``"thread:2"``, ``"process:4"``) or ``"n/a"`` for artifacts
-        whose computation never reaches a scan executor.
+        ``"thread:2"``) or ``"n/a"`` for artifacts whose computation
+        never reaches a scan executor.  An older record may name a
+        backend that is no longer registered.
     timing
         :class:`TimingStats` of the artifact's data step.
     environment

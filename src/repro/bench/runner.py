@@ -476,7 +476,7 @@ def run_bench(
         for final runs).
     backends
         Executor specs from the :mod:`repro.backend` registry
-        (``"serial"``, ``"thread:2"``, ``"process:4"``, …).  Backend-
+        (``"serial"``, ``"thread:2"``, …).  Backend-
         sensitive artifacts run once per spec; insensitive artifacts
         run once with backend recorded as ``"n/a"``.
     artifacts

@@ -151,9 +151,9 @@ class ScanConfig:
         Truncation depth for the ``truncated`` algorithm (resolves
         to 2).
     executor:
-        Scan-backend spec string — ``"serial"``, ``"thread:8"``,
-        ``"process:4"`` (resolves via ``REPRO_SCAN_BACKEND``, falling
-        back to ``"serial"``).  Executor *instances* are deliberately
+        Scan-backend spec string — ``"serial"`` or ``"thread:8"``
+        (resolves via ``REPRO_SCAN_BACKEND``, falling back to
+        ``"serial"``).  Executor *instances* are deliberately
         not representable: a config is pure data.
     sparse:
         Dense-vs-sparse dispatch mode — ``"auto"`` | ``"on"`` |

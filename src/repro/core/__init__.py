@@ -20,7 +20,7 @@ Entry points
     and BPPSA, used by the convergence experiments (Figs. 7 and 9).
 
 Both engines and the trainer accept ``executor=`` — a scan-backend
-spec string (``"serial"``, ``"thread:8"``, ``"process:4"``) or a
+spec string (``"serial"``, ``"thread:8"``) or a
 :class:`~repro.backend.ScanExecutor` — selecting *where* each scan
 level's independent ⊙ ops run; gradients are bitwise-identical on
 every backend (see :mod:`repro.backend`).

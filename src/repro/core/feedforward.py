@@ -85,7 +85,7 @@ class FeedforwardBPPSA(ExecutorOwner):
         (Section 3.5).
     executor:
         Scan-execution backend: a spec string (``"serial"``,
-        ``"thread:8"``, ``"process:4"`` — see :mod:`repro.backend`), an
+        ``"thread:8"`` — see :mod:`repro.backend`), an
         executor instance, or ``None`` for the ambient default
         (``repro.configure()`` override, else ``REPRO_SCAN_BACKEND``).
         An explicit spec (kwarg or config field) builds a pool the

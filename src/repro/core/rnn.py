@@ -62,7 +62,7 @@ class RNNBPPSA(ExecutorOwner):
     (``self.executor`` is authoritative in that case).
 
     ``executor`` selects the scan-execution backend: a spec string
-    (``"serial"``, ``"thread:8"``, ``"process:4"`` — see
+    (``"serial"``, ``"thread:8"`` — see
     :mod:`repro.backend`), an executor instance, or ``None`` to follow
     the ambient default (a ``repro.configure()`` override, else
     ``REPRO_SCAN_BACKEND``).  Executors created here from a spec

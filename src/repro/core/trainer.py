@@ -67,7 +67,7 @@ class Trainer:
         Model forward for the baseline path; defaults to ``model(x)``.
     executor:
         Optional scan-backend override for the engine — a spec string
-        (``"thread:8"``, ``"process:4"``, …) or a
+        (``"serial"``, ``"thread:8"``, …) or a
         :class:`~repro.backend.ScanExecutor`.  Convenience for
         experiment drivers that construct the engine elsewhere but
         choose the backend per run; requires ``engine`` to be a BPPSA

@@ -28,7 +28,7 @@ producing ``[I, ∇x_n ℓ, ..., ∇x_1 ℓ]``.  This package provides:
 
 *Where* each level's independent ⊙ ops execute is pluggable: every
 parallel scan takes ``executor=`` — a backend spec string
-(``"serial"``, ``"thread:8"``, ``"process:4"``), a
+(``"serial"``, ``"thread:8"``), a
 :class:`~repro.backend.ScanExecutor` instance, or ``None`` for the
 ``REPRO_SCAN_BACKEND`` default.  See :mod:`repro.backend`; the
 registry entry points (:func:`get_executor`, :func:`register_backend`,

@@ -91,9 +91,9 @@ class DenseJacobian:
 
     Storage is canonicalized to C-contiguous: BLAS kernels can produce
     different last-bit results for strided vs. contiguous operands, so
-    a single canonical layout is what keeps every execution backend
-    (inline, thread, process/shared-memory) bitwise-identical — and
-    gemm prefers contiguous inputs anyway.
+    a single canonical layout is what keeps the serial and thread
+    backends bitwise-identical — and gemm prefers contiguous inputs
+    anyway.
     """
 
     __slots__ = ("data",)
@@ -381,6 +381,7 @@ class ScanContext:
             raise ValueError(f"shape mismatch: {b.shape} @ {a.shape}")
         mnk = m * n * k
         batch = _result_batch(a.batch, b.batch)
+        samples = batch or 1  # a product shared by every sample counts once
         kind_a, kind_b = type(a), type(b)
 
         if (
@@ -394,124 +395,39 @@ class ScanContext:
             # counts them; the scale's B·m·n are left out.
             out = (b.scale @ a.pairs).reshape(batch, m, n)
             out *= a.scale[:, None, :]
-            return DenseJacobian(out), _dense_mm_flops(mnk, batch), mnk
+            return DenseJacobian(out), 2 * mnk * samples, mnk
 
         if kind_a is SparseJacobian and kind_b is SparseJacobian:
             plan = self.cache.plan_for(b.pattern, a.pattern)
             vals = plan.execute_batched(b.values(), a.values(), arena=self.arena)
-            result, flops = self._wrap_sparse_product(a, b, plan, vals, batch)
-            return result, flops, mnk
+            if batch is None:
+                out = SparseJacobian(
+                    CSRMatrix(
+                        plan.out_indptr, plan.out_indices, vals[0], plan.out_shape
+                    )
+                )
+            else:
+                # The plan's cached pattern object: zero fresh CSR
+                # allocations per product once the plan is warm.
+                out = SparseJacobian(plan.out_pattern(), vals)
+            return self._maybe_densify(out), plan.flops * samples, mnk
 
         # Any other product → dense result; CSR and ScaledShared
         # operands are densified.
         b_dense = b.data if kind_b is DenseJacobian else b.to_dense().data
         a_dense = a.data if kind_a is DenseJacobian else a.to_dense().data
         if kind_b is SparseJacobian:
-            flops = 2 * b.nnz * n * (batch or 1)
+            flops = 2 * b.nnz * n * samples
         elif kind_a is SparseJacobian:
-            flops = 2 * a.nnz * m * (batch or 1)
+            flops = 2 * a.nnz * m * samples
         else:
-            flops = _dense_mm_flops(mnk, batch)
+            flops = 2 * mnk * samples
         return DenseJacobian(np.matmul(b_dense, a_dense)), flops, mnk
-
-    def record_dense_matmat(
-        self,
-        a: DenseJacobian,
-        b: DenseJacobian,
-        info: OpInfo,
-    ) -> None:
-        """Account for an ``a ⊙ b`` dense product computed externally.
-
-        The process-pool backend offloads the raw ``b·a`` matmul to a
-        worker; the cost bookkeeping must still happen here, in the
-        parent's trace, with exactly the figures the in-process dense
-        path would have recorded (both paths share ``_dense_mm_flops``).
-        """
-        m, k = b.shape
-        mnk = m * a.shape[1] * k
-        batch = _result_batch(a.batch, b.batch)
-        self._record(info, "mm", _dense_mm_flops(mnk, batch), mnk)
 
     def _maybe_densify(self, s: SparseJacobian) -> ScanElement:
         if not self.sparse_policy.keep_product_sparse(s.pattern.density):
             return s.to_dense()
         return s
-
-    def _wrap_sparse_product(
-        self,
-        a: SparseJacobian,
-        b: SparseJacobian,
-        plan,
-        out_values: np.ndarray,
-        batch: Optional[int],
-    ) -> Tuple[ScanElement, int]:
-        """Wrap an SpGEMM numeric-phase output into the result element.
-
-        ``out_values`` is the ``(B, out_nnz)`` value matrix of ``plan``
-        for ``a ⊙ b = b·a``, and ``batch`` the product's batch (``None``
-        when both operands are shared).  The single source of truth for sparse
-        mat–mat result representation, densify decision, and FLOP cost
-        — shared by the inline path (:meth:`_matmat`) and the process
-        backend's parent-side completion
-        (:meth:`complete_sparse_matmat`), which is what keeps offloaded
-        and inline execution in lockstep.
-        """
-        if b.shared and a.shared:
-            out = SparseJacobian(
-                CSRMatrix(
-                    plan.out_indptr, plan.out_indices, out_values[0], plan.out_shape
-                )
-            )
-        else:
-            # The plan's cached pattern object: zero fresh CSR
-            # allocations per product once the plan is warm.
-            out = SparseJacobian(plan.out_pattern(), out_values)
-        return self._maybe_densify(out), plan.flops * (batch or 1)
-
-    # ------------------------------------------------------------------
-    # process-backend sparse offload protocol
-    # ------------------------------------------------------------------
-    def sparse_offload_plan(self, a: SparseJacobian, b: SparseJacobian):
-        """The cached :class:`~repro.sparse.SpGEMMPlan` that the inline
-        path would use for ``a ⊙ b`` (= ``b·a``).
-
-        The process backend calls this in the *parent* so the symbolic
-        phase always runs against (and populates) the parent's pattern
-        cache; only the numeric phase ships to a worker.
-        """
-        return self.cache.plan_for(b.pattern, a.pattern)
-
-    def complete_sparse_matmat(
-        self,
-        a: SparseJacobian,
-        b: SparseJacobian,
-        info: OpInfo,
-        plan,
-        out_values: np.ndarray,
-    ) -> ScanElement:
-        """Finish a sparse ``a ⊙ b`` whose numeric phase ran externally.
-
-        ``out_values`` is the worker's ``(B, out_nnz)`` value matrix for
-        ``plan`` (from :func:`repro.sparse.spgemm_numeric`, the same
-        function the inline path runs — so the finished element is
-        bitwise-identical to in-process execution).  Wraps the values in
-        the inline path's result representation, applies the densify
-        policy, and records FLOPs in the parent's trace.
-        """
-        out_values = np.asarray(out_values, dtype=np.float64)
-        batch = _result_batch(a.batch, b.batch)
-        result, flops = self._wrap_sparse_product(a, b, plan, out_values, batch)
-        m, k = b.shape
-        n = a.shape[1]
-        self._record(info, "mm", flops, m * n * k)
-        return result
-
-
-def _dense_mm_flops(mnk: int, batch: Optional[int]) -> int:
-    """FLOPs of a dense product of per-sample size ``m·n·k`` — the single
-    source of truth for dense mat–mat accounting, shared by the
-    in-process path and the process backend's parent-side record."""
-    return 2 * mnk * (batch or 1)
 
 
 def _result_batch(x: Optional[int], y: Optional[int]) -> Optional[int]:

@@ -34,7 +34,7 @@ backend registry's ``"thread:8"`` grammar: ``"auto:0.4"`` keeps CSR up
 to 40 % density.
 
 For any *fixed* policy, gradients are bitwise-identical across all
-execution backends (serial / thread / process) — the policy decides
+execution backends (serial / thread) — the policy decides
 *what* each ⊙ computes, the backend only decides *where*, and every
 backend runs the same kernels in the same per-op association order.
 Dense-mode and sparse-mode gradients agree up to floating-point

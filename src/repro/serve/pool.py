@@ -1,10 +1,10 @@
 """Per-config scan engines and the server's engine pool.
 
 A serving layer cannot afford to rebuild executors, scan contexts, and
-plan caches per request: a ``process:N`` backend forks worker
-processes, a warmed :class:`~repro.scan.ScanContext` holds SpGEMM
-plans and numeric-phase scratch, and both amortize only across
-requests.  :class:`EnginePool` keys one :class:`ScanEngine` per fully
+plan caches per request: a ``thread:N`` backend starts a thread pool,
+a warmed :class:`~repro.scan.ScanContext` holds SpGEMM plans and
+numeric-phase scratch, and both amortize only across requests.
+:class:`EnginePool` keys one :class:`ScanEngine` per fully
 **resolved** :class:`~repro.config.ScanConfig` — the spec string a
 client submits is resolved once at admission (see
 :mod:`repro.serve.server`), and every request naming an equivalent

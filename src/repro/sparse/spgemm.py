@@ -140,7 +140,6 @@ class SpGEMMPlan:
         data_a: np.ndarray,
         data_b: np.ndarray,
         arena: Optional["KernelArena"] = None,
-        out: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Numeric phase for a batch of value arrays sharing the patterns.
 
@@ -150,13 +149,12 @@ class SpGEMMPlan:
         deterministic sparsity pattern with a *single* symbolic plan.
 
         ``arena`` supplies reusable scratch (see :func:`spgemm_numeric`);
-        ``out`` receives the result in place when given (caller-owned,
-        never arena storage).
+        the returned values are always a fresh array the caller owns.
         """
         scratch = None if arena is None else partial(arena.workspace, self)
         return spgemm_numeric(
             self.src_a, self.src_b, self.scatter, self.out_nnz,
-            data_a, data_b, scratch, out,
+            data_a, data_b, scratch,
         )
 
 
@@ -260,16 +258,13 @@ def spgemm_numeric(
     data_a: np.ndarray,
     data_b: np.ndarray,
     scratch: Optional[Callable[[int], PlanWorkspace]] = None,
-    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """The SpGEMM numeric phase on raw plan arrays.
 
-    The one implementation behind :meth:`SpGEMMPlan.execute_batched`
-    and the process scan backend's shared-memory worker, so offloaded
-    and inline products are the same NumPy calls in the same order.
+    The one implementation behind :meth:`SpGEMMPlan.execute_batched`.
     ``data_a``/``data_b`` are (B, nnz) value matrices, or (nnz,) /
     (1, nnz) values shared by the whole batch.  Returns the
-    (B, out_nnz) output values, written into ``out`` when given.
+    (B, out_nnz) output values.
 
     Bitwise-identical to :func:`spgemm_numeric_batched`: the expanded
     products are the same ``data_a[src_a] · data_b[src_b]`` pairs in
@@ -285,34 +280,28 @@ def spgemm_numeric(
     ba, bb = data_a.shape[0], data_b.shape[0]
     batch = max(ba, bb)
     if len(scatter) == 0:
-        result = np.zeros((batch, out_nnz))
+        return np.zeros((batch, out_nnz))
+    if scratch is None:
+        ws = PlanWorkspace(scatter, out_nnz)
+        ws.ensure(batch)
     else:
-        if scratch is None:
-            ws = PlanWorkspace(scatter, out_nnz)
-            ws.ensure(batch)
-        else:
-            ws = scratch(batch)
-        buf_a, buf_b = ws.gather(batch)
-        # Gather each side at its *native* batch (a shared (1, nnz)
-        # operand is gathered once, like the reference's fancy
-        # indexing) and let the multiply broadcast: the element-wise
-        # products are unchanged.
-        np.take(data_a, src_a, axis=1, out=buf_a[:ba])
-        np.take(data_b, src_b, axis=1, out=buf_b[:bb])
-        if bb == batch:
-            prod = np.multiply(buf_a[:ba], buf_b, out=buf_b)
-        else:  # shared b, batched a: accumulate into the a-buffer
-            prod = np.multiply(buf_a, buf_b[:bb], out=buf_a)
-        # bincount is the one allocation left: the result the caller owns.
-        result = np.bincount(
-            ws.flat_offsets(batch),
-            weights=prod.reshape(-1),
-            minlength=batch * out_nnz,
-        ).reshape(batch, out_nnz)
-    if out is None:
-        return result
-    out[...] = result
-    return out
+        ws = scratch(batch)
+    buf_a, buf_b = ws.gather(batch)
+    # Gather each side at its *native* batch (a shared (1, nnz) operand
+    # is gathered once, like the reference's fancy indexing) and let the
+    # multiply broadcast: the element-wise products are unchanged.
+    np.take(data_a, src_a, axis=1, out=buf_a[:ba])
+    np.take(data_b, src_b, axis=1, out=buf_b[:bb])
+    if bb == batch:
+        prod = np.multiply(buf_a[:ba], buf_b, out=buf_b)
+    else:  # shared b, batched a: accumulate into the a-buffer
+        prod = np.multiply(buf_a, buf_b[:bb], out=buf_a)
+    # bincount is the one allocation left: the result the caller owns.
+    return np.bincount(
+        ws.flat_offsets(batch),
+        weights=prod.reshape(-1),
+        minlength=batch * out_nnz,
+    ).reshape(batch, out_nnz)
 
 
 def spgemm_numeric_batched(

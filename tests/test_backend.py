@@ -2,8 +2,8 @@
 
 Covers the registry (spec parsing, env default, custom registration,
 error cases) and — the property the whole subsystem rests on —
-bitwise-identical scan results and gradients across the serial,
-thread, and process executors.
+bitwise-identical scan results and gradients across the serial and
+thread executors.
 """
 
 import threading
@@ -15,7 +15,6 @@ import pytest
 from repro.backend import (
     ENV_VAR,
     LevelTask,
-    ProcessPoolScanExecutor,
     ScanExecutor,
     SerialExecutor,
     ThreadPoolScanExecutor,
@@ -57,7 +56,7 @@ def chain(rng, n, batch=2, h=4, kind="dense"):
 # ---------------------------------------------------------------------------
 class TestRegistry:
     def test_builtins_registered(self):
-        assert set(available_backends()) >= {"serial", "thread", "process"}
+        assert set(available_backends()) >= {"serial", "thread"}
 
     def test_serial_is_shared_singleton(self):
         assert get_executor("serial") is get_executor("serial")
@@ -72,11 +71,6 @@ class TestRegistry:
         with get_executor("thread") as ex:
             assert ex.workers >= 1
 
-    def test_process_spec_workers(self):
-        with get_executor("process:2") as ex:
-            assert isinstance(ex, ProcessPoolScanExecutor)
-            assert ex.workers == 2
-
     def test_instance_passthrough(self):
         ex = SerialExecutor()
         assert get_executor(ex) is ex
@@ -84,6 +78,26 @@ class TestRegistry:
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown scan backend"):
             get_executor("gpu:4")
+
+    def test_removed_process_backend_fails_loudly(self, monkeypatch):
+        """``process:N`` is an unknown name everywhere a spec resolves,
+        and the error lists the backends that remain."""
+        from repro.core import RNNBPPSA
+        from repro.nn import RNNClassifier
+
+        assert "process" not in available_backends()
+        clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
+        monkeypatch.setenv(ENV_VAR, "process:2")
+        for build in (
+            lambda: get_executor("process:2"),
+            lambda: RNNBPPSA(clf, executor="process:2"),
+            default_executor,
+        ):
+            with pytest.raises(ValueError, match="unknown scan backend 'process'") as e:
+                build()
+            assert "serial" in str(e.value) and "thread" in str(e.value)
+        monkeypatch.delenv(ENV_VAR)
+        default_executor()  # rebuild the serial default
 
     @pytest.mark.parametrize("spec", ["thread:0", "thread:-2"])
     def test_nonpositive_workers(self, spec):
@@ -165,7 +179,7 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 # executor equivalence: bitwise-identical across backends
 # ---------------------------------------------------------------------------
-EXECUTOR_SPECS = ["serial", "thread:4", "process:2"]
+EXECUTOR_SPECS = ["serial", "thread:4"]
 
 
 class TestEquivalence:
@@ -181,7 +195,7 @@ class TestEquivalence:
         for p in range(1, n + 1):
             np.testing.assert_allclose(out[p].data, ref[p].data, atol=1e-10)
 
-    @pytest.mark.parametrize("spec", ["thread:4", "process:2"])
+    @pytest.mark.parametrize("spec", ["thread:4"])
     def test_blelloch_bitwise_identical_to_serial(self, rng, spec):
         """Same ops in the same per-op order ⇒ bitwise identical."""
         items = chain(rng, 12, h=8, kind=self.kind)
@@ -191,7 +205,7 @@ class TestEquivalence:
         for p in range(1, 13):
             np.testing.assert_array_equal(serial[p].data, out[p].data)
 
-    @pytest.mark.parametrize("spec", ["thread:4", "process:2"])
+    @pytest.mark.parametrize("spec", ["thread:4"])
     def test_hillis_steele_bitwise(self, rng, spec):
         items = chain(rng, 11, kind=self.kind)
         serial = hillis_steele_scan(items, ScanContext().op)
@@ -200,7 +214,7 @@ class TestEquivalence:
         for p in range(1, 12):
             np.testing.assert_array_equal(serial[p].data, out[p].data)
 
-    @pytest.mark.parametrize("spec", ["thread:4", "process:2"])
+    @pytest.mark.parametrize("spec", ["thread:4"])
     @pytest.mark.parametrize("up_levels", [0, 1, 2, 5])
     def test_truncated_bitwise(self, rng, spec, up_levels):
         items = chain(rng, 14, kind=self.kind)
@@ -254,7 +268,7 @@ class TestEngineBackends:
         with RNNBPPSA(clf, algorithm="blelloch", executor=executor) as eng:
             return list(eng.compute_gradients(x, y).values())
 
-    @pytest.mark.parametrize("spec", ["thread:2", "process:2"])
+    @pytest.mark.parametrize("spec", ["thread:2"])
     def test_rnn_gradients_bitwise(self, spec):
         ref = self._rnn_grads("serial")
         got = self._rnn_grads(spec)
@@ -271,11 +285,10 @@ class TestEngineBackends:
         x = rng.standard_normal((4, 16))
         y = rng.integers(0, 10, 4)
         ref = list(FeedforwardBPPSA(model).compute_gradients(x, y).values())
-        for spec in ("thread:2", "process:2"):
-            with FeedforwardBPPSA(model, executor=spec) as eng:
-                got = list(eng.compute_gradients(x, y).values())
-            for a, b in zip(ref, got):
-                np.testing.assert_array_equal(a, b)
+        with FeedforwardBPPSA(model, executor="thread:2") as eng:
+            got = list(eng.compute_gradients(x, y).values())
+        for a, b in zip(ref, got):
+            np.testing.assert_array_equal(a, b)
 
     def test_engine_owns_spec_string_executor(self):
         from repro.core import RNNBPPSA
@@ -387,179 +400,21 @@ class TestThreadExecutor:
         assert ctx.total_flops == ctx_serial.total_flops
         assert len(ctx.trace) == len(ctx_serial.trace)
 
-
-class TestProcessExecutor:
-    def test_invalid_workers(self):
-        with pytest.raises(ValueError):
-            ProcessPoolScanExecutor(0)
-
-    def test_pool_is_lazy(self):
-        ex = ProcessPoolScanExecutor(2)
-        assert ex._pool is None
-        ex.close()
-
-    def test_offload_engages_and_accounts(self, rng):
-        """Force offload (threshold 0) and check both the bits and the
-        parent-side FLOP trace match the serial run exactly."""
-        items = chain(rng, 16, h=8)
-        ctx_serial = ScanContext()
-        ref = blelloch_scan(items, ctx_serial.op)
-        ctx = ScanContext()
-        with ProcessPoolScanExecutor(2, min_offload_mnk=0) as ex:
-            out = blelloch_scan(items, ctx.op, executor=ex)
-            assert ex._pool is not None  # offload actually happened
-            assert not ex._broken
-        for p in range(1, 17):
-            np.testing.assert_array_equal(out[p].data, ref[p].data)
-        assert ctx.total_flops == ctx_serial.total_flops
-        assert len(ctx.trace) == len(ctx_serial.trace)
-        key = lambda r: (r.info.phase, r.info.level, r.info.left,
-                         r.info.right, r.kind, r.flops, r.dense_mnk)
-        assert sorted(map(key, ctx.trace)) == sorted(map(key, ctx_serial.trace))
-
     def test_user_error_leaves_pool_usable(self, rng):
         """A bad ⊙ (shape mismatch) is the caller's bug, not the
-        pool's: it propagates and must not disable the backend."""
+        pool's: it propagates, and the same executor then scans a good
+        chain bitwise-equal to serial."""
         good = chain(rng, 8, h=6)
         bad = [GradientVector(rng.standard_normal((2, 6)))]
         bad += [DenseJacobian(rng.standard_normal((2, 6, 6))) for _ in range(6)]
         bad.insert(3, DenseJacobian(rng.standard_normal((2, 5, 5))))
-        with ProcessPoolScanExecutor(2, min_offload_mnk=0) as ex:
+        with ThreadPoolScanExecutor(2) as ex:
             with pytest.raises(ValueError):
                 blelloch_scan(bad, ScanContext().op, executor=ex)
-            assert not ex._broken
             out = blelloch_scan(good, ScanContext().op, executor=ex)
-        ref = blelloch_scan(good, ScanContext().op)
+        ref = blelloch_scan(good, ScanContext().op, executor="serial")
         for p in range(1, 9):
             np.testing.assert_array_equal(out[p].data, ref[p].data)
-
-    def test_strings_run_inline(self):
-        """Non-ScanContext ops are never shipped to workers."""
-        concat = simple_op(lambda a, b: b + a)
-        items = list("abcdefghijkl")
-        with ProcessPoolScanExecutor(2, min_offload_mnk=0) as ex:
-            out = blelloch_scan(items, concat, identity="", executor=ex)
-            assert ex._pool is None  # nothing was offloadable
-        expected = ["".join(reversed(items[:k])) for k in range(len(items))]
-        assert out == expected
-
-    def test_threshold_keeps_small_products_inline(self, rng):
-        items = chain(rng, 8, h=4)  # mnk = 64 per product
-        with ProcessPoolScanExecutor(2, min_offload_mnk=10**6) as ex:
-            blelloch_scan(items, ScanContext().op, executor=ex)
-            assert ex._pool is None
-
-
-class TestProcessSharedMemoryHygiene:
-    """Regression tests for the shared-memory leak on mid-job failure:
-    every segment a level creates must be closed *and* unlinked no
-    matter where the offload path dies, and ``close()`` must be safe
-    to call from several threads, repeatedly."""
-
-    @staticmethod
-    def _tracked_share(created):
-        original = ProcessPoolScanExecutor._share
-
-        def share(arr):
-            shm = original(arr)
-            created.append(shm.name)
-            return shm
-
-        return staticmethod(share)
-
-    @staticmethod
-    def _assert_unlinked(names):
-        from multiprocessing import shared_memory
-
-        assert names, "test never created a segment"
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
-
-    def test_successful_level_unlinks_every_segment(self, rng, monkeypatch):
-        created = []
-        monkeypatch.setattr(
-            ProcessPoolScanExecutor, "_share", self._tracked_share(created)
-        )
-        items = chain(rng, 8, h=8)
-        with ProcessPoolScanExecutor(1, min_offload_mnk=0) as ex:
-            out = blelloch_scan(items, ScanContext().op, executor=ex)
-        ref = blelloch_scan(items, ScanContext().op)
-        for p in range(1, 9):
-            np.testing.assert_array_equal(out[p].data, ref[p].data)
-        self._assert_unlinked(created)
-
-    def test_share_failure_mid_level_unlinks_earlier_segments(
-        self, rng, monkeypatch
-    ):
-        """Die while sharing the *second* task's operands: the first
-        task's already-created segments must still be unlinked, results
-        must fall back to inline execution bitwise-intact, and the
-        executor degrades instead of wedging."""
-        created = []
-        original = ProcessPoolScanExecutor._share
-        calls = {"n": 0}
-
-        def failing_share(arr):
-            calls["n"] += 1
-            if calls["n"] == 3:  # first task shares 2 operands, then dies
-                raise RuntimeError("synthetic shm failure")
-            shm = original(arr)
-            created.append(shm.name)
-            return shm
-
-        monkeypatch.setattr(
-            ProcessPoolScanExecutor, "_share", staticmethod(failing_share)
-        )
-        items = chain(rng, 8, h=8)
-        ref = blelloch_scan(items, ScanContext().op)
-        with ProcessPoolScanExecutor(1, min_offload_mnk=0) as ex:
-            with pytest.warns(RuntimeWarning, match="process scan backend"):
-                out = blelloch_scan(items, ScanContext().op, executor=ex)
-            assert ex._broken
-        for p in range(1, 9):
-            np.testing.assert_array_equal(out[p].data, ref[p].data)
-        self._assert_unlinked(created)
-
-    def test_close_is_idempotent_and_thread_safe(self, rng):
-        ex = ProcessPoolScanExecutor(1, min_offload_mnk=0)
-        blelloch_scan(chain(rng, 8, h=8), ScanContext().op, executor=ex)
-        assert ex._pool is not None
-        errors = []
-
-        def closer():
-            try:
-                ex.close()
-            except Exception as exc:  # pragma: no cover - the regression
-                errors.append(exc)
-
-        threads = [threading.Thread(target=closer) for _ in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert ex._pool is None
-        ex.close()  # and once more after everyone
-
-    def test_concurrent_first_use_builds_one_pool(self, rng):
-        """Racing run_level calls from a serving layer must not each
-        fork a pool and leak all but one."""
-        ex = ProcessPoolScanExecutor(1, min_offload_mnk=0)
-        pools = []
-        barrier = threading.Barrier(4)
-
-        def warm():
-            barrier.wait()
-            pools.append(ex._ensure_pool())
-
-        threads = [threading.Thread(target=warm) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(set(map(id, pools))) == 1
-        ex.close()
 
 
 def test_level_task_runs_op():

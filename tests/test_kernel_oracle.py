@@ -1,21 +1,20 @@
 """Differential oracle for the SpGEMM numeric phase (tier-1).
 
 The one numeric phase — :func:`repro.sparse.spgemm_numeric`, behind
-:meth:`~repro.sparse.SpGEMMPlan.execute_batched` and the process
-backend's shared-memory worker — must be **bitwise-identical** to the
-plain reference :func:`repro.sparse.spgemm_numeric_batched`, not
-merely close.  This file is the oracle that enforces it:
+:meth:`~repro.sparse.SpGEMMPlan.execute_batched` — must be
+**bitwise-identical** to the plain reference
+:func:`repro.sparse.spgemm_numeric_batched`, not merely close.  This
+file is the oracle that enforces it:
 
 * a direct differential over random plans, covering shared ``(1, nnz)``
-  operands, arena reuse, ``out=``, the worker's raw entry, −0.0 and
-  empty plans;
+  operands, arena reuse, the free function on raw plan arrays, −0.0
+  and empty plans;
 * a full (algorithm × backend × sparse mode) matrix over randomized
   CSR chains — seeded, with forced empty rows, duplicate-free
   *unsorted* column indices, an all-zero block, and batch > 1 — where
   every cell's scan output must match a reference cell byte for byte;
-* a ``process:2`` offload cell, an engine-level cell
-  (:class:`repro.core.FeedforwardBPPSA`) and the ``transformer_block``
-  workload cell, each against a reference cell.
+* an engine-level cell (:class:`repro.core.FeedforwardBPPSA`) and the
+  ``transformer_block`` workload cell, each against a reference cell.
 
 A reference cell runs on the serial backend with
 ``SpGEMMPlan.execute_batched`` monkeypatched to the reference (see
@@ -24,19 +23,16 @@ production option.
 """
 
 import threading
-from multiprocessing import shared_memory
 
 import numpy as np
 import pytest
 
-from repro.backend import ProcessPoolScanExecutor, LevelTask, SerialExecutor, get_executor
-from repro.backend.process import _spgemm_worker
+from repro.backend import get_executor
 from repro.config import ScanConfig
 from repro.core import FeedforwardBPPSA
 from repro.nn import LeNet5, Sequential, make_mlp
 from repro.scan import (
     GradientVector,
-    OpInfo,
     ScanContext,
     SparseJacobian,
     blelloch_scan,
@@ -164,15 +160,11 @@ def reference_cell(fn, *args, spgemm=True):
     """
     calls = []
 
-    def reference_execute_batched(plan, data_a, data_b, arena=None, out=None):
+    def reference_execute_batched(plan, data_a, data_b, arena=None):
         calls.append(plan)
-        result = spgemm_numeric_batched(
+        return spgemm_numeric_batched(
             plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, data_a, data_b
         )
-        if out is None:
-            return result
-        out[...] = result
-        return out
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(SpGEMMPlan, "execute_batched", reference_execute_batched)
@@ -235,13 +227,11 @@ class TestKernelDifferential:
             for got in (
                 plan.execute_batched(da, db),
                 plan.execute_batched(da, db, arena=arena),
-                spgemm_numeric(*raw),  # the process worker's entry
+                plan.execute_batched(da, db, arena=arena),  # warmed scratch
+                spgemm_numeric(*raw),  # the free function on raw plan arrays
             ):
                 assert got.shape == (eff_batch, plan.out_nnz) == ref.shape
                 assert got.tobytes() == ref.tobytes()
-            out = np.empty((eff_batch, plan.out_nnz), dtype=np.float64)
-            got = plan.execute_batched(da, db, arena=arena, out=out)
-            assert got is out and out.tobytes() == ref.tobytes()
         assert arena.reuses > 0  # warmed workspaces served repeat calls
 
     def test_plan_execute_batched_kernel_path_matches_legacy(self):
@@ -283,9 +273,8 @@ class TestKernelDifferential:
             plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, da, db
         )
         arena = KernelArena()
-        out = np.full((3, 0), np.nan)
-        got = plan.execute_batched(da, db, arena=arena, out=out)
-        assert got is out and got.shape == ref.shape == (3, 0)
+        got = plan.execute_batched(da, db, arena=arena)
+        assert got.shape == ref.shape == (3, 0)
         assert (arena.allocations, arena.reuses) == (0, 0)
 
 
@@ -318,91 +307,6 @@ class TestKernelDifferential:
         mine = arena.workspace(plan, 2)
         assert seen[0] is not mine
         assert arena.allocations == 2 and arena.workspace(plan, 2) is mine
-
-
-# ---------------------------------------------------------------------------
-# process backend: the worker runs the same numeric phase
-# ---------------------------------------------------------------------------
-class _CountingProcessExecutor(ProcessPoolScanExecutor):
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.sparse_submissions = 0
-
-    def _submit_sparse(self, pool, segments, t, plan):
-        self.sparse_submissions += 1
-        return super()._submit_sparse(pool, segments, t, plan)
-
-
-class TestProcessBackendKernel:
-    def _level(self, seed, ctx, n=24, n_tasks=3, batch=3):
-        rng = np.random.default_rng(seed)
-        tasks = []
-        for i in range(n_tasks):
-            pa = random_pattern(rng, n, n, density=0.25)
-            pb = random_pattern(rng, n, n, density=0.25)
-            tasks.append(
-                LevelTask(
-                    ctx.op,
-                    SparseJacobian(pa, rng.standard_normal((batch, pa.nnz))),
-                    SparseJacobian(pb, rng.standard_normal((batch, pb.nnz))),
-                    OpInfo("up", 0, 2 * i, 2 * i + 1),
-                )
-            )
-        return tasks
-
-    def test_worker_entry_matches_reference(self):
-        # The worker function itself, on shared-memory segments, in
-        # this process.
-        rng = np.random.default_rng(12)
-        a = random_pattern(rng, 10, 9, density=0.4)
-        b = random_pattern(rng, 9, 7, density=0.4)
-        plan = build_spgemm_plan(a, b)
-        dp = rng.standard_normal((3, a.nnz))
-        dq = b.data[None, :]
-        ref = spgemm_numeric_batched(
-            plan.src_a, plan.src_b, plan.scatter, plan.out_nnz, dp, dq
-        )
-        arrays = (dp, dq, plan.src_a, plan.src_b, plan.scatter, ref)
-        segments = [
-            shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
-            for arr in arrays
-        ]
-        try:
-            for shm, arr in zip(segments[:5], arrays):
-                np.ndarray(arr.shape, arr.dtype, buffer=shm.buf)[...] = arr
-            names = [shm.name for shm in segments]
-            assert _spgemm_worker(
-                names[0], dp.shape, names[1], dq.shape,
-                names[2], names[3], names[4], len(plan.src_a),
-                names[5], ref.shape,
-            )
-            out = np.array(np.ndarray(ref.shape, np.float64, buffer=segments[5].buf))
-        finally:
-            for shm in segments:
-                shm.close()
-                shm.unlink()
-        assert out.tobytes() == ref.tobytes()
-
-    # The ids keep the names of the two kernels this cell once ran:
-    # ``numpy`` was the plain reference numeric phase, ``numba`` the
-    # fast path that is now the only one.  The offload must match the
-    # serial cell of each byte for byte.
-    @pytest.mark.parametrize("kernel", ("numpy", "numba"))
-    def test_shm_offload_bitwise_per_kernel(self, kernel):
-        def serial_cell():
-            return SerialExecutor().run_level(
-                self._level(11, ScanContext(sparse="on"))
-            )
-
-        ref = reference_cell(serial_cell) if kernel == "numpy" else serial_cell()
-        ctx = ScanContext(sparse="on")
-        ex = _CountingProcessExecutor(num_workers=2, min_offload_mnk=1)
-        try:
-            out = ex.run_level(self._level(11, ctx))
-        finally:
-            ex.close()
-        assert ex.sparse_submissions == 3  # the worker path really ran
-        assert snapshot(out) == snapshot(ref)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +364,7 @@ class TestTransformerWorkloadOracle:
             self._grads, "serial", sparse, spgemm=sparse != "off"
         )
         assert len(ref) == 9
-        for backend in ("serial", "thread:2", "process:2"):
+        for backend in ("serial", "thread:2"):
             got = self._grads(backend, sparse)
             assert got == ref, (
                 f"transformer cell ({backend}, sparse={sparse}) diverged "

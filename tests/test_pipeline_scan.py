@@ -11,7 +11,7 @@ close.  This file is the oracle that enforces it, mirroring
   :func:`repro.scan.truncated_blelloch_scan` byte for byte for every
   (stage count × up_levels × sparse mode);
 * an engine-level matrix: staged RNN gradients across (K stages ×
-  GPipe/PipeDream × serial/thread/process × sparse on/off) against the
+  GPipe/PipeDream × serial/thread × sparse on/off) against the
   (K=1, serial, numpy) oracle of the same micro-batch count — and, at
   M=1, against the monolithic :class:`repro.core.RNNBPPSA` itself;
 * Hypothesis properties fuzzing the schedule builders (no device-slot
@@ -203,14 +203,6 @@ class TestPipelineOracleMatrix:
                     f"cell (K={num_stages}, {schedule}, {backend}, "
                     f"sparse={sparse}) diverged from the oracle"
                 )
-
-    @pytest.mark.parametrize("schedule", SCHEDULES)
-    def test_process_backend_matches_oracle(self, schedule, workload):
-        ref = staged_grads(workload, 1, 2, "gpipe", "truncated/up=2/serial")
-        got = staged_grads(
-            workload, 3, 2, schedule, "truncated/up=2/process:2"
-        )
-        assert got == ref
 
     @pytest.mark.parametrize("up_levels", (0, 1, 2))
     def test_m1_matches_monolithic_engine(self, up_levels, workload):

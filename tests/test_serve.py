@@ -5,8 +5,8 @@ merge/split helpers (bitwise round-trip), the server (admission,
 batching, error forwarding, overload rejection, stats reconciliation),
 admission-time ``configure()`` snapshotting, and — the invariant the
 whole layer rests on — a concurrency stress test proving gradients of
-jobs served under ≥ 8 concurrent mixed-spec clients (thread and
-process backends included, with cross-request merging active) are
+jobs served under ≥ 8 concurrent mixed-spec clients (thread backends
+included, with cross-request merging active) are
 bitwise-identical to serial single-client runs.
 """
 
@@ -387,9 +387,9 @@ class TestServeStress:
     JOBS_PER_CLIENT = 4
 
     def _job_stream(self, client, rng):
-        """Mixed specs and shapes: mergeable dense chains on three
-        backends, linear-algorithm jobs, sparse CSR chains through the
-        shared plan cache."""
+        """Mixed specs and shapes: mergeable dense chains on the serial
+        and thread backends, linear-algorithm jobs, sparse CSR chains
+        through the shared plan cache."""
         jobs = []
         for j in range(self.JOBS_PER_CLIENT):
             flavor = (client + j) % 4
@@ -398,7 +398,7 @@ class TestServeStress:
             elif flavor == 1:
                 jobs.append(("blelloch/thread:2", dense_job(rng)))
             elif flavor == 2:
-                jobs.append(("linear/process:2", dense_job(rng)))
+                jobs.append(("linear/thread:2", dense_job(rng)))
             else:
                 jobs.append(
                     ("blelloch/serial/sparse=on/cache=shared", sparse_job(rng))

@@ -4,17 +4,13 @@ Covers the density-threshold dispatch layer
 (:class:`repro.scan.SparsePolicy` — mode parsing, env override,
 boundary decisions), the :class:`~repro.scan.ScanContext` integration
 (``off`` never touches CSR kernels, ``on`` never densifies, ``auto``
-flips exactly at the threshold), the bitwise cross-backend guarantee of
-the sparse path (serial / thread / process), and the process backend's
-CSR-over-shared-memory SpGEMM round-trip.
+flips exactly at the threshold), and the bitwise cross-backend
+guarantee of the sparse path (serial / thread).
 """
-
-import warnings
 
 import numpy as np
 import pytest
 
-from repro.backend import LevelTask, ProcessPoolScanExecutor, SerialExecutor
 from repro.core import FeedforwardBPPSA
 from repro.jacobian.conv import conv2d_tjac
 from repro.nn import LeNet5, Sequential
@@ -22,7 +18,6 @@ from repro.scan import (
     DEFAULT_DENSIFY_THRESHOLD,
     DenseJacobian,
     GradientVector,
-    OpInfo,
     SPARSE_ENV_VAR,
     ScanContext,
     SparseJacobian,
@@ -171,9 +166,9 @@ class TestScanContextDispatch:
 
 class TestCrossBackendBitwise:
     """The tentpole guarantee: for any fixed dispatch mode, gradients
-    are bitwise-identical on serial, thread, and process backends."""
+    are bitwise-identical on the serial and thread backends."""
 
-    BACKENDS = ("serial", "thread:2", "process:2")
+    BACKENDS = ("serial", "thread:2")
 
     @staticmethod
     def _grads(mode, backend):
@@ -206,101 +201,6 @@ class TestCrossBackendBitwise:
         for a, b in zip(sparse, dense):
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
         assert sparse_flops < dense_flops  # the point of the sparse path
-
-
-class _CountingProcessExecutor(ProcessPoolScanExecutor):
-    """Process executor that counts sparse/dense worker submissions."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.sparse_submissions = 0
-        self.dense_submissions = 0
-
-    def _submit_sparse(self, pool, segments, t, plan):
-        self.sparse_submissions += 1
-        return super()._submit_sparse(pool, segments, t, plan)
-
-    def _submit_dense(self, pool, segments, t):
-        self.dense_submissions += 1
-        return super()._submit_dense(pool, segments, t)
-
-
-class TestProcessSparseOffload:
-    """CSR-over-shared-memory round-trip of the process backend."""
-
-    def _level(self, rng, ctx, n_tasks=4, batch=3):
-        conv = _conv_pattern(rng)
-        dim = conv.shape[0]
-        tasks = []
-        for i in range(n_tasks):
-            a = SparseJacobian(conv, rng.standard_normal((batch, conv.nnz)))
-            b = SparseJacobian(conv, rng.standard_normal((batch, conv.nnz)))
-            tasks.append(LevelTask(ctx.op, a, b, OpInfo("up", 0, 2 * i, 2 * i + 1)))
-        assert dim > 0
-        return tasks
-
-    def test_spgemm_round_trip_bitwise(self, rng):
-        ctx_serial = ScanContext(sparse="on")
-        ref = SerialExecutor().run_level(self._level(rng, ctx_serial))
-
-        rng2 = np.random.default_rng(7)
-        ctx_proc = ScanContext(sparse="on")
-        ex = _CountingProcessExecutor(num_workers=2, min_offload_mnk=1)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no degradation warnings allowed
-            try:
-                out = ex.run_level(self._level(rng2, ctx_proc))
-            finally:
-                ex.close()
-        assert ex.sparse_submissions == 4  # the offload really happened
-        for r, o in zip(ref, out):
-            assert isinstance(o, SparseJacobian) and isinstance(r, SparseJacobian)
-            assert np.array_equal(r.pattern.indptr, o.pattern.indptr)
-            assert np.array_equal(r.pattern.indices, o.pattern.indices)
-            assert np.array_equal(r.values(), o.values())
-        # parent-side accounting matches inline execution exactly
-        assert ctx_proc.total_flops == ctx_serial.total_flops
-        assert len(ctx_proc.trace) == len(ctx_serial.trace)
-
-    def test_small_products_stay_inline(self, rng):
-        ctx = ScanContext(sparse="on")
-        diag = csr_from_diagonal(np.ones(4))
-        tasks = [
-            LevelTask(
-                ctx.op,
-                SparseJacobian(diag, rng.standard_normal((2, 4))),
-                SparseJacobian(diag, rng.standard_normal((2, 4))),
-                OpInfo("up", 0, 2 * i, 2 * i + 1),
-            )
-            for i in range(3)
-        ]
-        ex = _CountingProcessExecutor(num_workers=2)  # default threshold
-        try:
-            out = ex.run_level(tasks)
-        finally:
-            ex.close()
-        assert ex.sparse_submissions == 0
-        assert all(isinstance(o, SparseJacobian) for o in out)
-
-    def test_off_mode_is_not_sparse_offloaded(self, rng):
-        ctx = ScanContext(sparse="off")
-        conv = _conv_pattern(rng)
-        tasks = [
-            LevelTask(
-                ctx.op,
-                SparseJacobian(conv, rng.standard_normal((2, conv.nnz))),
-                SparseJacobian(conv, rng.standard_normal((2, conv.nnz))),
-                OpInfo("up", 0, 2 * i, 2 * i + 1),
-            )
-            for i in range(3)
-        ]
-        ex = _CountingProcessExecutor(num_workers=2, min_offload_mnk=1)
-        try:
-            out = ex.run_level(tasks)
-        finally:
-            ex.close()
-        assert ex.sparse_submissions == 0  # inline path densifies instead
-        assert all(isinstance(o, DenseJacobian) for o in out)
 
 
 class TestBenchSparseAxis:
