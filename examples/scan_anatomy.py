@@ -85,7 +85,7 @@ print("(each output is the reversed concatenation of the prefix — ⊙ order he
 # repro.configure() instead of mutating environment variables.
 import repro
 
-cfg = repro.ScanConfig.from_spec("blelloch/thread:2/sparse=auto:0.4")
+cfg = repro.ScanConfig.from_spec("blelloch/thread:2/sparse=on")
 assert repro.ScanConfig.from_spec(cfg.spec()) == cfg
 print(f"\nScanConfig spec round-trip: {cfg.spec()!r}")
 print(f"resolved: {cfg.resolve().spec()!r}")

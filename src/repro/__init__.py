@@ -27,7 +27,7 @@ dense-vs-sparse dispatch — is one declarative value
 (:class:`repro.ScanConfig`), buildable from a spec string and scopable
 without touching process state::
 
-    engine = repro.build_engine(model, "truncated:3/thread:8/sparse=auto:0.4")
+    engine = repro.build_engine(model, "truncated:3/thread:8/sparse=on")
 
     with repro.configure(executor="thread:4", sparse="off"):
         engine = repro.build_engine(model)  # scoped override, no env vars
@@ -76,7 +76,6 @@ __all__ = [
     "ScanConfig",
     "build_engine",
     "configure",
-    "adopt_config",
     "current_config",
 ]
 
@@ -87,7 +86,6 @@ _CONFIG_EXPORTS = (
     "ScanConfig",
     "build_engine",
     "configure",
-    "adopt_config",
     "current_config",
 )
 

@@ -94,22 +94,21 @@ class ScanExecutor(abc.ABC):
 class ExecutorOwner:
     """Mixin for objects that hold a scan executor (the BPPSA engines).
 
-    Implements the ownership protocol in one place: an owner *owns*
-    (and will close) only executors it constructed from a spec
+    Implements the ownership protocol in one place: the executor is
+    fixed at construction (:meth:`_init_executor`), and an owner *owns*
+    (and will close) only an executor it constructed from a spec
     *string*; caller-provided instances and the ``None`` default stay
-    the caller's/process's to manage.  Replacing the backend via
-    :meth:`set_executor` disposes a previously owned pool first.
+    the caller's/process's to manage.
     """
 
     executor: Optional["ScanExecutor"] = None
     _owns_executor: bool = False
 
-    def set_executor(self, executor) -> None:
-        """Replace the scan backend, closing any previously owned one."""
+    def _init_executor(self, executor) -> None:
+        """Set the scan backend once, from the constructor: a spec
+        string builds a pool this object owns."""
         from repro.backend.registry import get_executor  # circular-safe
 
-        if self._owns_executor and self.executor is not None:
-            self.executor.close()
         self._owns_executor = isinstance(executor, str)
         self.executor = get_executor(executor) if executor is not None else None
 

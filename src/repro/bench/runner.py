@@ -211,7 +211,7 @@ def _sparse_scan_rows(
     cfg = measurement_config(spec, sparse).resolve()
     policy = cfg.sparse_policy()
     p = SPARSE_SCAN_PARAMS[scale]
-    key = (scale, cfg.executor, cfg.sparse, cfg.densify_threshold)
+    key = (scale, cfg.executor, cfg.sparse)
     state = _SPARSE_SCAN_STATE.get(key)
     if state is None:
         items = make_sparse_scan_items(

@@ -2,21 +2,21 @@
 
 One frozen :class:`ScanConfig` value captures the entire tuning
 surface of the ⊙ scan (algorithm, truncation depth, executor backend,
-dense-vs-sparse dispatch, densify threshold, linear-Jacobian tolerance,
-pattern-cache policy), with:
+dense-vs-sparse dispatch, linear-Jacobian tolerance, pattern-cache
+policy), with:
 
 * a **spec grammar** that round-trips —
-  ``ScanConfig.from_spec("blelloch/thread:8/sparse=auto:0.4")`` ↔
+  ``ScanConfig.from_spec("blelloch/thread:8/sparse=auto")`` ↔
   ``cfg.spec()``;
 * **JSON (de)serialization** (``to_dict`` / ``from_dict``) embedded in
   every ``BENCH_*.json`` record and the bench environment fingerprint;
 * a single **resolution point** (:meth:`ScanConfig.resolve`) with the
   precedence ladder *explicit value > configure() override >
-  environment variable > engine default > global default*;
+  environment variable > caller default > global default*;
 * scoped overrides (:func:`configure`) replacing process-global env
-  mutation, and the engine facade (:func:`build_engine`,
-  :func:`adopt_config`) replacing scattered per-class constructor
-  knowledge.
+  mutation, and the engine facade (:func:`build_engine`) replacing
+  scattered per-class constructor knowledge.  An engine's config is
+  fixed at construction: ``engine.config`` is what runs.
 
 See DESIGN.md §"The configuration plane" for the full picture and
 MIGRATION.md for the old-kwarg mapping.
@@ -36,11 +36,7 @@ from repro.config.context import (
     current_config,
     overlay_field,
 )
-from repro.config.facade import (
-    adopt_config,
-    build_engine,
-    stage_configs,
-)
+from repro.config.facade import build_engine, stage_configs
 
 __all__ = [
     "ALGORITHMS",
@@ -53,7 +49,6 @@ __all__ = [
     "configure",
     "current_config",
     "overlay_field",
-    "adopt_config",
     "build_engine",
     "stage_configs",
 ]

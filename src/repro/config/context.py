@@ -113,7 +113,7 @@ def configure(
         with repro.configure(executor="thread:8", sparse="off"):
             engine = repro.build_engine(model)   # thread:8, dense path
 
-        with repro.configure("blelloch/thread:4/sparse=auto:0.4"):
+        with repro.configure("blelloch/thread:4/sparse=on"):
             ...                                  # spec-grammar form
 
     ``config`` may be a :class:`ScanConfig`, a spec string, or a

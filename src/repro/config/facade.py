@@ -1,13 +1,10 @@
-"""The engine facade: :func:`build_engine` and :func:`adopt_config`.
+"""The engine facade: :func:`build_engine` and :func:`stage_configs`.
 
 :func:`build_engine` is the one front door for constructing a gradient
 engine from a model and a :class:`~repro.config.ScanConfig` — it
 dispatches on the model type, so experiment drivers and the bench
-runner no longer hard-code engine classes.  :func:`adopt_config`
-applies the engine-affecting fields of a config to an *existing*
-engine — the single validation point that used to be duplicated (with
-diverging exception types) across ``Trainer.__init__``'s ``executor=``
-and ``sparse=`` blocks.
+runner no longer hard-code engine classes.  An engine's configuration
+is fixed when it is built; to run another one, build another engine.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from repro.config.scan_config import ScanConfig
 def construction_executor(
     merged: ScanConfig, resolved: ScanConfig, executor: Any
 ) -> Any:
-    """What an engine hands to ``set_executor`` at construction time.
+    """What an engine hands to ``_init_executor`` at construction time.
 
     ``merged`` is the engine's config with its explicit kwargs folded
     in (a spec-string ``executor=`` among them), ``resolved`` its
@@ -74,7 +71,7 @@ def build_engine(
       :class:`~repro.core.FeedforwardBPPSA`.
 
     ``config`` is anything :meth:`ScanConfig.coerce` accepts — a
-    config, a spec string (``"blelloch/thread:8/sparse=auto:0.4"``), a
+    config, a spec string (``"blelloch/thread:8/sparse=auto"``), a
     mapping, or ``None``; ``overrides`` beat it field-wise.  As a
     convenience for drivers that manage executor lifecycles
     themselves, ``executor=<ScanExecutor instance>`` is accepted as an
@@ -147,94 +144,3 @@ def stage_configs(
     if not entries:
         raise ValueError("need at least one stage")
     return [ScanConfig.coerce(entry).resolve(defaults) for entry in entries]
-
-
-def adopt_config(
-    engine: Any,
-    config: Union[ScanConfig, str, Mapping[str, Any], None] = None,
-    *,
-    executor: Any = None,
-    sparse: Any = None,
-) -> Any:
-    """Apply a config's engine-affecting fields to an existing engine.
-
-    The shared validation path for every "retarget an engine after
-    construction" site (:class:`~repro.core.Trainer`, experiment
-    drivers).  ``executor`` and ``sparse`` are the legacy keyword
-    overrides (spec strings, a :class:`~repro.backend.ScanExecutor`
-    instance, or a :class:`~repro.scan.SparsePolicy`) and beat the
-    corresponding ``config`` fields.
-
-    Adoptable fields: ``executor`` (via ``set_executor``), ``sparse`` /
-    ``densify_threshold`` (via ``set_sparse_policy``), ``algorithm`` and
-    ``up_levels`` (plain attributes both engines re-read on every
-    scan).  Construction-only fields (``sparse_linear_tol``,
-    ``pattern_cache``) cannot be adopted and raise ``ValueError`` —
-    rebuild through :func:`build_engine` instead.
-
-    Raises ``ValueError`` when any adoptable field is set but
-    ``engine`` is ``None`` (baseline BP has no scan to configure), and
-    ``TypeError`` when the engine lacks the needed protocol — the same
-    exception types for every field, where the old duplicated blocks
-    had drifted apart.  Returns the engine.
-    """
-    cfg = ScanConfig.coerce(config)
-    if cfg.sparse_linear_tol is not None or cfg.pattern_cache is not None:
-        raise ValueError(
-            "sparse_linear_tol and pattern_cache are construction-only "
-            "config fields; build a new engine with repro.build_engine "
-            "instead of adopting them"
-        )
-    if executor is None:
-        executor = cfg.executor
-    want_sparse = sparse is not None or (
-        cfg.sparse is not None or cfg.densify_threshold is not None
-    )
-    want_algorithm = cfg.algorithm is not None or cfg.up_levels is not None
-    if executor is None and not want_sparse and not want_algorithm:
-        return engine
-    if engine is None:
-        raise ValueError(
-            "executor=/sparse=/config= tune the scan of a BPPSA engine; "
-            "pass engine= as well (baseline BP has no scan)"
-        )
-    if executor is not None:
-        if not hasattr(engine, "set_executor"):
-            # No silent fallback: assigning a fresh pool to an engine
-            # without the ownership protocol would leak it.
-            raise TypeError(
-                "engine does not implement set_executor (the "
-                "repro.backend.ExecutorOwner protocol); construct the "
-                "engine with its executor instead"
-            )
-        engine.set_executor(executor)  # disposes a previously owned pool
-    if want_sparse:
-        if not hasattr(engine, "set_sparse_policy"):
-            raise TypeError(
-                "engine does not implement set_sparse_policy; construct "
-                "the engine with its sparse policy instead"
-            )
-        engine.set_sparse_policy(
-            sparse if sparse is not None else cfg.sparse_policy()
-        )
-    if want_algorithm:
-        # Same contract as the setters above: adopting onto an engine
-        # that has no such knob is a TypeError, not a silent attribute.
-        missing = [
-            name
-            for name, value in (
-                ("algorithm", cfg.algorithm),
-                ("up_levels", cfg.up_levels),
-            )
-            if value is not None and not hasattr(engine, name)
-        ]
-        if missing:
-            raise TypeError(
-                f"engine has no {'/'.join(missing)} attribute to adopt; "
-                "construct the engine with repro.build_engine instead"
-            )
-        if cfg.algorithm is not None:
-            engine.algorithm = cfg.algorithm
-        if cfg.up_levels is not None:
-            engine.up_levels = cfg.up_levels
-    return engine

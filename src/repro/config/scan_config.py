@@ -1,14 +1,13 @@
 """:class:`ScanConfig` — the entire scan tuning surface as one value.
 
-Before this module existed, every tuning axis of the ⊙ scan traveled
-through a different mechanism: positional engine kwargs (``algorithm``,
-``up_levels``, ``sparse_linear_tol``), post-hoc setter calls
-(``set_executor`` / ``set_sparse_policy``), and two independently
-parsed environment variables (``REPRO_SCAN_BACKEND``,
-``REPRO_SCAN_SPARSE``).  :class:`ScanConfig` collapses all of them into
-one frozen, comparable, JSON-serializable dataclass — configurations
-become *values* that can be built, diffed, embedded in
-``BENCH_*.json`` records, and handed to :func:`repro.build_engine`.
+Every tuning axis of the ⊙ scan — algorithm, truncation depth,
+executor backend, sparse mode, linear-Jacobian tolerance and plan-cache
+policy — is one field of one frozen, comparable, JSON-serializable
+dataclass.  Configurations are *values* that can be built, diffed,
+embedded in ``BENCH_*.json`` records, and handed to
+:func:`repro.build_engine`.  An engine resolves its config once, at
+construction, and nothing changes it afterwards: ``engine.config`` is
+what runs.
 
 A field set to ``None`` is **unset**; :meth:`ScanConfig.resolve` is the
 single resolution point that fills unset fields, in precedence order:
@@ -16,21 +15,18 @@ single resolution point that fills unset fields, in precedence order:
 1. explicit field values (what the config already carries),
 2. :func:`repro.configure` scoped overrides (innermost first),
 3. environment variables (``REPRO_SCAN_BACKEND``,
-   ``REPRO_SCAN_SPARSE``, ``REPRO_SCAN_SPARSE_THRESHOLD``),
-4. engine-supplied defaults (e.g. the RNN engine's never-densify
-   policy),
+   ``REPRO_SCAN_SPARSE``),
+4. caller-supplied defaults (the staged pipeline's ``truncated``),
 5. the global defaults (``blelloch`` / 2 levels / ``serial`` /
-   ``auto`` dispatch at the default densify threshold / private
-   pattern cache).
+   ``auto`` / private pattern cache).
 
 Spec grammar (``/``-separated segments, each optional, any order)::
 
     spec      := segment ("/" segment)*
     segment   := algorithm [":" up_levels]      e.g. "blelloch", "truncated:3"
                | executor-spec                  e.g. "serial", "thread:8"
-               | "sparse=" mode [":" threshold] e.g. "sparse=auto:0.4"
+               | "sparse=" ("auto"|"on"|"off")  dense-vs-sparse mode
                | "up=" int                      truncation depth
-               | "densify=" float               densify threshold alone
                | "tol=" float                   sparse linear Jacobian tol
                | "cache=" ("private"|"shared")  pattern-cache policy
 
@@ -48,13 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.backend.registry import ENV_VAR, _parse_spec
-from repro.scan.sparse_policy import (
-    DEFAULT_DENSIFY_THRESHOLD,
-    SPARSE_ENV_VAR,
-    SPARSE_MODES,
-    THRESHOLD_ENV_VAR,
-    SparsePolicy,
-)
+from repro.scan.sparse_policy import SPARSE_ENV_VAR, SPARSE_MODES, SparsePolicy
 
 #: Scan algorithms an engine can run (shared by both BPPSA engines).
 ALGORITHMS = ("blelloch", "linear", "hillis_steele", "truncated")
@@ -62,8 +52,14 @@ ALGORITHMS = ("blelloch", "linear", "hillis_steele", "truncated")
 #: Pattern-cache policies: per-engine cache vs. one process-wide cache.
 PATTERN_CACHE_POLICIES = ("private", "shared")
 
-#: ``key=value`` spec segments (bare segments are algorithm/executor).
-_SPEC_KEYS = ("sparse", "up", "densify", "tol", "cache")
+#: ``key=value`` spec segments (bare segments are algorithm/executor),
+#: each with the values it takes.
+_SPEC_KEYS = {
+    "sparse": "|".join(SPARSE_MODES),
+    "up": "<int>",
+    "tol": "<float>",
+    "cache": "|".join(PATTERN_CACHE_POLICIES),
+}
 
 # The process-wide PatternCache handed out under ``cache=shared`` —
 # built lazily so importing the config plane stays cheap.
@@ -158,12 +154,7 @@ class ScanConfig:
     sparse:
         Dense-vs-sparse dispatch mode — ``"auto"`` | ``"on"`` |
         ``"off"`` (resolves via ``REPRO_SCAN_SPARSE``, falling back to
-        ``"auto"``).  A combined spec like ``"auto:0.4"`` splits into
-        ``sparse="auto"`` + ``densify_threshold=0.4`` at construction.
-    densify_threshold:
-        ``auto``-mode density bound in [0, 1]; ``1.0`` means *never
-        densify* (resolves via ``REPRO_SCAN_SPARSE_THRESHOLD``, falling
-        back to 0.25).
+        ``"auto"``; see :class:`~repro.scan.SparsePolicy`).
     sparse_linear_tol:
         When set, linear-layer Jacobians are stored CSR dropping
         entries ≤ tol (the pruned-retraining configuration); stays
@@ -177,7 +168,6 @@ class ScanConfig:
     up_levels: Optional[int] = None
     executor: Optional[str] = None
     sparse: Optional[str] = None
-    densify_threshold: Optional[float] = None
     sparse_linear_tol: Optional[float] = None
     pattern_cache: Optional[str] = None
 
@@ -189,34 +179,10 @@ class ScanConfig:
         return None
 
     def __post_init__(self) -> None:
-        # A combined "mode:threshold" sparse value (or a SparsePolicy)
-        # normalizes into the two underlying fields.
-        sparse = self.sparse
-        if isinstance(sparse, SparsePolicy):
-            object.__setattr__(self, "sparse", sparse.mode)
-            threshold = sparse.densify_threshold
-            if threshold is None:  # SparsePolicy's "never densify"
-                threshold = 1.0
-            self._merge_threshold(threshold, f"SparsePolicy({sparse})")
-        elif isinstance(sparse, str) and ":" in sparse:
-            mode, _, raw = sparse.partition(":")
-            object.__setattr__(self, "sparse", mode)
-            self._merge_threshold(
-                _parse_float(raw, "densify threshold", sparse), sparse
-            )
+        # A SparsePolicy value (an engine's sparse= kwarg) is its mode.
+        if isinstance(self.sparse, SparsePolicy):
+            object.__setattr__(self, "sparse", self.sparse.mode)
         self._validate()
-
-    def _merge_threshold(self, threshold: float, origin: str) -> None:
-        if (
-            self.densify_threshold is not None
-            and float(self.densify_threshold) != float(threshold)
-        ):
-            raise ValueError(
-                f"conflicting densify thresholds: sparse spec {origin!r} "
-                f"says {threshold!r}, densify_threshold= says "
-                f"{self.densify_threshold!r}"
-            )
-        object.__setattr__(self, "densify_threshold", float(threshold))
 
     def _validate(self) -> None:
         if self.algorithm is not None and self.algorithm not in ALGORITHMS:
@@ -253,9 +219,6 @@ class ScanConfig:
             raise ValueError(
                 f"sparse mode must be one of {SPARSE_MODES}, got {self.sparse!r}"
             )
-        t = self.densify_threshold
-        if t is not None and not 0.0 <= float(t) <= 1.0:
-            raise ValueError(f"densify_threshold must be in [0, 1], got {t!r}")
         tol = self.sparse_linear_tol
         if tol is not None and float(tol) < 0:
             raise ValueError(f"sparse_linear_tol must be >= 0, got {tol!r}")
@@ -304,14 +267,6 @@ class ScanConfig:
         unknown = set(overrides) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise TypeError(f"unknown ScanConfig field(s): {sorted(unknown)}")
-        # An override like sparse="auto:0.4" carries its own threshold,
-        # which supersedes the base config's (explicit beats spec).
-        sparse = overrides.get("sparse")
-        if "densify_threshold" not in overrides and (
-            isinstance(sparse, SparsePolicy)
-            or (isinstance(sparse, str) and ":" in sparse)
-        ):
-            overrides["densify_threshold"] = None
         merged = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)}
         merged.update(overrides)
         return cls(**merged)
@@ -341,7 +296,7 @@ class ScanConfig:
             key, sep, value = segment.partition("=")
             if sep:
                 if key == "sparse":
-                    put("sparse", value)  # "mode[:threshold]" splits in init
+                    put("sparse", value)
                 elif key == "up":
                     try:
                         put("up_levels", int(value))
@@ -349,11 +304,6 @@ class ScanConfig:
                         raise ValueError(
                             f"invalid up_levels {value!r} in config spec {spec!r}"
                         ) from None
-                elif key == "densify":
-                    put(
-                        "densify_threshold",
-                        _parse_float(value, "densify threshold", spec),
-                    )
                 elif key == "tol":
                     put(
                         "sparse_linear_tol",
@@ -362,9 +312,10 @@ class ScanConfig:
                 elif key == "cache":
                     put("pattern_cache", value)
                 else:
+                    known = ", ".join(f"{k}={v}" for k, v in _SPEC_KEYS.items())
                     raise ValueError(
                         f"unknown key {key!r} in config spec {spec!r} "
-                        f"(known keys: {_SPEC_KEYS})"
+                        f"(known keys: {known})"
                     )
                 continue
             # Bare segment: an algorithm (optionally "truncated:3") or
@@ -403,12 +354,7 @@ class ScanConfig:
         if self.executor is not None:
             parts.append(self.executor)
         if self.sparse is not None:
-            if self.densify_threshold is not None:
-                parts.append(f"sparse={self.sparse}:{self.densify_threshold!r}")
-            else:
-                parts.append(f"sparse={self.sparse}")
-        elif self.densify_threshold is not None:
-            parts.append(f"densify={self.densify_threshold!r}")
+            parts.append(f"sparse={self.sparse}")
         if self.sparse_linear_tol is not None:
             parts.append(f"tol={self.sparse_linear_tol!r}")
         if self.pattern_cache is not None:
@@ -453,62 +399,31 @@ class ScanConfig:
 
         Precedence per field: this config's explicit value >
         :func:`repro.configure` scoped overrides (innermost first) >
-        environment variables > ``defaults`` (engine-supplied) > the
+        environment variables > ``defaults`` (caller-supplied) > the
         global defaults.  Idempotent: resolving a resolved config is a
         no-op.
         """
         from repro.config.context import active_overlays
 
+        if os.environ.get("REPRO_SCAN_SPARSE_THRESHOLD"):
+            # Read until the auto cutoff became a constant; fail rather
+            # than run a different policy than the one asked for.
+            raise ValueError(
+                "REPRO_SCAN_SPARSE_THRESHOLD is no longer read: the auto "
+                f"density cutoff is fixed at {SparsePolicy.AUTO_CUTOFF}; "
+                f"unset it and pick REPRO_SCAN_SPARSE from {SPARSE_MODES}"
+            )
         cfg = self
         for overlay in reversed(active_overlays()):
             cfg = cfg.with_defaults(overlay)
-        # --- environment variables (one parsing point for all three) ---
+        # Environment variables, read only for fields still unset.
         updates: Dict[str, Any] = {}
-        if cfg.executor is None:
-            env_backend = os.environ.get(ENV_VAR)
-            if env_backend:
-                updates["executor"] = env_backend
-        if cfg.sparse is None:
-            env_sparse = os.environ.get(SPARSE_ENV_VAR)
-            if env_sparse:
-                mode, sep, raw = env_sparse.partition(":")
-                updates["sparse"] = mode
-                if sep and cfg.densify_threshold is None:
-                    updates["densify_threshold"] = _parse_float(
-                        raw, "densify threshold", env_sparse
-                    )
-                elif cfg.densify_threshold is None:
-                    # A bare env mode is a complete policy spec, like
-                    # SparsePolicy.parse("auto") always was: its
-                    # threshold comes from the threshold env var or
-                    # the global default, never from a code-level
-                    # (engine) fallback further down the ladder.
-                    env_threshold = os.environ.get(THRESHOLD_ENV_VAR)
-                    updates["densify_threshold"] = (
-                        _parse_float(env_threshold, THRESHOLD_ENV_VAR, env_threshold)
-                        if env_threshold
-                        else DEFAULT_DENSIFY_THRESHOLD
-                    )
-        if cfg.densify_threshold is None and "densify_threshold" not in updates:
-            env_threshold = os.environ.get(THRESHOLD_ENV_VAR)
-            if env_threshold:
-                updates["densify_threshold"] = _parse_float(
-                    env_threshold, THRESHOLD_ENV_VAR, env_threshold
-                )
+        for name, var in (("executor", ENV_VAR), ("sparse", SPARSE_ENV_VAR)):
+            if getattr(cfg, name) is None and os.environ.get(var):
+                updates[name] = os.environ[var]
         if updates:
             cfg = dataclasses.replace(cfg, **updates)
         if defaults:
-            defaults = dict(defaults)
-            if cfg.sparse is not None:
-                # A mode fixed above this rung (explicit, overlay, or
-                # env) is a complete policy spec: its threshold
-                # resolves above this rung too — from an explicit
-                # field or the threshold env var (already applied), or
-                # the global default — never from an engine fallback.
-                # Keeps RNNBPPSA(sparse="auto") at the historical
-                # auto:0.25 and configure(sparse="auto") in parity
-                # with REPRO_SCAN_SPARSE=auto.
-                defaults.pop("densify_threshold", None)
             cfg = cfg.with_defaults(ScanConfig(**defaults))
         return cfg.with_defaults(_GLOBAL_DEFAULTS)
 
@@ -516,19 +431,10 @@ class ScanConfig:
     # realized pieces — what engines actually consume
     # ------------------------------------------------------------------
     def sparse_policy(self) -> SparsePolicy:
-        """The :class:`SparsePolicy` this config describes.
-
-        Unset fields are resolved first, so this is safe to call on a
-        partial config; a threshold of 1.0 maps back to the policy's
-        ``None`` ("never densify") so ``str(policy)`` stays ``"auto"``.
-        """
-        cfg = self
-        if cfg.sparse is None or cfg.densify_threshold is None:
-            cfg = cfg.resolve()
-        threshold = cfg.densify_threshold
-        if threshold is not None and float(threshold) >= 1.0:
-            threshold = None
-        return SparsePolicy(mode=cfg.sparse, densify_threshold=threshold)
+        """The :class:`SparsePolicy` this config describes (an unset
+        mode is resolved first, so this is safe on a partial config)."""
+        sparse = self.sparse if self.sparse is not None else self.resolve().sparse
+        return SparsePolicy(sparse)
 
     def make_pattern_cache(self):
         """The :class:`~repro.sparse.PatternCache` for a new engine:
@@ -551,6 +457,5 @@ _GLOBAL_DEFAULTS = ScanConfig(
     up_levels=2,
     executor="serial",
     sparse="auto",
-    densify_threshold=DEFAULT_DENSIFY_THRESHOLD,
     pattern_cache="private",
 )

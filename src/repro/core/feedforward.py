@@ -60,8 +60,11 @@ class FeedforwardBPPSA(ExecutorOwner):
         construction path (see :func:`repro.build_engine`).  Unset
         fields resolve through ``repro.configure()`` overrides,
         environment variables, and defaults; the fully resolved config
-        is kept on ``self.config``.  The config is pure *declarative*
-        data: caller-provided ``executor``/``pattern_cache``
+        is kept on ``self.config``, and the engine reads its algorithm,
+        depth, tolerance and sparse mode from there.  Nothing changes
+        them after construction: build a new engine for another
+        configuration.  The config is pure *declarative* data:
+        caller-provided ``executor``/``pattern_cache``
         *instances* take precedence over it but are not representable
         in it, so ``self.config`` then records the ambient spec rather
         than the instance actually in use (``self.executor`` /
@@ -76,9 +79,9 @@ class FeedforwardBPPSA(ExecutorOwner):
         entries ≤ tol — the pruned-retraining configuration.
     sparse:
         Dense-vs-sparse dispatch for the scan: a
-        :class:`~repro.scan.SparsePolicy`, a spec string (``"auto"``,
-        ``"on"``, ``"off"``, ``"auto:0.4"``), or ``None`` for the
-        ambient default (``repro.configure()`` override, else
+        :class:`~repro.scan.SparsePolicy`, a mode string (``"auto"``,
+        ``"on"``, ``"off"``), or ``None`` for the ambient default
+        (``repro.configure()`` override, else
         ``REPRO_SCAN_SPARSE``).  For any fixed policy, gradients are
         bitwise-identical on every backend; sparse- and dense-mode
         gradients agree up to floating-point reassociation
@@ -121,10 +124,7 @@ class FeedforwardBPPSA(ExecutorOwner):
         cfg = merged.resolve()
         self.config = cfg
         self.model = model
-        self.algorithm = cfg.algorithm
-        self.up_levels = cfg.up_levels
-        self.sparse_linear_tol = cfg.sparse_linear_tol
-        self.set_executor(_construction_executor(merged, cfg, executor))
+        self._init_executor(_construction_executor(merged, cfg, executor))
         self.context = ScanContext(
             pattern_cache=(
                 pattern_cache
@@ -139,11 +139,6 @@ class FeedforwardBPPSA(ExecutorOwner):
     def sparse_policy(self) -> SparsePolicy:
         """The scan's dense-vs-sparse dispatch policy."""
         return self.context.sparse_policy
-
-    def set_sparse_policy(self, sparse: Union[str, SparsePolicy, None]) -> None:
-        """Replace the dispatch policy (spec string, policy, or ``None``
-        to re-resolve against ``REPRO_SCAN_SPARSE``)."""
-        self.context.set_sparse_policy(sparse)
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -199,7 +194,7 @@ class FeedforwardBPPSA(ExecutorOwner):
             self.model.layers[idx],
             self._activations[idx],
             self._activations[idx + 1],
-            sparse_linear_tol=self.sparse_linear_tol,
+            sparse_linear_tol=self.config.sparse_linear_tol,
         )
         return None if jac is None else self.sparse_policy.element(_to_element(jac))
 
@@ -248,17 +243,18 @@ class FeedforwardBPPSA(ExecutorOwner):
     # ------------------------------------------------------------------
     def _run_scan(self, items: list) -> list:
         self.context.reset_trace()
-        if self.algorithm == "linear":
+        algorithm = self.config.algorithm
+        if algorithm == "linear":
             return linear_scan(items, self.context.op)
-        if self.algorithm == "hillis_steele":
+        if algorithm == "hillis_steele":
             return hillis_steele_scan(
                 items, self.context.op, executor=self.executor
             )
-        if self.algorithm == "truncated":
+        if algorithm == "truncated":
             return truncated_blelloch_scan(
                 items,
                 self.context.op,
-                up_levels=self.up_levels,
+                up_levels=self.config.up_levels,
                 executor=self.executor,
             )
         return blelloch_scan(items, self.context.op, executor=self.executor)

@@ -55,9 +55,10 @@ class RNNBPPSA(ExecutorOwner):
 
     ``config`` names the whole scan surface declaratively
     (:class:`~repro.config.ScanConfig`, spec string, or mapping — see
-    :func:`repro.build_engine`); the legacy kwargs below override its
+    :func:`repro.build_engine`); the kwargs below override its
     fields when given, and the fully resolved config is kept on
-    ``self.config``.  A caller-provided executor *instance* takes
+    ``self.config``, which is what the scan runs: nothing changes it
+    after construction.  A caller-provided executor *instance* takes
     precedence over the config but is not representable in it
     (``self.executor`` is authoritative in that case).
 
@@ -70,13 +71,12 @@ class RNNBPPSA(ExecutorOwner):
     engine as a context manager) to release their workers.  Every
     backend yields bitwise-identical gradients.
 
-    ``sparse`` selects the scan's dense-vs-sparse dispatch policy (see
-    :class:`~repro.scan.SparsePolicy`); the vanilla RNN's hidden
-    Jacobians are fully dense, so the policy only matters when callers
-    feed CSR elements (e.g. pruned recurrent weights) — it is plumbed
-    through for API uniformity with :class:`FeedforwardBPPSA`.  When
-    unset, products are never densified (the RNN's historical
-    default, ``densify_threshold=1.0``).
+    ``sparse`` is accepted for API uniformity with
+    :class:`FeedforwardBPPSA` and recorded on ``self.config``, but it
+    changes nothing here: the engine builds every scan element itself
+    (:func:`hidden_jacobian_elements`), and those structured dense
+    Jacobians never reach a CSR kernel, so every mode yields the same
+    gradients.
     """
 
     def __init__(
@@ -95,12 +95,10 @@ class RNNBPPSA(ExecutorOwner):
             executor=executor if isinstance(executor, str) else None,
             sparse=sparse,
         )
-        cfg = merged.resolve(defaults={"densify_threshold": 1.0})
+        cfg = merged.resolve()
         self.config = cfg
         self.clf = classifier
-        self.algorithm = cfg.algorithm
-        self.up_levels = cfg.up_levels
-        self.set_executor(_construction_executor(merged, cfg, executor))
+        self._init_executor(_construction_executor(merged, cfg, executor))
         self.context = ScanContext(
             pattern_cache=cfg.make_pattern_cache(),
             sparse=cfg.sparse_policy(),
@@ -110,11 +108,6 @@ class RNNBPPSA(ExecutorOwner):
     def sparse_policy(self) -> SparsePolicy:
         """The scan's dense-vs-sparse dispatch policy."""
         return self.context.sparse_policy
-
-    def set_sparse_policy(self, sparse: Union[str, SparsePolicy, None]) -> None:
-        """Replace the dispatch policy (spec string, policy, or ``None``
-        to re-resolve against ``REPRO_SCAN_SPARSE``)."""
-        self.context.set_sparse_policy(sparse)
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -176,17 +169,18 @@ class RNNBPPSA(ExecutorOwner):
         items: List = [GradientVector(grad_h_last), *reversed(jacs)]
 
         self.context.reset_trace()
-        if self.algorithm == "linear":
+        algorithm = self.config.algorithm
+        if algorithm == "linear":
             scanned = linear_scan(items, self.context.op)
-        elif self.algorithm == "hillis_steele":
+        elif algorithm == "hillis_steele":
             scanned = hillis_steele_scan(
                 items, self.context.op, executor=self.executor
             )
-        elif self.algorithm == "truncated":
+        elif algorithm == "truncated":
             scanned = truncated_blelloch_scan(
                 items,
                 self.context.op,
-                up_levels=self.up_levels,
+                up_levels=self.config.up_levels,
                 executor=self.executor,
             )
         else:

@@ -15,7 +15,6 @@ from typing import Callable, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.config import adopt_config
 from repro.nn.loss import CrossEntropyLoss
 from repro.nn.module import Module
 from repro.optim import Optimizer
@@ -65,27 +64,9 @@ class Trainer:
         ``apply_gradients`` (a BPPSA engine).
     forward_fn:
         Model forward for the baseline path; defaults to ``model(x)``.
-    executor:
-        Optional scan-backend override for the engine — a spec string
-        (``"serial"``, ``"thread:8"``, …) or a
-        :class:`~repro.backend.ScanExecutor`.  Convenience for
-        experiment drivers that construct the engine elsewhere but
-        choose the backend per run; requires ``engine`` to be a BPPSA
-        engine (the taped baseline has no scan to dispatch).
-    sparse:
-        Optional dense-vs-sparse dispatch override for the engine's
-        scan — a :class:`~repro.scan.SparsePolicy` or a spec string
-        (``"auto"``, ``"on"``, ``"off"``, ``"auto:0.4"``).  Like
-        ``executor``, it requires a BPPSA ``engine``.
-    config:
-        Optional :class:`~repro.config.ScanConfig` (or spec string /
-        mapping) whose engine-affecting fields are adopted by
-        ``engine`` — the declarative form of ``executor=``/``sparse=``
-        (which override its corresponding fields when both are given).
-        All three funnel through :func:`repro.config.adopt_config`,
-        the single validation point: any of them without a BPPSA
-        ``engine`` raises ``ValueError``; an engine lacking the needed
-        protocol raises ``TypeError``.
+
+    The engine's scan configuration is the one it was built with
+    (``engine.config``); the trainer never changes it.
     """
 
     def __init__(
@@ -94,14 +75,10 @@ class Trainer:
         optimizer: Optimizer,
         engine=None,
         forward_fn: Optional[Callable[[Tensor], Tensor]] = None,
-        executor=None,
-        sparse=None,
-        config=None,
     ) -> None:
         self.model = model
         self.optimizer = optimizer
         self.engine = engine
-        adopt_config(engine, config, executor=executor, sparse=sparse)
         self.forward_fn = forward_fn if forward_fn is not None else model
         self.loss_fn = CrossEntropyLoss()
 

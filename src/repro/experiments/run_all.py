@@ -5,7 +5,7 @@ Usage::
     python -m repro.experiments.run_all [--scale smoke|paper] [--config SPEC]
 
 ``--config`` takes a :mod:`repro.config` spec string (e.g.
-``"blelloch/thread:2/sparse=auto:0.4"``) handed to every artifact's
+``"blelloch/thread:2/sparse=on"``) handed to every artifact's
 ``run(scale, config=…)`` entry point — artifacts that execute a ⊙ scan
 build their engines through :func:`repro.build_engine` under that
 configuration; purely analytical artifacts accept and ignore it.
@@ -98,7 +98,7 @@ def main() -> None:
         "--config",
         default=None,
         help="scan-config spec applied to every artifact, e.g. "
-        '"blelloch/thread:2/sparse=auto:0.4" (see repro.config)',
+        '"blelloch/thread:2/sparse=on" (see repro.config)',
     )
     args = parser.parse_args()
     run_all(Scale(args.scale), config=args.config)

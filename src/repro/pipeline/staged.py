@@ -63,10 +63,9 @@ from repro.serve.pool import EnginePool
 
 SCHEDULES = ("gpipe", "pipedream")
 
-#: Engine-level defaults for stage configs: staged slices exist only for
-#: the truncated/linear family, and the RNN chain never densifies
-#: (matching :class:`~repro.core.RNNBPPSA`).
-STAGE_DEFAULTS = {"algorithm": "truncated", "densify_threshold": 1.0}
+#: Defaults for stage configs: staged slices exist only for the
+#: truncated/linear family.
+STAGE_DEFAULTS = {"algorithm": "truncated"}
 
 
 def scan_element_nbytes(element: Any) -> int:

@@ -11,7 +11,7 @@ producing ``[I, ∇x_n ℓ, ..., ∇x_1 ℓ]``.  This package provides:
   shared-``W`` scaled Jacobians, batched across samples) and a
   :class:`ScanContext` that evaluates ⊙ with FLOP accounting and
   SpGEMM plan caching;
-* a density-threshold dispatch layer (:class:`SparsePolicy`) deciding
+* a density-cutoff dispatch layer (:class:`SparsePolicy`) deciding
   per element and per product whether composition runs in CSR/SpGEMM
   or dense BLAS — ``REPRO_SCAN_SPARSE=auto|on|off`` overridable, see
   :mod:`repro.scan.sparse_policy`;
@@ -47,13 +47,7 @@ from repro.scan.elements import (
     SparseJacobian,
     StepRecord,
 )
-from repro.scan.sparse_policy import (
-    DEFAULT_DENSIFY_THRESHOLD,
-    SPARSE_ENV_VAR,
-    SPARSE_MODES,
-    SparsePolicy,
-    THRESHOLD_ENV_VAR,
-)
+from repro.scan.sparse_policy import SPARSE_ENV_VAR, SPARSE_MODES, SparsePolicy
 from repro.scan.algorithms import (
     blelloch_scan,
     blelloch_num_levels,
@@ -91,8 +85,6 @@ __all__ = [
     "SparsePolicy",
     "SPARSE_ENV_VAR",
     "SPARSE_MODES",
-    "THRESHOLD_ENV_VAR",
-    "DEFAULT_DENSIFY_THRESHOLD",
     "OpInfo",
     "StepRecord",
     "linear_scan",

@@ -258,9 +258,10 @@ class ScanContext:
         SpGEMM work amortizes across training iterations.
     sparse:
         The dense-vs-sparse dispatch policy — a
-        :class:`~repro.scan.sparse_policy.SparsePolicy`, a spec string
-        (``"auto"``, ``"on"``, ``"off"``, ``"auto:0.4"``), or ``None``
-        to follow ``$REPRO_SCAN_SPARSE`` (falling back to ``auto``).
+        :class:`~repro.scan.sparse_policy.SparsePolicy`, a mode string
+        (``"auto"``, ``"on"``, ``"off"``), or ``None`` to follow
+        ``$REPRO_SCAN_SPARSE`` (falling back to ``auto``); fixed for
+        the context's life.
         In ``off`` mode every sparse operand is densified before it is
         combined, so the context computes the pure dense path.
     kernel:
@@ -296,15 +297,6 @@ class ScanContext:
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    def set_sparse_policy(self, sparse: Union[SparsePolicy, str, None]) -> None:
-        """Replace the dense-vs-sparse dispatch policy.
-
-        Accepts the same specs as the constructor's ``sparse``
-        argument; ``None`` re-resolves against ``$REPRO_SCAN_SPARSE``.
-        The pattern cache and trace are untouched.
-        """
-        self.sparse_policy = SparsePolicy.resolve(sparse)
-
     def reset_trace(self) -> None:
         with self._lock:
             self.trace = []
@@ -425,7 +417,7 @@ class ScanContext:
         return DenseJacobian(np.matmul(b_dense, a_dense)), flops, mnk
 
     def _maybe_densify(self, s: SparseJacobian) -> ScanElement:
-        if not self.sparse_policy.keep_product_sparse(s.pattern.density):
+        if not self.sparse_policy.keep_sparse(s.pattern.density):
             return s.to_dense()
         return s
 

@@ -4,7 +4,7 @@ Everything below this package turns one scan into a result; this
 package turns *many concurrent* scan requests into results
 efficiently.  An :class:`EngineServer` accepts jobs addressed by
 :class:`~repro.config.ScanConfig` spec strings
-(``"blelloch/thread:2/sparse=auto:0.4/cache=shared"``), resolves each
+(``"blelloch/thread:2/sparse=on/cache=shared"``), resolves each
 spec **at admission** in the submitting task's context (so
 :func:`repro.configure` overlays apply to a client's jobs no matter
 which thread executes them), pools one long-lived engine per resolved

@@ -39,7 +39,7 @@ def transformer_scan_rows(
     wl = get_workload("transformer_block")
     p = wl.params(scale)
     cfg = measurement_config(spec, sparse).resolve()
-    key = (scale, cfg.executor, cfg.sparse, cfg.densify_threshold)
+    key = (scale, cfg.executor, cfg.sparse)
     state = _STATE.get(key)
     if state is None:
         model = wl.build_model(scale)
@@ -47,10 +47,7 @@ def transformer_scan_rows(
         engine = build_engine(
             model,
             ScanConfig(
-                algorithm="blelloch",
-                executor=cfg.executor,
-                sparse=cfg.sparse,
-                densify_threshold=cfg.densify_threshold,
+                algorithm="blelloch", executor=cfg.executor, sparse=cfg.sparse
             ),
         )
         structure = stage_structures(

@@ -310,32 +310,6 @@ class TestEngineBackends:
                 pass
             assert ex._pool is not None  # caller-owned → untouched
 
-    def test_set_executor_closes_previously_owned(self):
-        from repro.core import FeedforwardBPPSA
-        from repro.nn import make_mlp
-
-        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        eng = FeedforwardBPPSA(model, executor="thread:2")
-        old = eng.executor
-        eng.set_executor("thread:3")
-        assert old._pool is None  # previous owned pool disposed
-        assert eng.executor.workers == 3
-        eng.close()
-
-    def test_trainer_override_disposes_engine_pool(self):
-        from repro.core import FeedforwardBPPSA, Trainer
-        from repro.optim import SGD
-        from repro.nn import make_mlp
-
-        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        eng = FeedforwardBPPSA(model, executor="thread:2")
-        old = eng.executor
-        Trainer(model, SGD(model.parameters(), lr=0.1),
-                engine=eng, executor="thread:3")
-        assert old._pool is None
-        assert eng.executor.workers == 3
-        eng.close()
-
     def test_scan_with_spec_string_does_not_leak_threads(self, rng):
         items = chain(rng, 8)
         blelloch_scan(items, ScanContext().op, executor="thread:4")  # warm
@@ -343,16 +317,6 @@ class TestEngineBackends:
         for _ in range(10):
             blelloch_scan(items, ScanContext().op, executor="thread:4")
         assert threading.active_count() <= before  # per-call pools closed
-
-    def test_trainer_executor_requires_engine(self):
-        from repro.core import Trainer
-        from repro.nn import make_mlp
-        from repro.optim import SGD
-
-        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="BPPSA engine"):
-            Trainer(model, SGD(model.parameters(), lr=0.1),
-                    engine=None, executor="thread:2")
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@ resolution precedence ladder (explicit > ``configure()`` override >
 environment variable > default) including nesting and restoration on
 exception, the :func:`repro.build_engine` facade (dispatch + bitwise
 equivalence with the legacy kwarg paths), warning-free engine
-construction, the shared :func:`repro.config.adopt_config` validation,
-and the serialized config embedded in bench records and the
+construction, the removed threshold and retargeting spellings failing
+loudly, and the serialized config embedded in bench records and the
 environment fingerprint.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -20,16 +22,18 @@ import pytest
 
 import repro
 from repro.backend import ENV_VAR, SerialExecutor, default_executor
-from repro.config import ScanConfig, adopt_config, build_engine, configure
+from repro.config import ScanConfig, build_engine, configure
 from repro.core import FeedforwardBPPSA, RNNBPPSA, Trainer
 from repro.nn import LeNet5, RNNClassifier, make_mlp
 from repro.optim import SGD
-from repro.scan import (
-    SPARSE_ENV_VAR,
-    THRESHOLD_ENV_VAR,
-    ScanContext,
-    SparsePolicy,
-)
+from repro.scan import SPARSE_ENV_VAR, SPARSE_MODES, ScanContext, SparsePolicy
+
+#: The environment variable that set the auto cutoff before it became a
+#: constant; a set value is now an error.
+THRESHOLD_ENV = "REPRO_SCAN_SPARSE_THRESHOLD"
+
+#: What every rejected sparse spelling's message must name.
+VALID_MODES = re.escape(str(SPARSE_MODES))
 
 
 def assert_round_trips(cfg: ScanConfig) -> None:
@@ -49,9 +53,9 @@ class TestSpecGrammar:
             ScanConfig(algorithm="linear"),
             ScanConfig(algorithm="truncated", up_levels=3),
             ScanConfig(executor="thread:8"),
-            ScanConfig(sparse="auto", densify_threshold=0.4),
+            ScanConfig(sparse="auto"),
             ScanConfig(sparse="on"),
-            ScanConfig(densify_threshold=0.125),
+            ScanConfig(sparse="off"),
             ScanConfig(sparse_linear_tol=1e-8),
             ScanConfig(pattern_cache="shared"),
             ScanConfig(
@@ -59,24 +63,22 @@ class TestSpecGrammar:
                 up_levels=2,
                 executor="process:4",
                 sparse="off",
-                densify_threshold=0.25,
                 sparse_linear_tol=0.5,
                 pattern_cache="private",
             ),
             ScanConfig().resolve(),
-            ScanConfig.from_spec("blelloch/thread:8/sparse=auto:0.4"),
-            ScanConfig.from_spec("blelloch/thread:8/sparse=auto:0.4").resolve(),
+            ScanConfig.from_spec("blelloch/thread:8/sparse=auto"),
+            ScanConfig.from_spec("blelloch/thread:8/sparse=auto").resolve(),
         ],
     )
     def test_round_trip(self, cfg):
         assert_round_trips(cfg)
 
     def test_issue_spec_parses(self):
-        cfg = ScanConfig.from_spec("blelloch/thread:8/sparse=auto:0.4")
+        cfg = ScanConfig.from_spec("blelloch/thread:8/sparse=auto")
         assert cfg.algorithm == "blelloch"
         assert cfg.executor == "thread:8"
         assert cfg.sparse == "auto"
-        assert cfg.densify_threshold == 0.4
 
     def test_truncated_depth_sugar(self):
         cfg = ScanConfig.from_spec("truncated:3")
@@ -87,18 +89,26 @@ class TestSpecGrammar:
         assert ScanConfig.from_spec("") == ScanConfig()
         assert ScanConfig().spec() == ""
 
-    def test_combined_sparse_normalizes(self):
-        assert ScanConfig(sparse="auto:0.4") == ScanConfig(
-            sparse="auto", densify_threshold=0.4
-        )
+    def test_sparse_threshold_suffix_rejected(self):
+        # The auto cutoff is a constant: "mode:threshold" is no mode.
+        with pytest.raises(ValueError, match=VALID_MODES):
+            ScanConfig.from_spec("blelloch/sparse=auto:0.4")
+        with pytest.raises(ValueError, match=VALID_MODES):
+            ScanConfig(sparse="auto:0.4")
+
+    def test_densify_segment_rejected(self):
+        with pytest.raises(ValueError, match=r"sparse=auto\|on\|off"):
+            ScanConfig.from_spec("blelloch/densify=0.3")
+
+    def test_densify_threshold_field_rejected(self):
+        with pytest.raises(TypeError, match="densify_threshold"):
+            ScanConfig(densify_threshold=0.4)
+        with pytest.raises(TypeError, match="densify_threshold"):
+            with configure(densify_threshold=0.4):
+                pass  # pragma: no cover - never entered
 
     def test_sparse_policy_value_normalizes(self):
-        cfg = ScanConfig(sparse=SparsePolicy("auto", densify_threshold=0.3))
-        assert cfg.sparse == "auto" and cfg.densify_threshold == 0.3
-        # the policy's None threshold ("never densify") maps to 1.0
-        cfg = ScanConfig(sparse=SparsePolicy("auto", densify_threshold=None))
-        assert cfg.densify_threshold == 1.0
-        assert cfg.sparse_policy().densify_threshold is None
+        assert ScanConfig(sparse=SparsePolicy("on")) == ScanConfig(sparse="on")
 
     @pytest.mark.parametrize(
         "bad",
@@ -108,7 +118,7 @@ class TestSpecGrammar:
             "wat=1",  # unknown key
             "up=two",  # non-int depth
             "sparse=maybe",  # unknown mode
-            "sparse=auto:lots",  # non-float threshold
+            "sparse=auto:lots",  # a threshold suffix (none is accepted)
             "thread:zero",  # bad worker count
             "cache=global",  # unknown cache policy
         ],
@@ -117,17 +127,11 @@ class TestSpecGrammar:
         with pytest.raises(ValueError):
             ScanConfig.from_spec(bad)
 
-    def test_conflicting_thresholds_raise(self):
-        with pytest.raises(ValueError, match="conflicting"):
-            ScanConfig(sparse="auto:0.4", densify_threshold=0.3)
-
     def test_validation(self):
         with pytest.raises(ValueError, match="algorithm"):
             ScanConfig(algorithm="bogus")
         with pytest.raises(ValueError, match="up_levels"):
             ScanConfig(up_levels=-1)
-        with pytest.raises(ValueError, match="densify_threshold"):
-            ScanConfig(densify_threshold=1.5)
         with pytest.raises(TypeError, match="spec string"):
             ScanConfig(executor=SerialExecutor())
         # an empty executor name would break the spec round-trip
@@ -146,11 +150,6 @@ class TestSpecGrammar:
     def test_coerce_overrides_beat_spec(self):
         cfg = ScanConfig.coerce("linear/serial", executor="thread:2")
         assert cfg.algorithm == "linear" and cfg.executor == "thread:2"
-        # a combined sparse override supersedes the base threshold too
-        cfg = ScanConfig.coerce(
-            ScanConfig(densify_threshold=0.3), sparse="auto:0.4"
-        )
-        assert cfg.densify_threshold == 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -160,15 +159,14 @@ class TestResolvePrecedence:
     def test_defaults(self, monkeypatch):
         monkeypatch.delenv(ENV_VAR, raising=False)
         monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
-        monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
         cfg = ScanConfig().resolve()
         assert cfg.algorithm == "blelloch"
         assert cfg.up_levels == 2
         assert cfg.executor == "serial"
         assert cfg.sparse == "auto"
-        assert cfg.densify_threshold == 0.25
         assert cfg.sparse_linear_tol is None
         assert cfg.pattern_cache == "private"
+        assert len(cfg.to_dict()) == 6
 
     def test_env_beats_default(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "thread:2")
@@ -177,16 +175,21 @@ class TestResolvePrecedence:
         assert cfg.executor == "thread:2" and cfg.sparse == "on"
 
     def test_combined_sparse_env(self, monkeypatch):
+        # A "mode:threshold" env value is rejected, not split …
         monkeypatch.setenv(SPARSE_ENV_VAR, "auto:0.4")
-        cfg = ScanConfig().resolve()
-        assert cfg.sparse == "auto" and cfg.densify_threshold == 0.4
-        # an explicit threshold beats the one embedded in the env spec
-        assert ScanConfig(densify_threshold=0.1).resolve().densify_threshold == 0.1
+        with pytest.raises(ValueError, match=VALID_MODES):
+            ScanConfig().resolve()
+        # … and, like any env value, never read for an explicit mode.
+        assert ScanConfig(sparse="on").resolve().sparse == "on"
 
     def test_threshold_env(self, monkeypatch):
+        # The cutoff's old env var fails loudly instead of being ignored.
         monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
-        monkeypatch.setenv(THRESHOLD_ENV_VAR, "0.5")
-        assert ScanConfig().resolve().densify_threshold == 0.5
+        monkeypatch.setenv(THRESHOLD_ENV, "0.5")
+        with pytest.raises(ValueError, match=THRESHOLD_ENV):
+            ScanConfig().resolve()
+        with pytest.raises(ValueError, match=THRESHOLD_ENV):
+            ScanConfig(sparse="auto").resolve()
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "thread:2")
@@ -207,49 +210,25 @@ class TestResolvePrecedence:
         assert ScanConfig().resolve().executor == "thread:2"
 
     def test_resolve_is_idempotent(self):
-        cfg = ScanConfig(sparse="auto:0.4").resolve()
+        cfg = ScanConfig(sparse="on").resolve()
         assert cfg.resolve() == cfg
 
-    def test_bare_env_mode_is_a_complete_policy_spec(self, monkeypatch):
-        # REPRO_SCAN_SPARSE=auto (no threshold suffix) resets the
-        # threshold to the env/global default, exactly like
-        # SparsePolicy.parse("auto") always did — it does NOT fall
-        # through to a code-level engine fallback further down the
-        # ladder (the RNN engine's never-densify default, here).
-        monkeypatch.setenv(SPARSE_ENV_VAR, "auto")
-        monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
-        cfg = ScanConfig().resolve(defaults={"densify_threshold": 1.0})
-        assert cfg.densify_threshold == 0.25
-        assert SparsePolicy.resolve(None).densify_threshold == 0.25
-        monkeypatch.setenv(THRESHOLD_ENV_VAR, "0.5")
-        cfg = ScanConfig().resolve(defaults={"densify_threshold": 1.0})
-        assert cfg.densify_threshold == 0.5
-
-    def test_explicit_bare_mode_never_takes_engine_threshold(self, monkeypatch):
+    def test_rnn_engine_has_no_sparse_default_of_its_own(self, monkeypatch):
+        # The RNN engine resolves like every other engine: the same
+        # config whether or not sparse="auto" is named.
         monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
-        monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
-        # An explicitly named bare mode is a complete policy spec:
-        # RNNBPPSA(sparse="auto") keeps the historical auto:0.25, not
-        # the engine's never-densify fallback…
         clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
-        with RNNBPPSA(clf, sparse="auto") as eng:
-            assert eng.sparse_policy.densify_threshold == 0.25
-        # …and configure(sparse="auto") resolves exactly like
-        # REPRO_SCAN_SPARSE=auto would.
-        with configure(sparse="auto"):
-            cfg = ScanConfig().resolve(defaults={"densify_threshold": 1.0})
-        assert cfg.densify_threshold == 0.25
-        # With the mode unset everywhere, the engine fallback applies.
-        with RNNBPPSA(clf) as eng:
-            assert eng.sparse_policy.densify_threshold is None
+        with RNNBPPSA(clf) as eng, RNNBPPSA(clf, sparse="auto") as named:
+            assert eng.config == named.config == ScanConfig().resolve()
+            assert eng.sparse_policy == SparsePolicy("auto")
 
     def test_engine_defaults_rank_below_env(self, monkeypatch):
-        monkeypatch.delenv(THRESHOLD_ENV_VAR, raising=False)
-        cfg = ScanConfig().resolve(defaults={"densify_threshold": 1.0})
-        assert cfg.densify_threshold == 1.0
-        monkeypatch.setenv(THRESHOLD_ENV_VAR, "0.5")
-        cfg = ScanConfig().resolve(defaults={"densify_threshold": 1.0})
-        assert cfg.densify_threshold == 0.5
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        cfg = ScanConfig().resolve(defaults={"executor": "thread:3"})
+        assert cfg.executor == "thread:3"
+        monkeypatch.setenv(ENV_VAR, "thread:2")
+        cfg = ScanConfig().resolve(defaults={"executor": "thread:3"})
+        assert cfg.executor == "thread:2"
 
 
 # ---------------------------------------------------------------------------
@@ -390,14 +369,15 @@ class TestBuildEngine:
         # ScanConfig.coerce(config, **kwargs) folds them.
         model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
         base = ScanConfig.from_spec("truncated:3/sparse=off/tol=0.5")
-        kwargs = dict(algorithm="linear", sparse="auto:0.3", executor="serial")
+        kwargs = dict(algorithm="linear", sparse="auto", executor="serial")
         with FeedforwardBPPSA(model, config=base, **kwargs) as eng:
             assert eng.config == ScanConfig.coerce(base, **kwargs).resolve()
             assert eng.config.up_levels == 3
-            assert eng.sparse_policy.densify_threshold == 0.3
+            assert eng.sparse_policy == SparsePolicy("auto")
         clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
         with RNNBPPSA(clf, config=base.spec(), sparse="on") as eng:
-            assert eng.config.sparse == "on" and eng.algorithm == "truncated"
+            assert eng.config.sparse == "on"
+            assert eng.config.algorithm == "truncated"
 
     def test_bogus_executor_type_fails_at_construction(self):
         model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
@@ -426,7 +406,7 @@ class TestBuildEngine:
             result = fig7_convergence.run(config="linear")
         finally:
             fig7_convergence.build_engine = original
-        assert engines and all(e.algorithm == "linear" for e in engines)
+        assert engines and all(e.config.algorithm == "linear" for e in engines)
         # BPPSA reproduces taped BP's loss curve (Figure 7's claim)
         assert result["max_train_divergence"] < 1e-8
 
@@ -495,71 +475,46 @@ class TestDeprecatedDensifyKwarg:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             FeedforwardBPPSA(model)
-            build_engine(model, "blelloch/sparse=auto:0.3")
+            build_engine(model, "blelloch/sparse=auto")
 
 
 # ---------------------------------------------------------------------------
-# adopt_config: the deduplicated Trainer validation
+# an engine's config is fixed at construction: nothing retargets it
 # ---------------------------------------------------------------------------
-class TestAdoptConfig:
-    def test_noop_without_engine_or_fields(self):
-        assert adopt_config(None) is None
-        assert adopt_config(None, ScanConfig()) is None
+class TestNoRetargeting:
+    def test_adopt_config_is_gone(self):
+        with pytest.raises(AttributeError, match="adopt_config"):
+            repro.adopt_config
+        assert "adopt_config" not in repro.__all__
+        assert not hasattr(repro.config, "adopt_config")
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"executor": "thread:2"},
-            {"sparse": "off"},
-            {"config": ScanConfig(executor="thread:2")},
-            {"config": ScanConfig(sparse="off")},
-        ],
-    )
-    def test_engine_missing_is_valueerror_for_every_field(self, kwargs):
-        # one exception type for the same mistake, whichever knob names it
-        with pytest.raises(ValueError, match="BPPSA engine"):
-            adopt_config(None, kwargs.pop("config", None), **kwargs)
-
-    def test_missing_protocol_is_typeerror_for_every_field(self):
-        class NoProtocol:
-            pass
-
-        with pytest.raises(TypeError, match="set_executor"):
-            adopt_config(NoProtocol(), executor="thread:2")
-        with pytest.raises(TypeError, match="set_sparse_policy"):
-            adopt_config(NoProtocol(), sparse="off")
-        with pytest.raises(TypeError, match="algorithm"):
-            adopt_config(NoProtocol(), "linear")
-
-    def test_trainer_funnels_through_adopt_config(self):
+    @pytest.mark.parametrize("with_engine", [False, True])
+    def test_trainer_scan_kwargs_rejected(self, with_engine):
         model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        eng = FeedforwardBPPSA(model)
-        Trainer(
-            model,
-            SGD(model.parameters(), lr=0.1),
-            engine=eng,
-            config=ScanConfig(executor="thread:2", sparse="off"),
-        )
-        assert eng.executor.workers == 2
-        assert eng.sparse_policy.mode == "off"
-        eng.close()
+        engine = FeedforwardBPPSA(model) if with_engine else None
+        opt = SGD(model.parameters(), lr=0.1)
+        for kwarg in ("executor", "sparse", "config"):
+            with pytest.raises(TypeError, match=kwarg):
+                Trainer(model, opt, engine, **{kwarg: "serial"})
 
-    def test_trainer_sparse_without_engine_is_valueerror(self):
+    def test_engines_expose_no_setters(self, rng):
         model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        with pytest.raises(ValueError, match="BPPSA engine"):
-            Trainer(model, SGD(model.parameters(), lr=0.1), sparse="off")
-
-    def test_adopts_algorithm_and_depth(self):
-        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        eng = FeedforwardBPPSA(model)
-        adopt_config(eng, "truncated:1")
-        assert eng.algorithm == "truncated" and eng.up_levels == 1
-
-    def test_construction_only_fields_raise(self):
-        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        eng = FeedforwardBPPSA(model)
-        with pytest.raises(ValueError, match="construction-only"):
-            adopt_config(eng, ScanConfig(sparse_linear_tol=1e-8))
+        clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
+        for eng in (FeedforwardBPPSA(model, "linear"), RNNBPPSA(clf, "linear")):
+            for name in (
+                "set_executor",
+                "set_sparse_policy",
+                "algorithm",
+                "up_levels",
+                "sparse_linear_tol",
+            ):
+                assert not hasattr(eng, name), name
+        assert not hasattr(ScanContext(), "set_sparse_policy")
+        # engine.config is what runs: a linear scan performs mat-vecs only.
+        eng = FeedforwardBPPSA(model, "linear")
+        assert eng.config.algorithm == "linear"
+        eng.compute_gradients(rng.standard_normal((3, 4)), rng.integers(0, 2, 3))
+        assert {record.kind for record in eng.context.trace} == {"mv"}
 
 
 # ---------------------------------------------------------------------------
@@ -617,3 +572,40 @@ class TestBenchEmbedding:
         records = run_bench(Scale.SMOKE, ["serial"], ["table2_devices"])
         assert len(records) == 1 and "error" in records[0].config
         records[0].to_dict()  # still schema-valid
+
+    def test_records_with_a_densify_threshold_still_load(self, tmp_path):
+        # Records written while the cutoff was a field carry it in both
+        # the config and the fingerprint; they must still load, compare
+        # and render.
+        from repro.bench.compare import compare_results
+        from repro.bench.env import environment_fingerprint
+        from repro.bench.record import BenchRecord, TimingStats
+        from repro.bench.writer import load_records
+        from repro.dashboard import build_site, check_site
+
+        old_config = dict(ScanConfig().resolve().to_dict(), densify_threshold=0.25)
+        env = dict(environment_fingerprint(), scan_config=dict(old_config))
+        rec = BenchRecord(
+            artifact="sparse_scan",
+            scale="smoke",
+            backend="serial[sparse=auto]",
+            timing=TimingStats.from_times([0.1, 0.11, 0.12], warmup=1),
+            environment=env,
+            num_rows=1,
+            config=old_config,
+        )
+        path = tmp_path / "bench.json"
+        path.write_text(
+            json.dumps({"schema_version": 1, "records": [rec.to_dict()]})
+        )
+        (loaded,) = load_records(path)
+        assert loaded.config["densify_threshold"] == 0.25
+        assert loaded.environment["scan_config"]["densify_threshold"] == 0.25
+        fresh = dataclasses.replace(loaded, config=ScanConfig().resolve().to_dict())
+        (delta,) = compare_results([loaded], [fresh])
+        assert delta.status == "ok"
+        site = tmp_path / "site"
+        build_site(site, [loaded], [fresh])
+        assert check_site(site) == []
+        page = (site / "artifact" / "sparse_scan" / "index.html").read_text()
+        assert "densify_threshold=0.25" in page

@@ -51,7 +51,7 @@ from repro.sparse import (
 
 ALGORITHMS = ("blelloch", "linear", "hillis_steele", "truncated")
 BACKENDS = ("serial", "thread:2")
-SPARSE_MODES = ("on", "auto:0.4")
+SPARSE_MODES = ("on", "auto")
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +193,27 @@ class TestKernelOracleMatrix:
                 f"cell ({algorithm}, {backend}, sparse={sparse}) diverged "
                 "from the reference"
             )
+
+    @pytest.mark.parametrize("algorithm", ("blelloch", "truncated"))
+    def test_auto_cells_cover_both_sides_of_the_cutoff(self, algorithm):
+        # The auto cells above pin kept-CSR and densified SpGEMM
+        # products alike only if the chain produces both.
+        ctx = ScanContext(sparse="auto")
+        products = []
+
+        def op(a, b, info=None):
+            out = ctx.op(a, b, info)
+            if isinstance(a, SparseJacobian) and isinstance(b, SparseJacobian):
+                products.append(isinstance(out, SparseJacobian))
+            return out
+
+        items = oracle_items(0x5EED)
+        if algorithm == "truncated":
+            truncated_blelloch_scan(items, op, up_levels=2)
+        else:
+            blelloch_scan(items, op)
+        assert products.count(True) >= 1  # kept as CSR
+        assert products.count(False) >= 1  # densified
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +379,7 @@ class TestTransformerWorkloadOracle:
             for name, p in model.named_parameters()
         }
 
-    @pytest.mark.parametrize("sparse", ("on", "off", "auto:0.4"))
+    @pytest.mark.parametrize("sparse", ("on", "off", "auto"))
     def test_bitwise_identical_across_cells(self, sparse):
         ref = reference_cell(
             self._grads, "serial", sparse, spgemm=sparse != "off"

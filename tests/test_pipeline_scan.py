@@ -102,7 +102,7 @@ class TestStageScanSlices:
     """Block-aligned slices + carry threading reproduce the monolithic
     scan byte for byte on the kernel oracle's adversarial CSR chains."""
 
-    @pytest.mark.parametrize("sparse", ("on", "auto:0.4"))
+    @pytest.mark.parametrize("sparse", ("on", "auto"))
     @pytest.mark.parametrize("up_levels", (0, 1, 2))
     def test_slices_match_monolithic_bitwise(self, up_levels, sparse):
         items = oracle.oracle_items(0x5EED)

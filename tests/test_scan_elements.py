@@ -242,7 +242,7 @@ class TestMatMat:
             ctx.op(a, DenseJacobian(rng.standard_normal((4, 5))))
 
     def test_densify_threshold(self, rng):
-        ctx = ScanContext(sparse="auto:0.0")  # densify everything
+        ctx = ScanContext(sparse="auto")  # the product is over the cutoff
         a, _ = sparse_from(rng, 4, 4, 0.9)
         b, _ = sparse_from(rng, 4, 4, 0.9)
         out = ctx.op(a, b)

@@ -1,10 +1,10 @@
 """Tier-1 tests for the sparse scan execution path.
 
-Covers the density-threshold dispatch layer
+Covers the density-cutoff dispatch layer
 (:class:`repro.scan.SparsePolicy` — mode parsing, env override,
 boundary decisions), the :class:`~repro.scan.ScanContext` integration
 (``off`` never touches CSR kernels, ``on`` never densifies, ``auto``
-flips exactly at the threshold), and the bitwise cross-backend
+flips exactly at the cutoff), and the bitwise cross-backend
 guarantee of the sparse path (serial / thread).
 """
 
@@ -15,14 +15,12 @@ from repro.core import FeedforwardBPPSA
 from repro.jacobian.conv import conv2d_tjac
 from repro.nn import LeNet5, Sequential
 from repro.scan import (
-    DEFAULT_DENSIFY_THRESHOLD,
     DenseJacobian,
     GradientVector,
     SPARSE_ENV_VAR,
     ScanContext,
     SparseJacobian,
     SparsePolicy,
-    THRESHOLD_ENV_VAR,
     blelloch_scan,
 )
 from repro.sparse import CSRMatrix, csr_from_diagonal
@@ -59,20 +57,21 @@ def _sparse_items(rng, policy, stages=8, batch=2, channels=4, hw=(8, 8)):
 class TestSparsePolicy:
     def test_modes_and_validation(self):
         assert SparsePolicy("auto").mode == "auto"
-        assert SparsePolicy("on").keep_product_sparse(1.0)
-        assert not SparsePolicy("off").keep_element_sparse(0.0)
+        assert SparsePolicy("on").keep_sparse(1.0)
+        assert not SparsePolicy("off").keep_sparse(0.0)
         with pytest.raises(ValueError, match="mode"):
             SparsePolicy("maybe")
-        with pytest.raises(ValueError, match="threshold"):
-            SparsePolicy("auto", densify_threshold=1.5)
+        with pytest.raises(TypeError, match="densify_threshold"):
+            SparsePolicy("auto", densify_threshold=0.4)
 
     def test_spec_parsing(self):
-        p = SparsePolicy.parse("auto:0.4")
-        assert p.mode == "auto" and p.densify_threshold == 0.4
-        with pytest.raises(ValueError, match="threshold"):
-            SparsePolicy.parse("auto:lots")
+        assert SparsePolicy.resolve("off") == SparsePolicy("off")
+        assert str(SparsePolicy.resolve("auto")) == "auto"
+        # no threshold suffix: the auto cutoff is a constant
         with pytest.raises(ValueError, match="mode"):
-            SparsePolicy.parse("sparse:0.4")
+            SparsePolicy.resolve("auto:0.4")
+        with pytest.raises(ValueError, match="mode"):
+            SparsePolicy.resolve("sparse:0.4")
 
     def test_resolve_precedence(self, monkeypatch):
         # explicit spec wins over the environment
@@ -81,32 +80,31 @@ class TestSparsePolicy:
         # None follows the environment
         assert SparsePolicy.resolve(None).mode == "off"
         monkeypatch.delenv(SPARSE_ENV_VAR)
-        assert (
-            SparsePolicy.resolve(None).densify_threshold
-            == DEFAULT_DENSIFY_THRESHOLD
-        )
+        assert SparsePolicy.resolve(None) == SparsePolicy("auto")
         with pytest.raises(TypeError):
             SparsePolicy.resolve(1.5)
 
     def test_threshold_env(self, monkeypatch):
-        monkeypatch.setenv(THRESHOLD_ENV_VAR, "0.5")
-        assert SparsePolicy.resolve(None).densify_threshold == 0.5
-        assert SparsePolicy.parse("auto").densify_threshold == 0.5
-        monkeypatch.setenv(THRESHOLD_ENV_VAR, "half")
-        with pytest.raises(ValueError, match=THRESHOLD_ENV_VAR):
+        # The retired cutoff variable is an error wherever the ambient
+        # policy is resolved, not a silently ignored setting.
+        monkeypatch.setenv("REPRO_SCAN_SPARSE_THRESHOLD", "0.5")
+        with pytest.raises(ValueError, match="REPRO_SCAN_SPARSE_THRESHOLD"):
             SparsePolicy.resolve(None)
+        with pytest.raises(ValueError, match="REPRO_SCAN_SPARSE_THRESHOLD"):
+            ScanContext()
 
     def test_dispatch_boundaries(self):
-        p = SparsePolicy("auto", densify_threshold=0.3)
-        assert p.keep_element_sparse(0.3)  # inclusive at the bound
-        assert not p.keep_element_sparse(0.3 + 1e-9)
-        assert SparsePolicy("on").keep_element_sparse(0.99)
-        assert not SparsePolicy("off").keep_element_sparse(0.01)
+        p = SparsePolicy("auto")
+        assert SparsePolicy.AUTO_CUTOFF == 0.25
+        assert p.keep_sparse(0.25)  # inclusive at the cutoff
+        assert not p.keep_sparse(0.25 + 1e-9)
+        assert SparsePolicy("on").keep_sparse(0.99)
+        assert not SparsePolicy("off").keep_sparse(0.01)
 
     def test_element_densifies_above_threshold(self, rng):
         dense_pattern = CSRMatrix.from_dense(rng.standard_normal((4, 4)))
-        sparse_pattern = csr_from_diagonal(np.ones(4))
-        p = SparsePolicy("auto", densify_threshold=0.5)
+        sparse_pattern = csr_from_diagonal(np.ones(4))  # density 0.25
+        p = SparsePolicy("auto")
         assert isinstance(p.element(SparseJacobian(dense_pattern)), DenseJacobian)
         assert isinstance(p.element(SparseJacobian(sparse_pattern)), SparseJacobian)
         # non-sparse elements pass through untouched
@@ -146,22 +144,15 @@ class TestScanContextDispatch:
 
     def test_auto_densifies_products_over_threshold(self):
         # diag @ diag stays diagonal (density 1/n → sparse);
-        # a dense row times a dense column would exceed the bound
+        # a dense row times a dense column would exceed the cutoff
         n = 8
         diag = csr_from_diagonal(np.arange(1.0, n + 1))
-        ctx = ScanContext(sparse="auto:0.2")
+        ctx = ScanContext(sparse="auto")
         assert isinstance(ctx.op(SparseJacobian(diag), SparseJacobian(diag)),
                           SparseJacobian)
         dense = CSRMatrix.from_dense(np.ones((n, n)))
         assert isinstance(ctx.op(SparseJacobian(dense), SparseJacobian(dense)),
                           DenseJacobian)
-
-    def test_set_sparse_policy(self):
-        ctx = ScanContext()
-        ctx.set_sparse_policy("off")
-        assert ctx.sparse_policy.mode == "off"
-        ctx.set_sparse_policy(SparsePolicy("on"))
-        assert ctx.sparse_policy.mode == "on"
 
 
 class TestCrossBackendBitwise:
