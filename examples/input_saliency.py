@@ -6,9 +6,12 @@ application recovers ∇x_0 — the gradient w.r.t. the *model input*,
 which powers saliency maps and adversarial probes.  This example trains
 a small CNN on the synthetic image task, then compares BPPSA's input
 gradient against taped autograd and renders a coarse saliency map.
+Exits non-zero when the two input gradients differ by more than 1e-9.
 
 Run:  python examples/input_saliency.py
 """
+
+import sys
 
 import numpy as np
 
@@ -50,7 +53,8 @@ xt = Tensor(x, requires_grad=True)
 loss = CrossEntropyLoss()(model(xt), y)
 model.zero_grad()
 loss.backward()
-print(f"max |Δ input grad| vs autograd: {np.abs(bppsa_grad - xt.grad).max():.2e}")
+input_grad_error = np.abs(bppsa_grad - xt.grad).max()
+print(f"max |Δ input grad| vs autograd: {input_grad_error:.2e}")
 
 # --- coarse saliency raster ------------------------------------------------
 sal = np.abs(bppsa_grad[0, 0])
@@ -59,3 +63,6 @@ chars = " .:-=+*#%@"
 print(f"\nsaliency for one class-{y[0]} sample (input 16×16):")
 for row in sal:
     print("".join(chars[int(v * (len(chars) - 1))] for v in row))
+
+if not input_grad_error <= 1e-9:
+    sys.exit(f"BPPSA input gradient differs from autograd by {input_grad_error:.2e}")

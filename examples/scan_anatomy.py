@@ -91,8 +91,15 @@ print(f"\nScanConfig spec round-trip: {cfg.spec()!r}")
 print(f"resolved: {cfg.resolve().spec()!r}")
 
 with repro.configure(executor="thread:2"):
-    # executor=None call sites now resolve to the scoped override —
-    # same schedule, same per-op order, still bitwise-identical.
-    scoped = blelloch_scan(items, ScanContext().op)
+    # Configs resolved inside the block (and so every engine built
+    # here) take the override; an engine keeps that executor for life.
+    scoped_cfg = repro.current_config()
+with get_executor(scoped_cfg.executor) as ex:
+    # Same schedule, same per-op order, still bitwise-identical.
+    scoped = blelloch_scan(items, ScanContext().op, executor=ex)
 assert all(np.array_equal(scoped[p].data, out[p].data) for p in range(1, N + 1))
-print("configure(executor='thread:2') scoped scan: bitwise-identical = True")
+print(
+    f"configure(executor='thread:2') resolves to {scoped_cfg.spec()!r}; "
+    f"its scan ran on {ex.name} with {ex.workers} workers: "
+    "bitwise-identical = True"
+)

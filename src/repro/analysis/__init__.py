@@ -15,7 +15,6 @@ from repro.analysis.flops import (
 )
 from repro.analysis.complexity import (
     blelloch_step_complexity,
-    blelloch_work_complexity,
     linear_step_complexity,
     measured_step_complexity,
 )
@@ -27,7 +26,6 @@ __all__ = [
     "conv_dgrad_flops",
     "elementwise_backward_flops",
     "blelloch_step_complexity",
-    "blelloch_work_complexity",
     "linear_step_complexity",
     "measured_step_complexity",
 ]

@@ -30,11 +30,6 @@ def linear_step_complexity(n: int) -> int:
     return n
 
 
-def blelloch_work_complexity(n: int) -> int:
-    """W_Blelloch(n) = Θ(n) (Eq. 7) — total ⊙ applications."""
-    return n
-
-
 def measured_step_complexity(n: int, p: int) -> int:
     """Critical-path steps of the *implemented* scan on ``p`` workers."""
     dag = build_blelloch_dag(n + 1)

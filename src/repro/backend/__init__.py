@@ -29,12 +29,17 @@ or end to end through an engine, by spec string::
 
     engine = RNNBPPSA(clf, executor="thread:4")
 
-The default for every ``executor=None`` call site is taken from the
-``REPRO_SCAN_BACKEND`` environment variable (falling back to
-``"serial"``), so a whole experiment run can be switched to another
-backend without touching code::
+An engine fixes its executor when it is built: the one it is given,
+else the spec its resolved ``config.executor`` names, which for an
+engine built without one comes from a ``repro.configure()`` block
+around the construction, else the ``REPRO_SCAN_BACKEND`` environment
+variable, else ``"serial"``.  So a whole experiment run can be
+switched to another backend without touching code::
 
     REPRO_SCAN_BACKEND=thread:8 python -m repro.experiments.run_all
+
+A scan function called with ``executor=None`` runs serially; it reads
+neither the variable nor a ``configure()`` block.
 
 Custom backends implement :class:`ScanExecutor` and join the registry
 via :func:`register_backend`; from then on any engine accepts their
@@ -52,7 +57,6 @@ from repro.backend.executor import (
 from repro.backend.registry import (
     ENV_VAR,
     available_backends,
-    default_executor,
     get_executor,
     register_backend,
 )
@@ -65,7 +69,6 @@ __all__ = [
     "ThreadPoolScanExecutor",
     "ENV_VAR",
     "available_backends",
-    "default_executor",
     "get_executor",
     "register_backend",
 ]

@@ -95,27 +95,41 @@ class ExecutorOwner:
     """Mixin for objects that hold a scan executor (the BPPSA engines).
 
     Implements the ownership protocol in one place: the executor is
-    fixed at construction (:meth:`_init_executor`), and an owner *owns*
-    (and will close) only an executor it constructed from a spec
-    *string*; caller-provided instances and the ``None`` default stay
-    the caller's/process's to manage.
+    fixed at construction (:meth:`_init_executor`) and is never
+    ``None``.  An owner *owns* (and :meth:`close` releases) the
+    executor it built from its resolved spec; a caller-provided
+    instance stays the caller's to manage.
     """
 
-    executor: Optional["ScanExecutor"] = None
+    executor: ScanExecutor
     _owns_executor: bool = False
 
-    def _init_executor(self, executor) -> None:
-        """Set the scan backend once, from the constructor: a spec
-        string builds a pool this object owns."""
+    def _init_executor(self, executor, spec: str) -> None:
+        """Set the scan backend once, from the constructor.
+
+        ``executor`` is the constructor's ``executor=`` argument: a
+        :class:`ScanExecutor` instance is used as given; a spec string
+        or ``None`` builds ``spec`` — the resolved ``config.executor``,
+        into which the constructor already folded a spec string — as
+        an executor this object owns.
+        """
         from repro.backend.registry import get_executor  # circular-safe
 
-        self._owns_executor = isinstance(executor, str)
-        self.executor = get_executor(executor) if executor is not None else None
+        if isinstance(executor, ScanExecutor):
+            self.executor = executor
+            return
+        if executor is not None and not isinstance(executor, str):
+            raise TypeError(
+                "executor must be a spec string, ScanExecutor, or None; "
+                f"got {type(executor).__name__}"
+            )
+        self.executor = get_executor(spec)
+        self._owns_executor = True
 
     def close(self) -> None:
-        """Release owned executor workers (no-op for serial/None or a
+        """Release owned executor workers (no-op for serial or a
         caller-provided instance)."""
-        if self._owns_executor and self.executor is not None:
+        if self._owns_executor:
             self.executor.close()
 
     def __enter__(self):

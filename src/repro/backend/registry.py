@@ -1,11 +1,11 @@
-"""String-keyed executor registry and the process-wide default.
+"""String-keyed executor registry.
 
 Backends are addressed by a compact spec — ``"serial"`` or
 ``"thread:8"`` — so every layer that accepts an ``executor=`` argument
-(scan algorithms, gradient engines, the trainer, experiment entry
-points) can take a plain string from a config file, a CLI flag, or the
-``REPRO_SCAN_BACKEND`` environment variable without importing executor
-classes.  Third-party backends plug in via :func:`register_backend`.
+(scan algorithms, gradient engines, experiment entry points) can take
+a plain string from a config file or a CLI flag without importing
+executor classes.  Third-party backends plug in via
+:func:`register_backend`.
 
 Spec grammar::
 
@@ -13,10 +13,11 @@ Spec grammar::
     name     := registered backend name ("serial" | "thread" | …)
     workers  := positive integer worker count
 
-``get_executor`` also accepts ``None`` (→ the process-wide default,
-taken from ``REPRO_SCAN_BACKEND``, falling back to ``"serial"``) and
+``get_executor`` also accepts ``None`` (→ the serial executor) and
 passes an already-constructed :class:`ScanExecutor` through unchanged,
-so call sites can be spec-or-instance agnostic.
+so call sites can be spec-or-instance agnostic.  This module reads no
+environment variable: :data:`ENV_VAR` is read by
+:meth:`repro.config.ScanConfig.resolve` alone, when an engine is built.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from repro.backend.executor import (
     ThreadPoolScanExecutor,
 )
 
-#: Environment variable naming the default backend spec.
+#: Environment variable naming the executor spec of an engine built
+#: without one (read by ``ScanConfig.resolve()``).
 ENV_VAR = "REPRO_SCAN_BACKEND"
 
 ExecutorFactory = Callable[[Optional[int]], ScanExecutor]
@@ -39,10 +41,6 @@ _REGISTRY: Dict[str, ExecutorFactory] = {}
 
 # The serial executor is stateless; one shared instance serves everyone.
 _SERIAL = SerialExecutor()
-
-# (spec, executor) of the current process-wide default; rebuilt when
-# the environment variable changes between calls.
-_default: Optional[Tuple[str, ScanExecutor]] = None
 
 
 def register_backend(
@@ -85,13 +83,13 @@ def get_executor(
 ) -> ScanExecutor:
     """Resolve a backend spec to a ready :class:`ScanExecutor`.
 
-    * ``None`` → the process-wide default (see :func:`default_executor`);
+    * ``None`` → the shared serial executor;
     * a :class:`ScanExecutor` instance → returned unchanged;
     * a string → a **new** executor the caller owns (``"serial"`` is
       the shared stateless singleton; ``close()`` on it is a no-op).
     """
     if spec is None:
-        return default_executor()
+        return _SERIAL
     if isinstance(spec, ScanExecutor):
         return spec
     if not isinstance(spec, str):
@@ -107,37 +105,6 @@ def get_executor(
             + ", ".join(available_backends())
         )
     return factory(workers)
-
-
-def default_executor() -> ScanExecutor:
-    """The ambient default executor for ``executor=None`` call sites.
-
-    A surrounding ``repro.configure()`` block that set ``executor``
-    supplies its own *scoped* default pool (owned and closed by the
-    block — see :func:`repro.config.context.scoped_default_executor`),
-    so entering or leaving a block never touches the process-wide
-    default another thread may be using.  Otherwise the spec comes
-    from ``$REPRO_SCAN_BACKEND`` (default ``"serial"``), built on
-    first use and cached so pooled backends are created once, not per
-    scan call; if the variable changes, the old default is closed and
-    a new one built.
-    """
-    global _default
-    # Lazy import: repro.config imports this module at load time.
-    from repro.config.context import scoped_default_executor
-
-    scoped = scoped_default_executor()
-    if scoped is not None:
-        return scoped
-    spec = os.environ.get(ENV_VAR, "serial")
-    if _default is None or _default[0] != spec:
-        old, _default = _default, None
-        if old is not None:
-            old[1].close()
-        # _default stays None if the new spec is invalid, so a later
-        # call retries instead of serving the closed old executor.
-        _default = (spec, get_executor(spec))
-    return _default[1]
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,11 @@ policy), with:
 * a single **resolution point** (:meth:`ScanConfig.resolve`) with the
   precedence ladder *explicit value > configure() override >
   environment variable > caller default > global default*;
-* scoped overrides (:func:`configure`) replacing process-global env
-  mutation, and the engine facade (:func:`build_engine`) replacing
-  scattered per-class constructor knowledge.  An engine's config is
-  fixed at construction: ``engine.config`` is what runs.
+* scoped overrides (:func:`configure`), an overlay stack read only by
+  :meth:`ScanConfig.resolve`, replacing process-global env mutation,
+  and the engine facade (:func:`build_engine`) replacing scattered
+  per-class constructor knowledge.  An engine's config, executor
+  included, is fixed at construction: ``engine.config`` is what runs.
 
 See DESIGN.md §"The configuration plane" for the full picture and
 MIGRATION.md for the old-kwarg mapping.
@@ -34,7 +35,6 @@ from repro.config.context import (
     active_overlays,
     configure,
     current_config,
-    overlay_field,
 )
 from repro.config.facade import build_engine, stage_configs
 
@@ -48,7 +48,6 @@ __all__ = [
     "active_overlays",
     "configure",
     "current_config",
-    "overlay_field",
     "build_engine",
     "stage_configs",
 ]

@@ -14,45 +14,6 @@ from typing import Any, List, Mapping, Optional, Sequence, Union
 from repro.config.scan_config import ScanConfig
 
 
-def construction_executor(
-    merged: ScanConfig, resolved: ScanConfig, executor: Any
-) -> Any:
-    """What an engine hands to ``_init_executor`` at construction time.
-
-    ``merged`` is the engine's config with its explicit kwargs folded
-    in (a spec-string ``executor=`` among them), ``resolved`` its
-    :meth:`~ScanConfig.resolve` output, and ``executor`` the raw
-    ``executor=`` kwarg:
-
-    * an explicit :class:`~repro.backend.ScanExecutor` instance → used
-      verbatim (caller-owned);
-    * an explicit spec — the ``executor=`` kwarg or a config field —
-      → the resolved spec string: the engine builds and owns that
-      pool;
-    * an *ambient* spec (a surrounding :func:`configure` override, the
-      environment variable, or the global default) → ``None``: the
-      engine resolves the shared ambient pool at scan time — the
-      block-owned scoped pool inside ``configure(executor=…)``, the
-      process-wide default otherwise.  N ambient engines share one
-      pool instead of leaking one each, exactly as ``executor=None``
-      behaved before the configuration plane existed.
-    """
-    from repro.backend import ScanExecutor
-
-    if isinstance(executor, ScanExecutor):
-        return executor
-    if executor is not None and not isinstance(executor, str):
-        # Fail at construction instead of silently running on the
-        # ambient default.
-        raise TypeError(
-            "executor must be a spec string, ScanExecutor, or None; "
-            f"got {type(executor).__name__}"
-        )
-    if merged.executor is not None:
-        return resolved.executor
-    return None
-
-
 def build_engine(
     model: Any,
     config: Union[ScanConfig, str, Mapping[str, Any], None] = None,

@@ -19,11 +19,12 @@ Entry points
     optimizer-agnostic training loop that can swap between baseline BP
     and BPPSA, used by the convergence experiments (Figs. 7 and 9).
 
-Both engines and the trainer accept ``executor=`` — a scan-backend
-spec string (``"serial"``, ``"thread:8"``) or a
+Both engines accept ``executor=`` — a scan-backend spec string
+(``"serial"``, ``"thread:8"``) or a
 :class:`~repro.backend.ScanExecutor` — selecting *where* each scan
-level's independent ⊙ ops run; gradients are bitwise-identical on
-every backend (see :mod:`repro.backend`).
+level's independent ⊙ ops run, fixed when the engine is built; the
+trainer runs the engine it is given.  Gradients are bitwise-identical
+on every backend (see :mod:`repro.backend`).
 """
 
 from repro.core.feedforward import FeedforwardBPPSA

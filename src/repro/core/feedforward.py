@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.backend import ExecutorOwner, ScanExecutor
 from repro.config import ScanConfig
-from repro.config.facade import construction_executor as _construction_executor
 from repro.jacobian.dispatch import BatchedJacobian, has_tjac, layer_tjac_batched
 from repro.nn import layers as L
 from repro.nn.loss import softmax_xent_grad
@@ -66,7 +65,7 @@ class FeedforwardBPPSA(ExecutorOwner):
         configuration.  The config is pure *declarative* data:
         caller-provided ``executor``/``pattern_cache``
         *instances* take precedence over it but are not representable
-        in it, so ``self.config`` then records the ambient spec rather
+        in it, so ``self.config`` then records the resolved spec rather
         than the instance actually in use (``self.executor`` /
         ``self.context.cache`` are authoritative).
     algorithm:
@@ -89,14 +88,12 @@ class FeedforwardBPPSA(ExecutorOwner):
     executor:
         Scan-execution backend: a spec string (``"serial"``,
         ``"thread:8"`` — see :mod:`repro.backend`), an
-        executor instance, or ``None`` for the ambient default
-        (``repro.configure()`` override, else ``REPRO_SCAN_BACKEND``).
-        An explicit spec (kwarg or config field) builds a pool the
-        engine owns; the ambient cases (``configure()`` override,
-        environment variable, global default) keep following the
-        shared ambient pool at scan time — the block's scoped pool
-        inside ``configure(executor=…)``, the process-wide default
-        otherwise — so engines never multiply ambient pools.  Every
+        executor instance, or ``None`` for the config's executor as
+        resolved here (a ``repro.configure()`` override, else
+        ``REPRO_SCAN_BACKEND``, else ``"serial"``).  The executor is
+        fixed at construction: ``self.executor`` runs every scan, and
+        unless an instance was passed it is built from
+        ``self.config.executor`` and owned by the engine.  Every
         backend yields bitwise-identical gradients; call :meth:`close`
         (or use the engine as a context manager) to release pooled
         workers.
@@ -113,18 +110,17 @@ class FeedforwardBPPSA(ExecutorOwner):
         sparse: Union[str, SparsePolicy, None] = None,
         config: Union[ScanConfig, str, Mapping, None] = None,
     ) -> None:
-        merged = ScanConfig.coerce(
+        cfg = ScanConfig.coerce(
             config,
             algorithm=algorithm,
             up_levels=up_levels,
             sparse_linear_tol=sparse_linear_tol,
             executor=executor if isinstance(executor, str) else None,
             sparse=sparse,
-        )
-        cfg = merged.resolve()
+        ).resolve()
         self.config = cfg
         self.model = model
-        self._init_executor(_construction_executor(merged, cfg, executor))
+        self._init_executor(executor, cfg.executor)
         self.context = ScanContext(
             pattern_cache=(
                 pattern_cache

@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.backend import ExecutorOwner, ScanExecutor
 from repro.config import ScanConfig
-from repro.config.facade import construction_executor as _construction_executor
 from repro.nn.loss import softmax_xent_grad
 from repro.nn.rnn import RNN, RNNClassifier
 from repro.scan import (
@@ -64,12 +63,14 @@ class RNNBPPSA(ExecutorOwner):
 
     ``executor`` selects the scan-execution backend: a spec string
     (``"serial"``, ``"thread:8"`` — see
-    :mod:`repro.backend`), an executor instance, or ``None`` to follow
-    the ambient default (a ``repro.configure()`` override, else
-    ``REPRO_SCAN_BACKEND``).  Executors created here from a spec
-    string are owned by the engine; call :meth:`close` (or use the
-    engine as a context manager) to release their workers.  Every
-    backend yields bitwise-identical gradients.
+    :mod:`repro.backend`), an executor instance, or ``None`` for the
+    config's executor as resolved here (a ``repro.configure()``
+    override, else ``REPRO_SCAN_BACKEND``, else ``"serial"``).  The
+    executor is fixed at construction; unless an instance was passed
+    it is built from ``self.config.executor`` and owned by the engine:
+    call :meth:`close` (or use the engine as a context manager) to
+    release its workers.  Every backend yields bitwise-identical
+    gradients.
 
     ``sparse`` is accepted for API uniformity with
     :class:`FeedforwardBPPSA` and recorded on ``self.config``, but it
@@ -88,17 +89,16 @@ class RNNBPPSA(ExecutorOwner):
         sparse: Union[str, SparsePolicy, None] = None,
         config: Union[ScanConfig, str, Mapping, None] = None,
     ) -> None:
-        merged = ScanConfig.coerce(
+        cfg = ScanConfig.coerce(
             config,
             algorithm=algorithm,
             up_levels=up_levels,
             executor=executor if isinstance(executor, str) else None,
             sparse=sparse,
-        )
-        cfg = merged.resolve()
+        ).resolve()
         self.config = cfg
         self.clf = classifier
-        self._init_executor(_construction_executor(merged, cfg, executor))
+        self._init_executor(executor, cfg.executor)
         self.context = ScanContext(
             pattern_cache=cfg.make_pattern_cache(),
             sparse=cfg.sparse_policy(),

@@ -27,7 +27,7 @@ from repro.nn.attention import (
     make_transformer_classifier,
 )
 from repro.nn.rnn import RNN, RNNCell, RNNClassifier
-from repro.nn.loss import CrossEntropyLoss, MSELoss, nll_loss, softmax_xent_grad
+from repro.nn.loss import CrossEntropyLoss, nll_loss, softmax_xent_grad
 from repro.nn.models import (
     LeNet5,
     VGG11,
@@ -60,7 +60,6 @@ __all__ = [
     "RNNCell",
     "RNNClassifier",
     "CrossEntropyLoss",
-    "MSELoss",
     "nll_loss",
     "softmax_xent_grad",
     "LeNet5",

@@ -1,4 +1,4 @@
-"""Loss functions (cross-entropy as in both paper benchmarks, plus MSE)."""
+"""Loss functions (cross-entropy, as in both paper benchmarks)."""
 
 from __future__ import annotations
 
@@ -24,15 +24,6 @@ class CrossEntropyLoss(Module):
 
     def forward(self, logits: Tensor, targets: np.ndarray) -> Tensor:
         return nll_loss(ops.log_softmax(logits, axis=-1), targets)
-
-
-class MSELoss(Module):
-    """Mean squared error."""
-
-    def forward(self, pred: Tensor, target) -> Tensor:
-        target = target if isinstance(target, Tensor) else Tensor(target)
-        diff = pred - target
-        return (diff * diff).mean()
 
 
 def softmax_xent_grad(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:

@@ -96,10 +96,6 @@ class GPipeSchedule:
         """End-to-end schedule length in slots (last event time + 1)."""
         return max(e.time for e in self.events) + 1
 
-    def device_busy_slots(self, device: int) -> int:
-        """Number of slots ``device`` spends doing useful work."""
-        return sum(1 for e in self.events if e.device == device)
-
     def utilization(self) -> float:
         """Mean fraction of time devices do useful work."""
         busy = len(self.events)

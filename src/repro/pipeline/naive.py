@@ -22,10 +22,6 @@ class NaiveModelParallel:
         """Mean busy fraction: exactly one of K devices works at a time."""
         return 1.0 / self.K
 
-    def iteration_slots(self) -> int:
-        """Forward + backward wavefronts with no overlap: 2K slots."""
-        return 2 * self.K
-
     def speedup_over_single_device(self) -> float:
         """Adding devices does not reduce iteration latency at all."""
         return 1.0

@@ -112,7 +112,10 @@ class StagedRNNBPPSA:
         :func:`repro.config.stage_configs`.  All stages must agree on
         the algorithm family (``truncated`` or ``linear``) and
         truncation depth — block alignment is global — but may differ
-        freely in executor backend and sparse mode.
+        freely in executor backend and sparse mode.  The resolved
+        ``configs``, and the ``algorithm`` and ``up_levels`` read from
+        them, are fixed at construction; build another engine to run
+        another configuration.
     pool:
         A shared :class:`~repro.serve.EnginePool` (stages naming equal
         resolved configs share one engine).  When omitted the instance
@@ -142,32 +145,45 @@ class StagedRNNBPPSA:
         self.K = num_stages
         self.M = num_micro_batches
         self.schedule = schedule
-        self.configs = stage_configs(
-            configs, num_stages, defaults=STAGE_DEFAULTS
+        self._configs = tuple(
+            stage_configs(configs, num_stages, defaults=STAGE_DEFAULTS)
         )
-        algorithms = {cfg.algorithm for cfg in self.configs}
+        algorithms = {cfg.algorithm for cfg in self._configs}
         if len(algorithms) > 1:
             raise ValueError(
                 "stage algorithms must agree (block alignment is global); "
                 f"got {sorted(algorithms)}"
             )
-        self.algorithm = algorithms.pop()
         if self.algorithm not in ("truncated", "linear"):
             raise ValueError(
                 f"staged backward requires the truncated/linear scan family "
                 f"(block-aligned slices); got {self.algorithm!r}"
             )
-        up = {cfg.up_levels for cfg in self.configs}
+        up = {cfg.up_levels for cfg in self._configs}
         if len(up) > 1:
             raise ValueError(
                 f"stage up_levels must agree (block alignment is global); "
                 f"got {sorted(up)}"
             )
-        self.up_levels = 0 if self.algorithm == "linear" else up.pop()
         self._own_pool = pool is None
         self.pool = pool if pool is not None else EnginePool()
-        self.engines = self.pool.get_many(self.configs)
+        self.engines = self.pool.get_many(self._configs)
         self.last_run_stats: Optional[Dict[str, Any]] = None
+
+    @property
+    def configs(self) -> Tuple[ScanConfig, ...]:
+        """The resolved per-stage configs, fixed at construction."""
+        return self._configs
+
+    @property
+    def algorithm(self) -> str:
+        """The stages' common scan algorithm (``truncated``/``linear``)."""
+        return self._configs[0].algorithm
+
+    @property
+    def up_levels(self) -> int:
+        """The stages' common truncation depth (0 for ``linear``)."""
+        return 0 if self.algorithm == "linear" else self._configs[0].up_levels
 
     # ------------------------------------------------------------------
     # static structure for one sequence length

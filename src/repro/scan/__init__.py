@@ -30,7 +30,7 @@ producing ``[I, ∇x_n ℓ, ..., ∇x_1 ℓ]``.  This package provides:
 parallel scan takes ``executor=`` — a backend spec string
 (``"serial"``, ``"thread:8"``), a
 :class:`~repro.backend.ScanExecutor` instance, or ``None`` for the
-``REPRO_SCAN_BACKEND`` default.  See :mod:`repro.backend`; the
+serial executor.  See :mod:`repro.backend`; the
 registry entry points (:func:`get_executor`, :func:`register_backend`,
 :func:`available_backends`) and the executor base class are re-exported
 here for convenience.

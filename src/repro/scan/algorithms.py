@@ -11,7 +11,7 @@ PRAM cost model — one schedule feeds both planes.
 *Where* each level's independent ⊙ ops run is delegated to a
 :class:`~repro.backend.ScanExecutor`: every parallel scan accepts an
 ``executor=`` argument (a backend spec string like ``"thread:8"``, an
-executor instance, or ``None`` for the process-wide default — see
+executor instance, or ``None`` for the serial executor — see
 :mod:`repro.backend`).  The three sweeps share one level-dispatch
 core, and every backend preserves per-op association order, so results
 are bitwise-identical across executors.
@@ -45,8 +45,8 @@ def _resolved_executor(spec: ExecutorLike) -> Iterator[ScanExecutor]:
     is closed on exit — otherwise every ``blelloch_scan(...,
     executor="thread:8")`` in a training loop would leak a pool.  For
     pool reuse across scans, pass an executor instance (or construct
-    the engine with the spec); instances and the ``None`` default are
-    caller/process-owned and left open.
+    the engine with the spec); instances are caller-owned and left
+    open, and ``None`` is the shared serial executor.
     """
     ex = get_executor(spec)
     try:

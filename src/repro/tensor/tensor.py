@@ -83,16 +83,6 @@ class Tensor:
     def ones(*shape: int, requires_grad: bool = False) -> "Tensor":
         return Tensor(np.ones(shape), requires_grad=requires_grad)
 
-    @staticmethod
-    def randn(
-        *shape: int,
-        rng: Optional[np.random.Generator] = None,
-        requires_grad: bool = False,
-        scale: float = 1.0,
-    ) -> "Tensor":
-        rng = rng if rng is not None else np.random.default_rng()
-        return Tensor(rng.standard_normal(shape) * scale, requires_grad=requires_grad)
-
     # ------------------------------------------------------------------
     # basic introspection
     # ------------------------------------------------------------------

@@ -77,9 +77,6 @@ class WorkloadSpec:
         """One ``(x, targets)`` batch, deterministic in ``seed``."""
         return self.batch_fn(self.params(scale), np.random.default_rng(seed))
 
-    def input_shape(self, scale: Any) -> Tuple[int, ...]:
-        return tuple(self.make_batch(scale)[0].shape)
-
 
 def structure_tag(jac) -> str:
     """The structure tag of one :class:`~repro.jacobian.BatchedJacobian`

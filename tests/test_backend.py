@@ -1,7 +1,7 @@
 """Tests for the pluggable scan-execution backend subsystem.
 
-Covers the registry (spec parsing, env default, custom registration,
-error cases) and — the property the whole subsystem rests on —
+Covers the registry (spec parsing, the env default engines read when
+they are built, custom registration, error cases) and — the property the whole subsystem rests on —
 bitwise-identical scan results and gradients across the serial and
 thread executors.
 """
@@ -19,7 +19,6 @@ from repro.backend import (
     SerialExecutor,
     ThreadPoolScanExecutor,
     available_backends,
-    default_executor,
     get_executor,
     register_backend,
 )
@@ -91,13 +90,11 @@ class TestRegistry:
         for build in (
             lambda: get_executor("process:2"),
             lambda: RNNBPPSA(clf, executor="process:2"),
-            default_executor,
+            lambda: RNNBPPSA(clf),  # the env spec, built with the engine
         ):
             with pytest.raises(ValueError, match="unknown scan backend 'process'") as e:
                 build()
             assert "serial" in str(e.value) and "thread" in str(e.value)
-        monkeypatch.delenv(ENV_VAR)
-        default_executor()  # rebuild the serial default
 
     @pytest.mark.parametrize("spec", ["thread:0", "thread:-2"])
     def test_nonpositive_workers(self, spec):
@@ -143,37 +140,63 @@ class TestRegistry:
             register_backend("thread:4", lambda workers: SerialExecutor())
 
     def test_env_default(self, monkeypatch):
+        """``REPRO_SCAN_BACKEND`` names the executor of an engine built
+        without one; each such engine owns the pool built from it, and
+        the registry's own ``None`` stays serial."""
+        from repro.core import RNNBPPSA
+        from repro.nn import RNNClassifier
+
+        clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
         monkeypatch.delenv(ENV_VAR, raising=False)
-        assert isinstance(default_executor(), SerialExecutor)
+        with RNNBPPSA(clf) as eng:
+            assert isinstance(eng.executor, SerialExecutor)
         monkeypatch.setenv(ENV_VAR, "thread:2")
-        ex = default_executor()
-        assert isinstance(ex, ThreadPoolScanExecutor)
-        assert ex.workers == 2
-        assert default_executor() is ex  # cached while the spec is stable
-        monkeypatch.delenv(ENV_VAR)
-        assert isinstance(default_executor(), SerialExecutor)
+        with RNNBPPSA(clf) as a, RNNBPPSA(clf) as b:
+            assert isinstance(a.executor, ThreadPoolScanExecutor)
+            assert a.executor.workers == 2
+            assert a.executor is not b.executor
+        assert isinstance(get_executor(None), SerialExecutor)
 
     def test_env_default_recovers_from_bad_spec(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "thread:2")
-        default_executor()
+        """A bad spec fails the engine built under it; a good one set
+        afterwards gives the next engine a live pool."""
+        from repro.core import RNNBPPSA
+        from repro.nn import RNNClassifier
+
+        clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
         monkeypatch.setenv(ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match="unknown scan backend"):
-            default_executor()
+        with pytest.raises(ValueError, match="unknown scan backend 'bogus'"):
+            RNNBPPSA(clf)
         monkeypatch.setenv(ENV_VAR, "thread:2")
-        ex = default_executor()
-        assert ex._pool is not None  # a fresh default, not the closed one
-        monkeypatch.delenv(ENV_VAR)
-        default_executor()  # rebuild serial default
+        with RNNBPPSA(clf) as eng:
+            assert eng.executor._pool is not None
 
     def test_env_default_feeds_scans(self, rng, monkeypatch):
-        items = chain(rng, 9)
-        ref = blelloch_scan(items, ScanContext().op, executor="serial")
+        """The env spec reaches the scans of engines built under it,
+        bitwise-identically; a raw ``executor=None`` scan stays serial."""
+        from repro.core import RNNBPPSA
+        from repro.nn import RNNClassifier
+
+        threaded = []
+        run_level = ThreadPoolScanExecutor.run_level
+
+        def spy(self, tasks):
+            threaded.append(self.workers)
+            return run_level(self, tasks)
+
+        monkeypatch.setattr(ThreadPoolScanExecutor, "run_level", spy)
+        clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
+        x, y = rng.standard_normal((3, 9, 1)), rng.integers(0, 2, 3)
+        with RNNBPPSA(clf, executor="serial") as eng:
+            ref = eng.compute_gradients(x, y)
         monkeypatch.setenv(ENV_VAR, "thread:2")
-        out = blelloch_scan(items, ScanContext().op)  # executor=None → env
-        for p in range(1, 10):
-            np.testing.assert_array_equal(out[p].data, ref[p].data)
-        monkeypatch.delenv(ENV_VAR)
-        default_executor()  # rebuild (and close the thread default)
+        with RNNBPPSA(clf) as eng:
+            out = eng.compute_gradients(x, y)
+        assert threaded and set(threaded) == {2}
+        assert all(np.array_equal(out[k], ref[k]) for k in ref)
+        threaded.clear()
+        blelloch_scan(chain(rng, 9), ScanContext().op)  # executor=None
+        assert threaded == []
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@
 Covers the :class:`ScanConfig` spec-grammar and JSON round-trips, the
 resolution precedence ladder (explicit > ``configure()`` override >
 environment variable > default) including nesting and restoration on
-exception, the :func:`repro.build_engine` facade (dispatch + bitwise
+exception, each engine's executor fixed when the engine is built (which
+backend ran is counted per ``run_level`` call), the
+:func:`repro.build_engine` facade (dispatch + bitwise
 equivalence with the legacy kwarg paths), warning-free engine
 construction, the removed threshold and retargeting spellings failing
 loudly, and the serialized config embedded in bench records and the
@@ -12,6 +14,7 @@ environment fingerprint.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import json
 import re
@@ -21,12 +24,25 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backend import ENV_VAR, SerialExecutor, default_executor
+from repro.backend import (
+    ENV_VAR,
+    SerialExecutor,
+    ThreadPoolScanExecutor,
+    get_executor,
+)
 from repro.config import ScanConfig, build_engine, configure
 from repro.core import FeedforwardBPPSA, RNNBPPSA, Trainer
 from repro.nn import LeNet5, RNNClassifier, make_mlp
 from repro.optim import SGD
-from repro.scan import SPARSE_ENV_VAR, SPARSE_MODES, ScanContext, SparsePolicy
+from repro.scan import (
+    SPARSE_ENV_VAR,
+    SPARSE_MODES,
+    DenseJacobian,
+    GradientVector,
+    ScanContext,
+    SparsePolicy,
+    blelloch_scan,
+)
 
 #: The environment variable that set the auto cutoff before it became a
 #: constant; a set value is now an error.
@@ -252,11 +268,19 @@ class TestConfigure:
         assert repro.current_config().executor == "serial"
 
     def test_default_executor_honors_overlay(self, monkeypatch):
+        """An engine built with no executor takes the overlay's spec
+        when it is built inside the block; ``executor=None`` on a scan
+        function does not read the overlay."""
         monkeypatch.delenv(ENV_VAR, raising=False)
-        assert default_executor().workers == 1
+        clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
+        with RNNBPPSA(clf) as eng:
+            assert eng.executor.workers == 1
         with configure(executor="thread:2"):
-            assert default_executor().workers == 2
-        assert default_executor().workers == 1
+            with RNNBPPSA(clf) as eng:
+                assert eng.executor.workers == 2
+            assert get_executor(None).workers == 1
+        with RNNBPPSA(clf) as eng:
+            assert eng.executor.workers == 1
 
     def test_scan_context_honors_overlay(self):
         with configure(sparse="off"):
@@ -268,14 +292,15 @@ class TestConfigure:
         x = rng.standard_normal((4, 4))
         y = rng.integers(0, 2, 4)
         with configure(sparse="off", executor="thread:2"):
-            with build_engine(model) as eng:
-                assert eng.sparse_policy.mode == "off"
-                assert eng.config.executor == "thread:2"
-                # Ambient engines share the block's scoped pool instead
-                # of each owning a copy of it.
-                assert eng.executor is None
-                assert default_executor().workers == 2
-                eng.compute_gradients(x, y)  # runs on the scoped pool
+            eng = build_engine(model)
+        with eng:  # used after the block: it keeps what it adopted
+            assert eng.sparse_policy.mode == "off"
+            assert eng.config.executor == "thread:2"
+            # The engine built and owns a pool from the overlay's spec.
+            assert isinstance(eng.executor, ThreadPoolScanExecutor)
+            assert eng.executor.workers == 2
+            eng.compute_gradients(x, y)
+        assert eng.executor._pool is None  # released by the engine
         with build_engine(model) as eng:
             assert eng.sparse_policy.mode == "auto"
         # An explicit spec still produces an owned pool, scope or not.
@@ -288,34 +313,161 @@ class TestConfigure:
             cfg = repro.current_config()
             assert cfg.algorithm == "linear" and cfg.executor == "thread:2"
 
-    def test_scoped_default_pool_is_per_block_and_closed_on_exit(
+    def test_engines_built_in_a_block_each_own_a_pool_until_close(
         self, monkeypatch
     ):
         monkeypatch.delenv(ENV_VAR, raising=False)
-        process_default = default_executor()
+        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
         with configure(executor="thread:2"):
-            scoped = default_executor()
-            assert scoped.workers == 2
-            assert default_executor() is scoped  # one pool per block
-        assert scoped._pool is None  # closed when the block exited
-        # the process-wide default was never rebuilt or closed
-        assert default_executor() is process_default
+            a, b = build_engine(model), build_engine(model)
+        # The block owned no pool, so leaving it closed nothing.
+        assert a.executor is not b.executor
+        assert a.executor._pool is not None and b.executor._pool is not None
+        a.close()
+        assert a.executor._pool is None and b.executor._pool is not None
+        b.close()
+        assert b.executor._pool is None
 
-    def test_ambient_env_engines_share_the_default_pool(self, monkeypatch):
+    def test_env_engines_each_own_their_pool(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "thread:2")
         model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
         engines = [FeedforwardBPPSA(model), build_engine(model)]
         try:
-            # No explicit spec anywhere → the engines follow the shared
-            # process-wide default at scan time instead of each owning
-            # a copy of the env-selected pool.
-            assert all(e.executor is None for e in engines)
-            assert engines[0].config.executor == "thread:2"  # still recorded
+            # The env spec is read once, as each engine is built, and
+            # each engine owns the pool built from it.
+            assert all(e.config.executor == "thread:2" for e in engines)
+            assert all(e.executor.workers == 2 for e in engines)
+            assert engines[0].executor is not engines[1].executor
         finally:
             for e in engines:
                 e.close()
-            monkeypatch.delenv(ENV_VAR)
-            default_executor()  # rebuild (and close the thread default)
+        assert all(e.executor._pool is None for e in engines)
+
+
+# ---------------------------------------------------------------------------
+# the executor is fixed when the engine is built, for both engines
+# ---------------------------------------------------------------------------
+def _rnn_case():
+    rng = np.random.default_rng(0)
+    clf = RNNClassifier(1, 4, 2, rng=rng)
+    return clf, rng.standard_normal((3, 6, 1)), rng.integers(0, 2, 3)
+
+
+def _mlp_case():
+    rng = np.random.default_rng(0)
+    model = make_mlp([4, 4, 2], rng=rng)
+    return model, rng.standard_normal((3, 4)), rng.integers(0, 2, 3)
+
+
+@pytest.fixture(params=["rnn", "feedforward"])
+def engine_case(request):
+    """``(model, x, y)`` for one of the two BPPSA engines."""
+    return {"rnn": _rnn_case, "feedforward": _mlp_case}[request.param]()
+
+
+@pytest.fixture
+def levels_run(monkeypatch):
+    """``run_level`` calls counted by ``"backend:workers"``: which
+    executor actually ran each scan level."""
+    counts = collections.Counter()
+    for cls in (SerialExecutor, ThreadPoolScanExecutor):
+
+        def counting(self, tasks, _run_level=cls.run_level):
+            counts[f"{self.name}:{self.workers}"] += 1
+            return _run_level(self, tasks)
+
+        monkeypatch.setattr(cls, "run_level", counting)
+    return counts
+
+
+class TestExecutorFixedAtConstruction:
+    def test_engine_built_outside_block_ignores_it(
+        self, engine_case, levels_run, monkeypatch
+    ):
+        model, x, y = engine_case
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        with build_engine(model) as eng:
+            assert eng.config.executor == "serial"
+            with configure(executor="thread:2"):
+                eng.compute_gradients(x, y)
+        assert levels_run and set(levels_run) == {"serial:1"}
+
+    def test_engine_built_inside_block_keeps_its_executor_after_exit(
+        self, engine_case, levels_run, monkeypatch
+    ):
+        model, x, y = engine_case
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        with configure(executor="thread:2"):
+            eng = build_engine(model)
+        try:
+            assert eng.config.executor == "thread:2"
+            eng.compute_gradients(x, y)
+            assert levels_run and set(levels_run) == {"thread:2"}
+        finally:
+            eng.close()
+        assert eng.executor._pool is None
+
+    def test_env_change_after_construction_changes_no_executor(
+        self, engine_case, levels_run, monkeypatch
+    ):
+        model, x, y = engine_case
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        plain = build_engine(model)
+        monkeypatch.setenv(ENV_VAR, "thread:2")
+        from_env = build_engine(model)
+        engines = [plain, from_env, build_engine(model, executor="serial")]
+        built_with = [e.executor for e in engines]
+        monkeypatch.setenv(ENV_VAR, "thread:3")
+        try:
+            for e in engines:
+                e.compute_gradients(x, y)
+            assert [e.executor for e in engines] == built_with
+            assert set(levels_run) == {"serial:1", "thread:2"}
+        finally:
+            for e in engines:
+                e.close()
+
+    @pytest.mark.parametrize(
+        "env, ambient, kwargs",
+        [
+            (None, None, {}),
+            ("thread:2", None, {}),
+            (None, "thread:3", {}),
+            ("thread:2", "serial", {}),
+            ("thread:2", None, {"executor": "thread:3"}),
+            (None, "thread:2", {"executor": "serial"}),
+        ],
+    )
+    def test_executor_is_built_from_config(
+        self, engine_case, monkeypatch, env, ambient, kwargs
+    ):
+        model, _, _ = engine_case
+        if env is None:
+            monkeypatch.delenv(ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(ENV_VAR, env)
+        with configure(executor=ambient):
+            eng = build_engine(model, **kwargs)
+        with eng:
+            assert eng.executor is not None
+            name, _, workers = eng.config.executor.partition(":")
+            assert eng.executor.name == name
+            assert eng.executor.workers == int(workers or 1)
+
+    def test_bogus_env_fails_only_where_it_is_read(
+        self, engine_case, levels_run, monkeypatch
+    ):
+        model, x, y = engine_case
+        rng = np.random.default_rng(1)
+        items = [GradientVector(rng.standard_normal((2, 3)))]
+        items += [DenseJacobian(rng.standard_normal((2, 3, 3))) for _ in range(5)]
+        monkeypatch.setenv(ENV_VAR, "bogus")
+        blelloch_scan(items, ScanContext().op)  # executor=None: serial
+        assert levels_run and set(levels_run) == {"serial:1"}
+        with build_engine(model, "blelloch/serial") as eng:
+            eng.compute_gradients(x, y)
+        with pytest.raises(ValueError, match="unknown scan backend 'bogus'"):
+            build_engine(model)
 
 
 # ---------------------------------------------------------------------------

@@ -235,6 +235,25 @@ class TestPipelineOracleMatrix:
         with pytest.raises(ValueError, match="schedule"):
             StagedRNNBPPSA(clf, 2, schedule="dream")
 
+    def test_scan_config_cannot_be_retargeted(self):
+        """``algorithm``/``up_levels`` are read from the stage configs,
+        which are fixed at construction: a retarget attempt fails and
+        the next run still uses the built depth, with the same bits."""
+        rng = np.random.default_rng(3)
+        clf = RNNClassifier(1, 4, 2, rng=rng)
+        x, targets = rng.standard_normal((3, 16, 1)), rng.integers(0, 2, 3)
+        with StagedRNNBPPSA(clf, 2, configs="truncated:2/serial") as staged:
+            ref = grad_bytes(staged.compute_gradients(x, targets))
+            for name, value in (("up_levels", 0), ("algorithm", "linear"),
+                                ("configs", ())):
+                with pytest.raises(AttributeError):
+                    setattr(staged, name, value)
+            assert isinstance(staged.configs, tuple)
+            assert grad_bytes(staged.compute_gradients(x, targets)) == ref
+            assert staged.last_run_stats["up_levels"] == 2
+            assert staged.up_levels == 2 == staged.configs[0].up_levels
+            assert staged.algorithm == "truncated"
+
     def test_too_short_sequence_rejected(self, workload):
         clf, x, targets = workload
         engine = StagedRNNBPPSA(clf, 8, configs="truncated/up=2")
