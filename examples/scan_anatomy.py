@@ -8,7 +8,7 @@ reverse operand order for the non-commutative ⊙, re-running the
 scan on every registered execution backend (``repro.backend``) to show
 the results are bitwise-identical, and ending with the declarative
 configuration plane (``repro.config``): spec-string round-tripping and
-``repro.configure`` scoped overrides.
+a scan run on the executor its config names.
 
 Run:  python examples/scan_anatomy.py
 """
@@ -81,25 +81,25 @@ print("(each output is the reversed concatenation of the prefix — ⊙ order he
 
 # --- the configuration plane ----------------------------------------------
 # Every knob above is one declarative value: a ScanConfig, buildable
-# from a spec string that round-trips losslessly, and scopable via
-# repro.configure() instead of mutating environment variables.
+# from a spec string that round-trips losslessly and passed explicitly
+# to whatever runs the scan.
 import repro
 
 cfg = repro.ScanConfig.from_spec("blelloch/thread:2/sparse=on")
 assert repro.ScanConfig.from_spec(cfg.spec()) == cfg
+resolved = cfg.resolve()
 print(f"\nScanConfig spec round-trip: {cfg.spec()!r}")
-print(f"resolved: {cfg.resolve().spec()!r}")
+print(f"resolved: {resolved.spec()!r}")
 
-with repro.configure(executor="thread:2"):
-    # Configs resolved inside the block (and so every engine built
-    # here) take the override; an engine keeps that executor for life.
-    scoped_cfg = repro.current_config()
-with get_executor(scoped_cfg.executor) as ex:
+with get_executor(resolved.executor) as ex:
     # Same schedule, same per-op order, still bitwise-identical.
-    scoped = blelloch_scan(items, ScanContext().op, executor=ex)
-assert all(np.array_equal(scoped[p].data, out[p].data) for p in range(1, N + 1))
+    configured = blelloch_scan(
+        items, ScanContext(sparse=resolved.sparse_policy()).op, executor=ex
+    )
+assert all(
+    np.array_equal(configured[p].data, out[p].data) for p in range(1, N + 1)
+)
 print(
-    f"configure(executor='thread:2') resolves to {scoped_cfg.spec()!r}; "
     f"its scan ran on {ex.name} with {ex.workers} workers: "
     "bitwise-identical = True"
 )

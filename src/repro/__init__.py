@@ -17,20 +17,19 @@ Quick start::
     from repro.optim import Adam
 
     clf = RNNClassifier(1, 20, 10, rng=np.random.default_rng(0))
-    engine = repro.build_engine(clf)        # blelloch scan, ambient config
+    engine = repro.build_engine(clf)        # blelloch scan, serial
     grads = engine.compute_gradients(x, y)  # exact BP gradients, via scan
     engine.apply_gradients(grads)
     Adam(clf.parameters(), lr=3e-5).step()
 
 Every scan knob — algorithm, truncation depth, executor backend,
 dense-vs-sparse dispatch — is one declarative value
-(:class:`repro.ScanConfig`), buildable from a spec string and scopable
-without touching process state::
+(:class:`repro.ScanConfig`), buildable from a spec string or keyword
+overrides and passed to the engine explicitly; no environment variable
+or scoped override changes it::
 
     engine = repro.build_engine(model, "truncated:3/thread:8/sparse=on")
-
-    with repro.configure(executor="thread:4", sparse="off"):
-        engine = repro.build_engine(model)  # scoped override, no env vars
+    engine = repro.build_engine(model, executor="thread:4", sparse="off")
 
 Package map (see DESIGN.md for the full inventory):
 
@@ -75,8 +74,6 @@ __all__ = [
     # configuration-plane facade (lazily bound, see __getattr__)
     "ScanConfig",
     "build_engine",
-    "configure",
-    "current_config",
 ]
 
 #: Facade names re-exported from :mod:`repro.config`.  Bound lazily
@@ -85,8 +82,6 @@ __all__ = [
 _CONFIG_EXPORTS = (
     "ScanConfig",
     "build_engine",
-    "configure",
-    "current_config",
 )
 
 

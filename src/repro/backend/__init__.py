@@ -30,16 +30,13 @@ or end to end through an engine, by spec string::
     engine = RNNBPPSA(clf, executor="thread:4")
 
 An engine fixes its executor when it is built: the one it is given,
-else the spec its resolved ``config.executor`` names, which for an
-engine built without one comes from a ``repro.configure()`` block
-around the construction, else the ``REPRO_SCAN_BACKEND`` environment
-variable, else ``"serial"``.  So a whole experiment run can be
-switched to another backend without touching code::
+else the spec its resolved ``config.executor`` names (``"serial"``
+unless the caller names another).  A whole experiment run is switched
+to another backend by its explicit config::
 
-    REPRO_SCAN_BACKEND=thread:8 python -m repro.experiments.run_all
+    python -m repro.experiments.run_all --config thread:8
 
-A scan function called with ``executor=None`` runs serially; it reads
-neither the variable nor a ``configure()`` block.
+A scan function called with ``executor=None`` runs serially.
 
 Custom backends implement :class:`ScanExecutor` and join the registry
 via :func:`register_backend`; from then on any engine accepts their
@@ -55,7 +52,6 @@ from repro.backend.executor import (
     ThreadPoolScanExecutor,
 )
 from repro.backend.registry import (
-    ENV_VAR,
     available_backends,
     get_executor,
     register_backend,
@@ -67,7 +63,6 @@ __all__ = [
     "ScanExecutor",
     "SerialExecutor",
     "ThreadPoolScanExecutor",
-    "ENV_VAR",
     "available_backends",
     "get_executor",
     "register_backend",

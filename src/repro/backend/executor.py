@@ -173,6 +173,10 @@ class ThreadPoolScanExecutor(ScanExecutor):
     num_workers:
         Thread-pool size, i.e. the machine's ``p``.  ``1`` degenerates
         to serial execution (useful as a control in benchmarks).
+
+    Once :meth:`close` has run, :meth:`run_level` raises
+    ``RuntimeError`` rather than running the level inline, so a closed
+    ``thread:N`` executor never passes for a serial one.
     """
 
     name = "thread"
@@ -184,17 +188,22 @@ class ThreadPoolScanExecutor(ScanExecutor):
         self._pool: Optional[ThreadPoolExecutor] = (
             ThreadPoolExecutor(max_workers=num_workers) if num_workers > 1 else None
         )
+        # A flag, not ``_pool is None``: ``thread:1`` never has a pool.
+        self._closed = False
 
     @property
     def workers(self) -> int:
         return self.num_workers
 
     def run_level(self, tasks: List[LevelTask]) -> List[Any]:
+        if self._closed:
+            raise RuntimeError(f"thread:{self.num_workers} executor is closed")
         if self._pool is None or len(tasks) == 1:
             return [t.run() for t in tasks]
         return list(self._pool.map(LevelTask.run, tasks))
 
     def close(self) -> None:
+        self._closed = True
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None

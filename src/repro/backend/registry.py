@@ -15,9 +15,7 @@ Spec grammar::
 
 ``get_executor`` also accepts ``None`` (→ the serial executor) and
 passes an already-constructed :class:`ScanExecutor` through unchanged,
-so call sites can be spec-or-instance agnostic.  This module reads no
-environment variable: :data:`ENV_VAR` is read by
-:meth:`repro.config.ScanConfig.resolve` alone, when an engine is built.
+so call sites can be spec-or-instance agnostic.
 """
 
 from __future__ import annotations
@@ -30,10 +28,6 @@ from repro.backend.executor import (
     SerialExecutor,
     ThreadPoolScanExecutor,
 )
-
-#: Environment variable naming the executor spec of an engine built
-#: without one (read by ``ScanConfig.resolve()``).
-ENV_VAR = "REPRO_SCAN_BACKEND"
 
 ExecutorFactory = Callable[[Optional[int]], ScanExecutor]
 

@@ -5,9 +5,9 @@ its paper artifact, but a rendered text table cannot be diffed, swept
 across scan backends, or gated against regressions.  This package
 turns each artifact run into a :class:`BenchRecord` — artifact name,
 scale, backend spec, warmup/repeat timing statistics (median + IQR),
-an environment fingerprint (Python/NumPy versions, CPU count,
-``REPRO_SCAN_BACKEND``), and the number of structured rows produced —
-and provides the machinery around that schema:
+an environment fingerprint (Python/NumPy versions, CPU count), the
+resolved scan configuration, and the number of structured rows
+produced — and provides the machinery around that schema:
 
 ``record``
     The :class:`BenchRecord` / :class:`TimingStats` schema, JSON

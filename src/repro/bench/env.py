@@ -14,10 +14,6 @@ from typing import Any, Dict
 
 import numpy as np
 
-from repro.backend import ENV_VAR
-from repro.config import current_config
-from repro.scan import SPARSE_ENV_VAR
-
 #: Fingerprint keys whose disagreement makes timings incomparable.
 COMPARABILITY_KEYS = ("python", "numpy", "machine", "cpu_count")
 
@@ -27,22 +23,10 @@ def environment_fingerprint() -> Dict[str, Any]:
 
     Captures the interpreter (version + implementation), the NumPy
     version (BLAS dispatch changes between releases), the platform and
-    CPU count, the raw ``REPRO_SCAN_BACKEND`` / ``REPRO_SCAN_SPARSE``
-    environment variables, and — under ``scan_config`` — the fully
-    resolved ambient :class:`~repro.config.ScanConfig` (what an engine
-    built with no explicit arguments would adopt, overlays and env
-    vars already folded in) — everything needed to judge whether two
-    timing records are comparable and exactly which configuration
-    plane produced them.
+    CPU count — everything needed to judge whether two timing records
+    are comparable.  Which scan configuration produced a record is the
+    record's own ``config``, not part of the environment.
     """
-    try:
-        scan_config = current_config().to_dict()
-    except (ValueError, TypeError) as exc:
-        # A malformed REPRO_SCAN_* value must not take down record
-        # writing for artifacts that run no scan; the raw env strings
-        # below still identify the culprit, and scan-dependent
-        # artifacts fail at their own resolution point as before.
-        scan_config = {"error": str(exc)}
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
@@ -50,16 +34,14 @@ def environment_fingerprint() -> Dict[str, Any]:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count() or 1,
-        "scan_backend_env": os.environ.get(ENV_VAR),
-        "scan_sparse_env": os.environ.get(SPARSE_ENV_VAR),
-        "scan_config": scan_config,
     }
 
 
 def comparable(a: Dict[str, Any], b: Dict[str, Any]) -> bool:
     """Whether timings fingerprinted by ``a`` and ``b`` can be compared.
 
-    Only the keys in :data:`COMPARABILITY_KEYS` matter; a different
-    ``scan_backend_env`` does not invalidate a comparison by itself.
+    Only the keys in :data:`COMPARABILITY_KEYS` matter; other keys,
+    such as the ``scan_backend_env`` / ``scan_sparse_env`` /
+    ``scan_config`` that older records carry, are ignored.
     """
     return all(a.get(k) == b.get(k) for k in COMPARABILITY_KEYS)

@@ -140,7 +140,7 @@ class BenchArtifact:
 def measurement_config(spec: Optional[str], sparse: Optional[str]) -> ScanConfig:
     """The declarative config of one (backend, sparse) measurement.
 
-    Unset axes stay unset, so resolution falls through to the ambient
+    Unset axes stay unset, so resolution falls through to the global
     defaults — :meth:`ScanConfig.resolve` of this value is exactly
     what the artifact's engines adopt, and its serialized form is what
     the measurement's :class:`~repro.bench.record.BenchRecord` embeds.
@@ -525,15 +525,9 @@ def run_bench(
                     warmup=warmup,
                     repeats=repeats,
                 )
-                try:
-                    # Every record states exactly which (resolved)
-                    # configuration produced it.
-                    cfg_dict = measurement_config(spec, mode).resolve().to_dict()
-                except (ValueError, TypeError) as exc:
-                    # Malformed ambient REPRO_SCAN_* values must not
-                    # abort recording an artifact that just ran fine
-                    # (analytical artifacts never resolve the config).
-                    cfg_dict = {"error": str(exc)}
+                # Every record states exactly which (resolved)
+                # configuration produced it.
+                cfg_dict = measurement_config(spec, mode).resolve().to_dict()
                 record = BenchRecord(
                     artifact=artifact.name,
                     scale=scale.value,

@@ -11,11 +11,10 @@ policy), with:
 * **JSON (de)serialization** (``to_dict`` / ``from_dict``) embedded in
   every ``BENCH_*.json`` record and the bench environment fingerprint;
 * a single **resolution point** (:meth:`ScanConfig.resolve`) with the
-  precedence ladder *explicit value > configure() override >
-  environment variable > caller default > global default*;
-* scoped overrides (:func:`configure`), an overlay stack read only by
-  :meth:`ScanConfig.resolve`, replacing process-global env mutation,
-  and the engine facade (:func:`build_engine`) replacing scattered
+  precedence ladder *explicit value > caller default > global
+  default*, which reads no environment variable and no scoped
+  override: a config is what its caller passed;
+* the engine facade (:func:`build_engine`) replacing scattered
   per-class constructor knowledge.  An engine's config, executor
   included, is fixed at construction: ``engine.config`` is what runs.
 
@@ -27,14 +26,8 @@ from repro.config.scan_config import (
     ALGORITHMS,
     DEFAULT_SHARED_CACHE_MAXSIZE,
     PATTERN_CACHE_POLICIES,
-    SHARED_CACHE_ENV_VAR,
     ScanConfig,
     shared_pattern_cache,
-)
-from repro.config.context import (
-    active_overlays,
-    configure,
-    current_config,
 )
 from repro.config.facade import build_engine, stage_configs
 
@@ -42,12 +35,8 @@ __all__ = [
     "ALGORITHMS",
     "DEFAULT_SHARED_CACHE_MAXSIZE",
     "PATTERN_CACHE_POLICIES",
-    "SHARED_CACHE_ENV_VAR",
     "ScanConfig",
     "shared_pattern_cache",
-    "active_overlays",
-    "configure",
-    "current_config",
     "build_engine",
     "stage_configs",
 ]

@@ -84,11 +84,11 @@ def stage_configs(
     stages, or a sequence with one entry per stage — the PR 5 spec
     grammar verbatim, so ``["truncated/thread:2", "truncated/serial"]``
     pins stage 0 to a thread pool and stage 1 to serial.  Every entry
-    runs the full :meth:`ScanConfig.resolve` precedence ladder
-    independently (explicit > :func:`configure` overlay > environment >
-    ``defaults`` > global), so ambient overrides apply uniformly while
-    per-stage specs stay authoritative.  Returns fully resolved
-    configs, ready for :meth:`repro.serve.EnginePool.get_many`.
+    runs the :meth:`ScanConfig.resolve` precedence ladder
+    independently (explicit > ``defaults`` > global), so ``defaults``
+    fill what no per-stage spec names while per-stage specs stay
+    authoritative.  Returns fully resolved configs, ready for
+    :meth:`repro.serve.EnginePool.get_many`.
     """
     if isinstance(specs, (list, tuple)):
         if num_stages is not None and len(specs) != num_stages:

@@ -13,12 +13,16 @@ A field set to ``None`` is **unset**; :meth:`ScanConfig.resolve` is the
 single resolution point that fills unset fields, in precedence order:
 
 1. explicit field values (what the config already carries),
-2. :func:`repro.configure` scoped overrides (innermost first),
-3. environment variables (``REPRO_SCAN_BACKEND``,
-   ``REPRO_SCAN_SPARSE``),
-4. caller-supplied defaults (the staged pipeline's ``truncated``),
-5. the global defaults (``blelloch`` / 2 levels / ``serial`` /
+2. caller-supplied defaults (the staged pipeline's ``truncated``),
+3. the global defaults (``blelloch`` / 2 levels / ``serial`` /
    ``auto`` / private pattern cache).
+
+Resolution depends on its arguments only: no environment variable or
+scoped override reaches it, so a config is exactly what its caller
+wrote.  The environment variables that once filled unset fields
+(``REPRO_SCAN_BACKEND``, ``REPRO_SCAN_SPARSE``,
+``REPRO_SCAN_SPARSE_THRESHOLD``, ``REPRO_SCAN_SHARED_CACHE``) are an
+error when set, so a leftover export fails instead of being ignored.
 
 Spec grammar (``/``-separated segments, each optional, any order)::
 
@@ -43,8 +47,8 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
-from repro.backend.registry import ENV_VAR, _parse_spec
-from repro.scan.sparse_policy import SPARSE_ENV_VAR, SPARSE_MODES, SparsePolicy
+from repro.backend.registry import _parse_spec
+from repro.scan.sparse_policy import SPARSE_MODES, SparsePolicy
 
 #: Scan algorithms an engine can run (shared by both BPPSA engines).
 ALGORITHMS = ("blelloch", "linear", "hillis_steele", "truncated")
@@ -66,35 +70,33 @@ _SPEC_KEYS = {
 _SHARED_PATTERN_CACHE = None
 _SHARED_PATTERN_CACHE_LOCK = threading.Lock()
 
-#: Environment variable bounding the shared plan cache (entry count).
-SHARED_CACHE_ENV_VAR = "REPRO_SCAN_SHARED_CACHE"
-
-#: Default bound of the process-wide shared plan cache.  Private
+#: Entry bound of the process-wide shared plan cache.  Private
 #: (per-engine) caches stay unbounded — they live and die with one
 #: model's fixed pattern set — but the shared cache serves a whole
 #: process (the :mod:`repro.serve` server, every ``cache=shared``
 #: engine) across unbounded pattern churn, so it must be an LRU.
 DEFAULT_SHARED_CACHE_MAXSIZE = 256
 
-
-def _shared_cache_maxsize() -> Optional[int]:
-    raw = os.environ.get(SHARED_CACHE_ENV_VAR)
-    if not raw:
-        return DEFAULT_SHARED_CACHE_MAXSIZE
-    if raw.strip().lower() in ("none", "unbounded", "0"):
-        return None
-    try:
-        size = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"invalid {SHARED_CACHE_ENV_VAR}={raw!r}: expected a positive "
-            'integer entry bound, or "none"/"0" for unbounded'
-        ) from None
-    if size < 1:
-        raise ValueError(
-            f"invalid {SHARED_CACHE_ENV_VAR}={raw!r}: bound must be >= 1"
-        )
-    return size
+#: Environment variables that once configured a scan, each with what to
+#: pass instead.  :meth:`ScanConfig.resolve` raises while one is set.
+_REMOVED_ENV_VARS = {
+    "REPRO_SCAN_BACKEND": (
+        "pass the executor explicitly, e.g. build_engine(model, "
+        "executor='thread:8') or run_all --config thread:8"
+    ),
+    "REPRO_SCAN_SPARSE": (
+        f"pass sparse= (one of {SPARSE_MODES}) explicitly, e.g. "
+        "build_engine(model, sparse='off') or run_all --config sparse=off"
+    ),
+    "REPRO_SCAN_SPARSE_THRESHOLD": (
+        "the auto density cutoff is fixed at "
+        f"{SparsePolicy.AUTO_CUTOFF}; pass sparse= (one of {SPARSE_MODES})"
+    ),
+    "REPRO_SCAN_SHARED_CACHE": (
+        "the shared plan cache's bound is fixed at "
+        f"{DEFAULT_SHARED_CACHE_MAXSIZE} entries"
+    ),
+}
 
 
 def shared_pattern_cache():
@@ -102,9 +104,8 @@ def shared_pattern_cache():
     (``pattern_cache="shared"``): SpGEMM symbolic work amortizes across
     every engine that opts in, not just across iterations of one.
 
-    The singleton is a **bounded LRU** (``$REPRO_SCAN_SHARED_CACHE``
-    entries, default :data:`DEFAULT_SHARED_CACHE_MAXSIZE`; the variable
-    is read once, when the cache is first built) so that a long-lived
+    The singleton is a **bounded LRU**
+    (:data:`DEFAULT_SHARED_CACHE_MAXSIZE` entries) so that a long-lived
     server churning through distinct Jacobian patterns cannot grow it
     without bound; hit/miss/eviction counters are exposed through
     :meth:`~repro.sparse.PatternCache.stats` and surfaced by
@@ -115,7 +116,9 @@ def shared_pattern_cache():
         if _SHARED_PATTERN_CACHE is None:
             from repro.sparse import PatternCache
 
-            _SHARED_PATTERN_CACHE = PatternCache(maxsize=_shared_cache_maxsize())
+            _SHARED_PATTERN_CACHE = PatternCache(
+                maxsize=DEFAULT_SHARED_CACHE_MAXSIZE
+            )
         return _SHARED_PATTERN_CACHE
 
 
@@ -131,11 +134,10 @@ class ScanConfig:
     """Declarative configuration of one ⊙-scan gradient engine.
 
     Every field defaults to ``None`` = *unset* — :meth:`resolve` fills
-    unset fields from :func:`repro.configure` overrides, environment
-    variables, and defaults (see the module docstring for the
-    precedence ladder).  Instances are frozen, hashable, comparable,
-    and round-trip through both the spec grammar
-    (:meth:`from_spec` / :meth:`spec`) and JSON
+    unset fields from the caller's defaults, then the global ones (see
+    the module docstring for the precedence ladder).  Instances are
+    frozen, hashable, comparable, and round-trip through both the spec
+    grammar (:meth:`from_spec` / :meth:`spec`) and JSON
     (:meth:`from_dict` / :meth:`to_dict`).
 
     Fields
@@ -148,13 +150,12 @@ class ScanConfig:
         to 2).
     executor:
         Scan-backend spec string — ``"serial"`` or ``"thread:8"``
-        (resolves via ``REPRO_SCAN_BACKEND``, falling back to
-        ``"serial"``).  Executor *instances* are deliberately
+        (resolves to ``"serial"``).  Executor *instances* are deliberately
         not representable: a config is pure data.
     sparse:
         Dense-vs-sparse dispatch mode — ``"auto"`` | ``"on"`` |
-        ``"off"`` (resolves via ``REPRO_SCAN_SPARSE``, falling back to
-        ``"auto"``; see :class:`~repro.scan.SparsePolicy`).
+        ``"off"`` (resolves to ``"auto"``; see
+        :class:`~repro.scan.SparsePolicy`).
     sparse_linear_tol:
         When set, linear-layer Jacobians are stored CSR dropping
         entries ≤ tol (the pruned-retraining configuration); stays
@@ -378,7 +379,7 @@ class ScanConfig:
         return cls(**{k: d[k] for k in names if d.get(k) is not None})
 
     # ------------------------------------------------------------------
-    # resolution — the single env/default resolution point
+    # resolution — the single default resolution point
     # ------------------------------------------------------------------
     def with_defaults(self, other: "ScanConfig") -> "ScanConfig":
         """A copy where each *unset* field takes ``other``'s value."""
@@ -398,31 +399,18 @@ class ScanConfig:
         """Fill every unset field; the result is fully concrete.
 
         Precedence per field: this config's explicit value >
-        :func:`repro.configure` scoped overrides (innermost first) >
-        environment variables > ``defaults`` (caller-supplied) > the
-        global defaults.  Idempotent: resolving a resolved config is a
-        no-op.
+        ``defaults`` (caller-supplied) > the global defaults.
+        Idempotent: resolving a resolved config is a no-op.  Raises
+        ``ValueError`` while one of the removed ``REPRO_SCAN_*``
+        environment variables is set, naming it and what to pass
+        instead.
         """
-        from repro.config.context import active_overlays
-
-        if os.environ.get("REPRO_SCAN_SPARSE_THRESHOLD"):
-            # Read until the auto cutoff became a constant; fail rather
-            # than run a different policy than the one asked for.
-            raise ValueError(
-                "REPRO_SCAN_SPARSE_THRESHOLD is no longer read: the auto "
-                f"density cutoff is fixed at {SparsePolicy.AUTO_CUTOFF}; "
-                f"unset it and pick REPRO_SCAN_SPARSE from {SPARSE_MODES}"
-            )
+        for var, instead in _REMOVED_ENV_VARS.items():
+            if os.environ.get(var):
+                raise ValueError(
+                    f"{var} is no longer read: {instead}; unset {var}"
+                )
         cfg = self
-        for overlay in reversed(active_overlays()):
-            cfg = cfg.with_defaults(overlay)
-        # Environment variables, read only for fields still unset.
-        updates: Dict[str, Any] = {}
-        for name, var in (("executor", ENV_VAR), ("sparse", SPARSE_ENV_VAR)):
-            if getattr(cfg, name) is None and os.environ.get(var):
-                updates[name] = os.environ[var]
-        if updates:
-            cfg = dataclasses.replace(cfg, **updates)
         if defaults:
             cfg = cfg.with_defaults(ScanConfig(**defaults))
         return cfg.with_defaults(_GLOBAL_DEFAULTS)

@@ -57,8 +57,7 @@ class FeedforwardBPPSA(ExecutorOwner):
         A :class:`~repro.config.ScanConfig` (or spec string / mapping)
         naming the whole scan surface declaratively — the preferred
         construction path (see :func:`repro.build_engine`).  Unset
-        fields resolve through ``repro.configure()`` overrides,
-        environment variables, and defaults; the fully resolved config
+        fields take the global defaults; the fully resolved config
         is kept on ``self.config``, and the engine reads its algorithm,
         depth, tolerance and sparse mode from there.  Nothing changes
         them after construction: build a new engine for another
@@ -79,18 +78,16 @@ class FeedforwardBPPSA(ExecutorOwner):
     sparse:
         Dense-vs-sparse dispatch for the scan: a
         :class:`~repro.scan.SparsePolicy`, a mode string (``"auto"``,
-        ``"on"``, ``"off"``), or ``None`` for the ambient default
-        (``repro.configure()`` override, else
-        ``REPRO_SCAN_SPARSE``).  For any fixed policy, gradients are
-        bitwise-identical on every backend; sparse- and dense-mode
-        gradients agree up to floating-point reassociation
+        ``"on"``, ``"off"``), or ``None`` for the config's mode
+        (``"auto"`` unless it names another).  For any fixed policy,
+        gradients are bitwise-identical on every backend; sparse- and
+        dense-mode gradients agree up to floating-point reassociation
         (Section 3.5).
     executor:
         Scan-execution backend: a spec string (``"serial"``,
         ``"thread:8"`` — see :mod:`repro.backend`), an
-        executor instance, or ``None`` for the config's executor as
-        resolved here (a ``repro.configure()`` override, else
-        ``REPRO_SCAN_BACKEND``, else ``"serial"``).  The executor is
+        executor instance, or ``None`` for the config's executor
+        (``"serial"`` unless it names another).  The executor is
         fixed at construction: ``self.executor`` runs every scan, and
         unless an instance was passed it is built from
         ``self.config.executor`` and owned by the engine.  Every

@@ -64,8 +64,7 @@ class RNNBPPSA(ExecutorOwner):
     ``executor`` selects the scan-execution backend: a spec string
     (``"serial"``, ``"thread:8"`` — see
     :mod:`repro.backend`), an executor instance, or ``None`` for the
-    config's executor as resolved here (a ``repro.configure()``
-    override, else ``REPRO_SCAN_BACKEND``, else ``"serial"``).  The
+    config's executor (``"serial"`` unless it names another).  The
     executor is fixed at construction; unless an instance was passed
     it is built from ``self.config.executor`` and owned by the engine:
     call :meth:`close` (or use the engine as a context manager) to

@@ -157,8 +157,8 @@ def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
 
     ``config`` (a :class:`~repro.config.ScanConfig` or spec string)
     names the measured scan's dispatch policy and executor; unset
-    fields follow the ambient ``repro.configure()`` / ``REPRO_SCAN_*``
-    defaults.  The truncation depth stays the paper's (up-sweep through
+    fields take the global defaults (``sparse=auto``, ``serial``).
+    The truncation depth stays the paper's (up-sweep through
     level 2); the static model is computed alongside as a cross-check.
     """
     p = PARAMS[scale]

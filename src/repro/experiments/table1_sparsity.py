@@ -74,7 +74,7 @@ def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
 
     ``config`` (a :class:`~repro.config.ScanConfig` or spec string)
     names the dispatch policy the ``scan_dispatch`` column reports;
-    ``None`` resolves the ambient default.
+    ``None`` resolves the default (``auto``).
 
     ``scale`` picks the reduced timing configuration (the autograd
     baseline is O(columns)); the sparsity formulas always use the

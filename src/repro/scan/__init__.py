@@ -13,7 +13,7 @@ producing ``[I, ∇x_n ℓ, ..., ∇x_1 ℓ]``.  This package provides:
   SpGEMM plan caching;
 * a density-cutoff dispatch layer (:class:`SparsePolicy`) deciding
   per element and per product whether composition runs in CSR/SpGEMM
-  or dense BLAS — ``REPRO_SCAN_SPARSE=auto|on|off`` overridable, see
+  or dense BLAS — ``sparse=auto|on|off``, see
   :mod:`repro.scan.sparse_policy`;
 * symbolic-once/numeric-many SpGEMM plans (:mod:`repro.sparse`), with
   an arena of numeric-phase scratch per :class:`ScanContext`;
@@ -47,7 +47,7 @@ from repro.scan.elements import (
     SparseJacobian,
     StepRecord,
 )
-from repro.scan.sparse_policy import SPARSE_ENV_VAR, SPARSE_MODES, SparsePolicy
+from repro.scan.sparse_policy import SPARSE_MODES, SparsePolicy
 from repro.scan.algorithms import (
     blelloch_scan,
     blelloch_num_levels,
@@ -83,7 +83,6 @@ __all__ = [
     "ScaledShared",
     "ScanContext",
     "SparsePolicy",
-    "SPARSE_ENV_VAR",
     "SPARSE_MODES",
     "OpInfo",
     "StepRecord",

@@ -259,9 +259,8 @@ class ScanContext:
     sparse:
         The dense-vs-sparse dispatch policy — a
         :class:`~repro.scan.sparse_policy.SparsePolicy`, a mode string
-        (``"auto"``, ``"on"``, ``"off"``), or ``None`` to follow
-        ``$REPRO_SCAN_SPARSE`` (falling back to ``auto``); fixed for
-        the context's life.
+        (``"auto"``, ``"on"``, ``"off"``), or ``None`` for ``auto``;
+        fixed for the context's life.
         In ``off`` mode every sparse operand is densified before it is
         combined, so the context computes the pure dense path.
     kernel:

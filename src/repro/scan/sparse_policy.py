@@ -15,9 +15,8 @@ point for *when the scan computes in CSR and when it densifies*, and
   asks whether an SpGEMM product stays CSR or converts to dense
   storage for the levels above.
 
-Modes (``REPRO_SCAN_SPARSE`` environment variable, the ``sparse=``
-argument of the scan context and both BPPSA engines, or a config's
-``sparse`` field):
+Modes (the ``sparse=`` argument of the scan context and both BPPSA
+engines, or a config's ``sparse`` field):
 
 ``auto`` (default)
     Keep CSR while density ≤ :attr:`SparsePolicy.AUTO_CUTOFF` (0.25),
@@ -44,9 +43,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import ClassVar, Union
-
-#: Environment variable naming the default sparse mode.
-SPARSE_ENV_VAR = "REPRO_SCAN_SPARSE"
 
 #: Recognized dispatch modes.
 SPARSE_MODES = ("auto", "on", "off")
@@ -77,19 +73,14 @@ class SparsePolicy:
 
         * a :class:`SparsePolicy` → returned unchanged;
         * a mode string (``"auto"``, ``"on"``, ``"off"``) → that mode;
-        * ``None`` → the ambient mode: a ``repro.configure()``
-          override, else ``$REPRO_SCAN_SPARSE``, else ``auto``
-          (resolved by :meth:`repro.config.ScanConfig.resolve`).
+        * ``None`` → ``auto``, the default mode.
         """
         if isinstance(spec, SparsePolicy):
             return spec
         if isinstance(spec, str):
             return cls(spec)
         if spec is None:
-            # Lazy import: repro.config imports this module at load time.
-            from repro.config import ScanConfig
-
-            return ScanConfig().resolve().sparse_policy()
+            return cls()
         raise TypeError(
             f"sparse spec must be a SparsePolicy, string, or None; "
             f"got {type(spec).__name__}"

@@ -5,10 +5,9 @@ package turns *many concurrent* scan requests into results
 efficiently.  An :class:`EngineServer` accepts jobs addressed by
 :class:`~repro.config.ScanConfig` spec strings
 (``"blelloch/thread:2/sparse=on/cache=shared"``), resolves each
-spec **at admission** in the submitting task's context (so
-:func:`repro.configure` overlays apply to a client's jobs no matter
-which thread executes them), pools one long-lived engine per resolved
-configuration (:class:`EnginePool` / :class:`ScanEngine`), and merges
+spec **at admission** (so a job runs exactly the configuration its
+client named, whichever thread executes it), pools one long-lived
+engine per resolved configuration (:class:`EnginePool` / :class:`ScanEngine`), and merges
 same-shape dense jobs arriving within an admission window into one
 batched scan — bitwise-identical to running each job alone.
 

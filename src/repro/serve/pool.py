@@ -37,11 +37,8 @@ class ScanEngine:
     """One resolved configuration's long-lived scan engine.
 
     ``config`` must be fully resolved (:meth:`ScanConfig.resolve`
-    output): engine construction performs **no** ambient resolution —
-    no :func:`repro.configure` overlay lookups, no environment reads —
-    so it is safe to build on a worker thread with the admission-time
-    snapshot of the submitting client's configuration (the ContextVar
-    overlay stack of the *worker* thread is irrelevant by design).
+    output, taken at admission): engine construction resolves
+    nothing, so it builds on any worker thread from the config alone.
 
     The engine owns its executor (built from the resolved spec string)
     and its :class:`ScanContext` (plan cache, arena);

@@ -7,13 +7,12 @@ plus transposed Jacobians) together with a
 and awaits the scanned prefix products.  Three serving concerns live
 here:
 
-**Admission-time resolution (the ContextVar fix).**  The spec is
-resolved to a concrete :class:`ScanConfig` inside :meth:`submit`,
-i.e. in the *submitting* task's context, where that client's
-:func:`repro.configure` overlays are visible.  The resolved config —
-not the spec string — travels with the job from then on; dispatcher
-and worker threads never call ``resolve()``, so a client's scoped
-overlays apply to its jobs no matter which thread executes them.
+**Admission-time resolution.**  The spec is resolved to a concrete
+:class:`ScanConfig` inside :meth:`submit`, so a malformed spec fails
+the submitting client at once.  Resolution reads only the spec, so a
+job runs exactly the configuration its client named, whichever
+thread executes it.  The resolved config — not the spec string —
+travels with the job from then on and keys its pooled engine.
 
 **Cross-request batching.**  The dispatcher collects jobs for up to
 ``max_wait_ms`` (or until ``max_batch`` arrive) and groups them by
@@ -188,10 +187,10 @@ class EngineServer:
         """Run one scan job; returns the exclusive-scan output list.
 
         ``spec`` is anything :meth:`ScanConfig.coerce` accepts (spec
-        string, config, mapping, ``None``); it is resolved **here**, in
-        the caller's task context, so the caller's
-        :func:`repro.configure` overlays and environment apply —
-        execution threads see only the frozen result.
+        string, config, mapping, ``None``); it is resolved **here**, so
+        a malformed spec raises in the caller, and execution threads
+        see only the frozen result.  Unset fields take the global
+        defaults.
         """
         if self._closed:
             raise RuntimeError("EngineServer is stopped")

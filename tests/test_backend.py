@@ -1,9 +1,8 @@
 """Tests for the pluggable scan-execution backend subsystem.
 
-Covers the registry (spec parsing, the env default engines read when
-they are built, custom registration, error cases) and — the property the whole subsystem rests on —
-bitwise-identical scan results and gradients across the serial and
-thread executors.
+Covers the registry (spec parsing, custom registration, error cases)
+and — the property the whole subsystem rests on — bitwise-identical
+scan results and gradients across the serial and thread executors.
 """
 
 import threading
@@ -13,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.backend import (
-    ENV_VAR,
     LevelTask,
     ScanExecutor,
     SerialExecutor,
@@ -78,19 +76,19 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown scan backend"):
             get_executor("gpu:4")
 
-    def test_removed_process_backend_fails_loudly(self, monkeypatch):
+    def test_removed_process_backend_fails_loudly(self):
         """``process:N`` is an unknown name everywhere a spec resolves,
         and the error lists the backends that remain."""
+        from repro.config import build_engine
         from repro.core import RNNBPPSA
         from repro.nn import RNNClassifier
 
         assert "process" not in available_backends()
         clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
-        monkeypatch.setenv(ENV_VAR, "process:2")
         for build in (
             lambda: get_executor("process:2"),
             lambda: RNNBPPSA(clf, executor="process:2"),
-            lambda: RNNBPPSA(clf),  # the env spec, built with the engine
+            lambda: build_engine(clf, "process:2"),
         ):
             with pytest.raises(ValueError, match="unknown scan backend 'process'") as e:
                 build()
@@ -138,66 +136,6 @@ class TestRegistry:
     def test_register_invalid_name(self):
         with pytest.raises(ValueError, match="invalid backend name"):
             register_backend("thread:4", lambda workers: SerialExecutor())
-
-    def test_env_default(self, monkeypatch):
-        """``REPRO_SCAN_BACKEND`` names the executor of an engine built
-        without one; each such engine owns the pool built from it, and
-        the registry's own ``None`` stays serial."""
-        from repro.core import RNNBPPSA
-        from repro.nn import RNNClassifier
-
-        clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        with RNNBPPSA(clf) as eng:
-            assert isinstance(eng.executor, SerialExecutor)
-        monkeypatch.setenv(ENV_VAR, "thread:2")
-        with RNNBPPSA(clf) as a, RNNBPPSA(clf) as b:
-            assert isinstance(a.executor, ThreadPoolScanExecutor)
-            assert a.executor.workers == 2
-            assert a.executor is not b.executor
-        assert isinstance(get_executor(None), SerialExecutor)
-
-    def test_env_default_recovers_from_bad_spec(self, monkeypatch):
-        """A bad spec fails the engine built under it; a good one set
-        afterwards gives the next engine a live pool."""
-        from repro.core import RNNBPPSA
-        from repro.nn import RNNClassifier
-
-        clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
-        monkeypatch.setenv(ENV_VAR, "bogus")
-        with pytest.raises(ValueError, match="unknown scan backend 'bogus'"):
-            RNNBPPSA(clf)
-        monkeypatch.setenv(ENV_VAR, "thread:2")
-        with RNNBPPSA(clf) as eng:
-            assert eng.executor._pool is not None
-
-    def test_env_default_feeds_scans(self, rng, monkeypatch):
-        """The env spec reaches the scans of engines built under it,
-        bitwise-identically; a raw ``executor=None`` scan stays serial."""
-        from repro.core import RNNBPPSA
-        from repro.nn import RNNClassifier
-
-        threaded = []
-        run_level = ThreadPoolScanExecutor.run_level
-
-        def spy(self, tasks):
-            threaded.append(self.workers)
-            return run_level(self, tasks)
-
-        monkeypatch.setattr(ThreadPoolScanExecutor, "run_level", spy)
-        clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
-        x, y = rng.standard_normal((3, 9, 1)), rng.integers(0, 2, 3)
-        with RNNBPPSA(clf, executor="serial") as eng:
-            ref = eng.compute_gradients(x, y)
-        monkeypatch.setenv(ENV_VAR, "thread:2")
-        with RNNBPPSA(clf) as eng:
-            out = eng.compute_gradients(x, y)
-        assert threaded and set(threaded) == {2}
-        assert all(np.array_equal(out[k], ref[k]) for k in ref)
-        threaded.clear()
-        blelloch_scan(chain(rng, 9), ScanContext().op)  # executor=None
-        assert threaded == []
-
 
 # ---------------------------------------------------------------------------
 # executor equivalence: bitwise-identical across backends

@@ -1,19 +1,19 @@
 """Tests for the ``repro.config`` configuration plane.
 
 Covers the :class:`ScanConfig` spec-grammar and JSON round-trips, the
-resolution precedence ladder (explicit > ``configure()`` override >
-environment variable > default) including nesting and restoration on
-exception, each engine's executor fixed when the engine is built (which
-backend ran is counted per ``run_level`` call), the
-:func:`repro.build_engine` facade (dispatch + bitwise
+resolution precedence ladder (explicit > caller default > global
+default), each engine's executor fixed when the engine is built (which
+backend ran is counted per ``run_level`` call) and refusing work once
+closed, the :func:`repro.build_engine` facade (dispatch + bitwise
 equivalence with the legacy kwarg paths), warning-free engine
-construction, the removed threshold and retargeting spellings failing
-loudly, and the serialized config embedded in bench records and the
-environment fingerprint.
+construction, the removed threshold, retargeting and ambient-config
+spellings failing loudly, and the serialized config embedded in bench
+records.
 """
 
 from __future__ import annotations
 
+import asyncio
 import collections
 import dataclasses
 import json
@@ -24,29 +24,29 @@ import numpy as np
 import pytest
 
 import repro
-from repro.backend import (
-    ENV_VAR,
-    SerialExecutor,
-    ThreadPoolScanExecutor,
-    get_executor,
-)
-from repro.config import ScanConfig, build_engine, configure
+from repro.backend import SerialExecutor, ThreadPoolScanExecutor
+from repro.config import ScanConfig, build_engine
 from repro.core import FeedforwardBPPSA, RNNBPPSA, Trainer
 from repro.nn import LeNet5, RNNClassifier, make_mlp
 from repro.optim import SGD
 from repro.scan import (
-    SPARSE_ENV_VAR,
     SPARSE_MODES,
     DenseJacobian,
     GradientVector,
     ScanContext,
     SparsePolicy,
-    blelloch_scan,
 )
+from repro.serve import EngineServer
 
-#: The environment variable that set the auto cutoff before it became a
-#: constant; a set value is now an error.
-THRESHOLD_ENV = "REPRO_SCAN_SPARSE_THRESHOLD"
+#: Environment variables that configured a scan before every setting
+#: became explicit, each with a value it once took; each is an error
+#: while set.
+REMOVED_ENV_VARS = {
+    "REPRO_SCAN_BACKEND": "thread:2",
+    "REPRO_SCAN_SPARSE": "off",
+    "REPRO_SCAN_SPARSE_THRESHOLD": "0.5",
+    "REPRO_SCAN_SHARED_CACHE": "7",
+}
 
 #: What every rejected sparse spelling's message must name.
 VALID_MODES = re.escape(str(SPARSE_MODES))
@@ -119,9 +119,6 @@ class TestSpecGrammar:
     def test_densify_threshold_field_rejected(self):
         with pytest.raises(TypeError, match="densify_threshold"):
             ScanConfig(densify_threshold=0.4)
-        with pytest.raises(TypeError, match="densify_threshold"):
-            with configure(densify_threshold=0.4):
-                pass  # pragma: no cover - never entered
 
     def test_sparse_policy_value_normalizes(self):
         assert ScanConfig(sparse=SparsePolicy("on")) == ScanConfig(sparse="on")
@@ -169,12 +166,10 @@ class TestSpecGrammar:
 
 
 # ---------------------------------------------------------------------------
-# resolution precedence: explicit > configure() > env > default
+# resolution precedence: explicit > caller default > global default
 # ---------------------------------------------------------------------------
 class TestResolvePrecedence:
-    def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
+    def test_defaults(self):
         cfg = ScanConfig().resolve()
         assert cfg.algorithm == "blelloch"
         assert cfg.up_levels == 2
@@ -183,165 +178,74 @@ class TestResolvePrecedence:
         assert cfg.sparse_linear_tol is None
         assert cfg.pattern_cache == "private"
         assert len(cfg.to_dict()) == 6
-
-    def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "thread:2")
-        monkeypatch.setenv(SPARSE_ENV_VAR, "on")
-        cfg = ScanConfig().resolve()
-        assert cfg.executor == "thread:2" and cfg.sparse == "on"
-
-    def test_combined_sparse_env(self, monkeypatch):
-        # A "mode:threshold" env value is rejected, not split …
-        monkeypatch.setenv(SPARSE_ENV_VAR, "auto:0.4")
-        with pytest.raises(ValueError, match=VALID_MODES):
-            ScanConfig().resolve()
-        # … and, like any env value, never read for an explicit mode.
-        assert ScanConfig(sparse="on").resolve().sparse == "on"
+        assert cfg == ScanConfig.from_spec(
+            "blelloch/up=2/serial/sparse=auto/cache=private"
+        )
+        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
+        with build_engine(model) as eng:
+            assert eng.config == cfg
 
     def test_threshold_env(self, monkeypatch):
         # The cutoff's old env var fails loudly instead of being ignored.
-        monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
-        monkeypatch.setenv(THRESHOLD_ENV, "0.5")
-        with pytest.raises(ValueError, match=THRESHOLD_ENV):
+        monkeypatch.setenv("REPRO_SCAN_SPARSE_THRESHOLD", "0.5")
+        with pytest.raises(ValueError, match="REPRO_SCAN_SPARSE_THRESHOLD"):
             ScanConfig().resolve()
-        with pytest.raises(ValueError, match=THRESHOLD_ENV):
+        with pytest.raises(ValueError, match="REPRO_SCAN_SPARSE_THRESHOLD"):
             ScanConfig(sparse="auto").resolve()
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "thread:2")
-        monkeypatch.setenv(SPARSE_ENV_VAR, "on")
-        cfg = ScanConfig(executor="process:3", sparse="off").resolve()
-        assert cfg.executor == "process:3" and cfg.sparse == "off"
-
-    def test_spec_string_beats_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "thread:2")
-        cfg = ScanConfig.from_spec("process:3").resolve()
-        assert cfg.executor == "process:3"
-
-    def test_configure_beats_env_and_loses_to_explicit(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "thread:2")
-        with configure(executor="thread:4"):
-            assert ScanConfig().resolve().executor == "thread:4"
-            assert ScanConfig(executor="serial").resolve().executor == "serial"
-        assert ScanConfig().resolve().executor == "thread:2"
 
     def test_resolve_is_idempotent(self):
         cfg = ScanConfig(sparse="on").resolve()
         assert cfg.resolve() == cfg
 
-    def test_rnn_engine_has_no_sparse_default_of_its_own(self, monkeypatch):
+    def test_rnn_engine_has_no_sparse_default_of_its_own(self):
         # The RNN engine resolves like every other engine: the same
         # config whether or not sparse="auto" is named.
-        monkeypatch.delenv(SPARSE_ENV_VAR, raising=False)
         clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
         with RNNBPPSA(clf) as eng, RNNBPPSA(clf, sparse="auto") as named:
             assert eng.config == named.config == ScanConfig().resolve()
             assert eng.sparse_policy == SparsePolicy("auto")
 
-    def test_engine_defaults_rank_below_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        cfg = ScanConfig().resolve(defaults={"executor": "thread:3"})
-        assert cfg.executor == "thread:3"
-        monkeypatch.setenv(ENV_VAR, "thread:2")
-        cfg = ScanConfig().resolve(defaults={"executor": "thread:3"})
-        assert cfg.executor == "thread:2"
+    def test_caller_defaults_rank_between_explicit_and_global(self):
+        defaults = {"algorithm": "truncated", "executor": "thread:3"}
+        cfg = ScanConfig().resolve(defaults)
+        assert cfg.algorithm == "truncated" and cfg.executor == "thread:3"
+        assert cfg.up_levels == 2  # unset in both: the global default
+        cfg = ScanConfig(executor="serial", up_levels=0).resolve(defaults)
+        assert cfg.executor == "serial" and cfg.up_levels == 0
+        assert cfg.algorithm == "truncated"
 
 
 # ---------------------------------------------------------------------------
-# configure(): nesting, restoration, legacy call sites
+# the ambient configuration is gone: every removed spelling fails loudly
 # ---------------------------------------------------------------------------
-class TestConfigure:
-    def test_nesting_innermost_wins(self):
-        with configure(executor="thread:2", sparse="off"):
-            with configure(sparse="on"):
-                cfg = repro.current_config()
-                assert cfg.sparse == "on"
-                assert cfg.executor == "thread:2"  # outer overlay survives
-            assert repro.current_config().sparse == "off"
+class TestRemovedAmbientConfig:
+    @pytest.mark.parametrize("var", REMOVED_ENV_VARS)
+    def test_removed_env_var_fails_loudly(self, var, monkeypatch, rng):
+        monkeypatch.setenv(var, REMOVED_ENV_VARS[var])
+        for resolve in (
+            lambda: ScanConfig().resolve(),
+            lambda: ScanConfig.from_spec("linear/serial/sparse=on").resolve(),
+            lambda: build_engine(make_mlp([4, 4, 2], rng=rng)),
+        ):
+            with pytest.raises(ValueError, match=var):
+                resolve()
+        items = [GradientVector(rng.standard_normal((2, 3)))]
+        items += [DenseJacobian(rng.standard_normal((2, 3, 3))) for _ in range(3)]
 
-    def test_restores_on_exception(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        with pytest.raises(RuntimeError):
-            with configure(executor="thread:2"):
-                assert repro.current_config().executor == "thread:2"
-                raise RuntimeError("boom")
-        assert repro.current_config().executor == "serial"
+        async def submit():
+            async with EngineServer(max_wait_ms=0) as server:
+                await server.submit("blelloch/serial", items)
 
-    def test_default_executor_honors_overlay(self, monkeypatch):
-        """An engine built with no executor takes the overlay's spec
-        when it is built inside the block; ``executor=None`` on a scan
-        function does not read the overlay."""
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
-        with RNNBPPSA(clf) as eng:
-            assert eng.executor.workers == 1
-        with configure(executor="thread:2"):
-            with RNNBPPSA(clf) as eng:
-                assert eng.executor.workers == 2
-            assert get_executor(None).workers == 1
-        with RNNBPPSA(clf) as eng:
-            assert eng.executor.workers == 1
+        with pytest.raises(ValueError, match=var):
+            asyncio.run(submit())
 
-    def test_scan_context_honors_overlay(self):
-        with configure(sparse="off"):
-            assert ScanContext().sparse_policy.mode == "off"
-        assert ScanContext().sparse_policy.mode == "auto"
-
-    def test_engine_built_inside_scope_adopts_overlay(self, rng):
-        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        x = rng.standard_normal((4, 4))
-        y = rng.integers(0, 2, 4)
-        with configure(sparse="off", executor="thread:2"):
-            eng = build_engine(model)
-        with eng:  # used after the block: it keeps what it adopted
-            assert eng.sparse_policy.mode == "off"
-            assert eng.config.executor == "thread:2"
-            # The engine built and owns a pool from the overlay's spec.
-            assert isinstance(eng.executor, ThreadPoolScanExecutor)
-            assert eng.executor.workers == 2
-            eng.compute_gradients(x, y)
-        assert eng.executor._pool is None  # released by the engine
-        with build_engine(model) as eng:
-            assert eng.sparse_policy.mode == "auto"
-        # An explicit spec still produces an owned pool, scope or not.
-        with configure(executor="thread:2"):
-            with build_engine(model, executor="thread:3") as eng:
-                assert eng.executor.workers == 3
-
-    def test_spec_form(self):
-        with configure("linear/thread:2"):
-            cfg = repro.current_config()
-            assert cfg.algorithm == "linear" and cfg.executor == "thread:2"
-
-    def test_engines_built_in_a_block_each_own_a_pool_until_close(
-        self, monkeypatch
-    ):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        with configure(executor="thread:2"):
-            a, b = build_engine(model), build_engine(model)
-        # The block owned no pool, so leaving it closed nothing.
-        assert a.executor is not b.executor
-        assert a.executor._pool is not None and b.executor._pool is not None
-        a.close()
-        assert a.executor._pool is None and b.executor._pool is not None
-        b.close()
-        assert b.executor._pool is None
-
-    def test_env_engines_each_own_their_pool(self, monkeypatch):
-        monkeypatch.setenv(ENV_VAR, "thread:2")
-        model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
-        engines = [FeedforwardBPPSA(model), build_engine(model)]
-        try:
-            # The env spec is read once, as each engine is built, and
-            # each engine owns the pool built from it.
-            assert all(e.config.executor == "thread:2" for e in engines)
-            assert all(e.executor.workers == 2 for e in engines)
-            assert engines[0].executor is not engines[1].executor
-        finally:
-            for e in engines:
-                e.close()
-        assert all(e.executor._pool is None for e in engines)
+    def test_configure_and_current_config_are_gone(self):
+        for name in ("configure", "current_config"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(repro, name)
+            assert name not in repro.__all__
+        with pytest.raises(ImportError, match="configure"):
+            from repro.config import configure  # noqa: F401
 
 
 # ---------------------------------------------------------------------------
@@ -381,93 +285,40 @@ def levels_run(monkeypatch):
 
 
 class TestExecutorFixedAtConstruction:
-    def test_engine_built_outside_block_ignores_it(
-        self, engine_case, levels_run, monkeypatch
-    ):
+    @pytest.mark.parametrize("spec", ["serial", "thread:2", "thread:3"])
+    def test_executor_is_built_from_config(self, engine_case, levels_run, spec):
         model, x, y = engine_case
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        with build_engine(model) as eng:
-            assert eng.config.executor == "serial"
-            with configure(executor="thread:2"):
+        with build_engine(model, executor=spec) as eng:
+            assert eng.config.executor == spec
+            eng.compute_gradients(x, y)
+            eng.compute_gradients(x, y)
+        name, _, workers = spec.partition(":")
+        assert levels_run and set(levels_run) == {f"{name}:{workers or 1}"}
+
+    def test_caller_instance_runs_and_stays_open(self, engine_case, levels_run):
+        model, x, y = engine_case
+        with ThreadPoolScanExecutor(2) as ex:
+            with build_engine(model, executor=ex) as eng:
+                assert eng.executor is ex
                 eng.compute_gradients(x, y)
-        assert levels_run and set(levels_run) == {"serial:1"}
-
-    def test_engine_built_inside_block_keeps_its_executor_after_exit(
-        self, engine_case, levels_run, monkeypatch
-    ):
-        model, x, y = engine_case
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        with configure(executor="thread:2"):
-            eng = build_engine(model)
-        try:
-            assert eng.config.executor == "thread:2"
-            eng.compute_gradients(x, y)
             assert levels_run and set(levels_run) == {"thread:2"}
-        finally:
-            eng.close()
-        assert eng.executor._pool is None
-
-    def test_env_change_after_construction_changes_no_executor(
-        self, engine_case, levels_run, monkeypatch
-    ):
-        model, x, y = engine_case
-        monkeypatch.delenv(ENV_VAR, raising=False)
-        plain = build_engine(model)
-        monkeypatch.setenv(ENV_VAR, "thread:2")
-        from_env = build_engine(model)
-        engines = [plain, from_env, build_engine(model, executor="serial")]
-        built_with = [e.executor for e in engines]
-        monkeypatch.setenv(ENV_VAR, "thread:3")
-        try:
-            for e in engines:
-                e.compute_gradients(x, y)
-            assert [e.executor for e in engines] == built_with
-            assert set(levels_run) == {"serial:1", "thread:2"}
-        finally:
-            for e in engines:
-                e.close()
-
-    @pytest.mark.parametrize(
-        "env, ambient, kwargs",
-        [
-            (None, None, {}),
-            ("thread:2", None, {}),
-            (None, "thread:3", {}),
-            ("thread:2", "serial", {}),
-            ("thread:2", None, {"executor": "thread:3"}),
-            (None, "thread:2", {"executor": "serial"}),
-        ],
-    )
-    def test_executor_is_built_from_config(
-        self, engine_case, monkeypatch, env, ambient, kwargs
-    ):
-        model, _, _ = engine_case
-        if env is None:
-            monkeypatch.delenv(ENV_VAR, raising=False)
-        else:
-            monkeypatch.setenv(ENV_VAR, env)
-        with configure(executor=ambient):
-            eng = build_engine(model, **kwargs)
-        with eng:
-            assert eng.executor is not None
-            name, _, workers = eng.config.executor.partition(":")
-            assert eng.executor.name == name
-            assert eng.executor.workers == int(workers or 1)
-
-    def test_bogus_env_fails_only_where_it_is_read(
-        self, engine_case, levels_run, monkeypatch
-    ):
-        model, x, y = engine_case
-        rng = np.random.default_rng(1)
-        items = [GradientVector(rng.standard_normal((2, 3)))]
-        items += [DenseJacobian(rng.standard_normal((2, 3, 3))) for _ in range(5)]
-        monkeypatch.setenv(ENV_VAR, "bogus")
-        blelloch_scan(items, ScanContext().op)  # executor=None: serial
-        assert levels_run and set(levels_run) == {"serial:1"}
-        with build_engine(model, "blelloch/serial") as eng:
+            # The engine's close() left the caller's pool running.
+            assert ex._pool is not None
             eng.compute_gradients(x, y)
-        with pytest.raises(ValueError, match="unknown scan backend 'bogus'"):
-            build_engine(model)
+
+    @pytest.mark.parametrize("spec", ["thread:1", "thread:2"])
+    def test_closed_engine_refuses_to_scan(self, engine_case, levels_run, spec):
+        """A closed thread executor raises instead of running its levels
+        inline, so it never passes for a serial one (``thread:1`` has no
+        pool to lose, hence a flag)."""
+        model, x, y = engine_case
+        eng = build_engine(model, executor=spec)
+        eng.compute_gradients(x, y)
+        eng.close()
+        ran = sum(levels_run.values())
+        with pytest.raises(RuntimeError, match=f"{spec} executor is closed"):
+            eng.compute_gradients(x, y)
+        assert sum(levels_run.values()) == ran + 1  # the refused call only
 
 
 # ---------------------------------------------------------------------------
@@ -572,49 +423,16 @@ class TestBuildEngine:
 
 
 class TestSharedCacheBound:
-    """The process-wide plan cache is a bounded LRU whose entry bound
-    comes from ``$REPRO_SCAN_SHARED_CACHE`` (read once, at first
-    build)."""
+    """The process-wide plan cache is a bounded LRU of a fixed size."""
 
-    @pytest.fixture
-    def fresh_singleton(self, monkeypatch):
-        """Force the next shared_pattern_cache() call to rebuild (the
-        real singleton is restored afterwards)."""
-        from repro.config import scan_config
+    def test_default_bound(self, monkeypatch):
+        from repro.config import DEFAULT_SHARED_CACHE_MAXSIZE, scan_config
+        from repro.config.scan_config import shared_pattern_cache
 
+        # Force a rebuild; the real singleton is restored afterwards.
         monkeypatch.setattr(scan_config, "_SHARED_PATTERN_CACHE", None)
-        return monkeypatch
-
-    def test_default_bound(self, fresh_singleton):
-        from repro.config import DEFAULT_SHARED_CACHE_MAXSIZE, SHARED_CACHE_ENV_VAR
-        from repro.config.scan_config import shared_pattern_cache
-
-        fresh_singleton.delenv(SHARED_CACHE_ENV_VAR, raising=False)
+        assert DEFAULT_SHARED_CACHE_MAXSIZE == 256
         assert shared_pattern_cache().maxsize == DEFAULT_SHARED_CACHE_MAXSIZE
-
-    def test_env_bound(self, fresh_singleton):
-        from repro.config import SHARED_CACHE_ENV_VAR
-        from repro.config.scan_config import shared_pattern_cache
-
-        fresh_singleton.setenv(SHARED_CACHE_ENV_VAR, "7")
-        assert shared_pattern_cache().maxsize == 7
-
-    @pytest.mark.parametrize("raw", ["none", "unbounded", "0"])
-    def test_env_unbounded(self, fresh_singleton, raw):
-        from repro.config import SHARED_CACHE_ENV_VAR
-        from repro.config.scan_config import shared_pattern_cache
-
-        fresh_singleton.setenv(SHARED_CACHE_ENV_VAR, raw)
-        assert shared_pattern_cache().maxsize is None
-
-    @pytest.mark.parametrize("raw", ["junk", "-3", "1.5"])
-    def test_env_invalid_rejected(self, fresh_singleton, raw):
-        from repro.config import SHARED_CACHE_ENV_VAR
-        from repro.config.scan_config import shared_pattern_cache
-
-        fresh_singleton.setenv(SHARED_CACHE_ENV_VAR, raw)
-        with pytest.raises(ValueError, match=SHARED_CACHE_ENV_VAR):
-            shared_pattern_cache()
 
 
 # ---------------------------------------------------------------------------
@@ -706,37 +524,26 @@ class TestBenchEmbedding:
         del d["config"]
         assert BenchRecord.from_dict(d).config == {}
 
-    def test_fingerprint_embeds_ambient_config(self):
-        from repro.bench.env import environment_fingerprint
-
-        with configure(executor="thread:2"):
-            fp = environment_fingerprint()
-        assert ScanConfig.from_dict(fp["scan_config"]).executor == "thread:2"
-
-    def test_malformed_env_does_not_abort_analytical_records(self, monkeypatch):
-        from repro.bench.env import environment_fingerprint
-        from repro.bench.runner import run_bench
-        from repro.experiments.common import Scale
-
-        monkeypatch.setenv(SPARSE_ENV_VAR, "bogus")
-        fp = environment_fingerprint()
-        assert "error" in fp["scan_config"]  # surfaced, not raised
-        records = run_bench(Scale.SMOKE, ["serial"], ["table2_devices"])
-        assert len(records) == 1 and "error" in records[0].config
-        records[0].to_dict()  # still schema-valid
-
     def test_records_with_a_densify_threshold_still_load(self, tmp_path):
         # Records written while the cutoff was a field carry it in both
-        # the config and the fingerprint; they must still load, compare
-        # and render.
+        # the config and the fingerprint, and records written while the
+        # environment could configure a scan carry the raw variables in
+        # the fingerprint; they must still load, compare and render.
         from repro.bench.compare import compare_results
         from repro.bench.env import environment_fingerprint
         from repro.bench.record import BenchRecord, TimingStats
         from repro.bench.writer import load_records
         from repro.dashboard import build_site, check_site
 
+        ambient_keys = ("scan_backend_env", "scan_sparse_env", "scan_config")
+        assert not set(ambient_keys) & set(environment_fingerprint())
         old_config = dict(ScanConfig().resolve().to_dict(), densify_threshold=0.25)
-        env = dict(environment_fingerprint(), scan_config=dict(old_config))
+        env = dict(
+            environment_fingerprint(),
+            scan_backend_env="thread:2",
+            scan_sparse_env=None,
+            scan_config=dict(old_config),
+        )
         rec = BenchRecord(
             artifact="sparse_scan",
             scale="smoke",
@@ -753,7 +560,12 @@ class TestBenchEmbedding:
         (loaded,) = load_records(path)
         assert loaded.config["densify_threshold"] == 0.25
         assert loaded.environment["scan_config"]["densify_threshold"] == 0.25
-        fresh = dataclasses.replace(loaded, config=ScanConfig().resolve().to_dict())
+        assert loaded.environment["scan_backend_env"] == "thread:2"
+        fresh = dataclasses.replace(
+            loaded,
+            config=ScanConfig().resolve().to_dict(),
+            environment=environment_fingerprint(),
+        )
         (delta,) = compare_results([loaded], [fresh])
         assert delta.status == "ok"
         site = tmp_path / "site"

@@ -3,11 +3,10 @@
 Covers the engine pool (per-resolved-config keying, lifecycle), the
 merge/split helpers (bitwise round-trip), the server (admission,
 batching, error forwarding, overload rejection, stats reconciliation),
-admission-time ``configure()`` snapshotting, and — the invariant the
-whole layer rests on — a concurrency stress test proving gradients of
-jobs served under ≥ 8 concurrent mixed-spec clients (thread backends
-included, with cross-request merging active) are
-bitwise-identical to serial single-client runs.
+and — the invariant the whole layer rests on — a concurrency stress
+test proving gradients of jobs served under ≥ 8 concurrent mixed-spec
+clients (thread backends included, with cross-request merging active)
+are bitwise-identical to serial single-client runs.
 """
 
 import asyncio
@@ -16,7 +15,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.config import ScanConfig, configure, shared_pattern_cache
+from repro.config import ScanConfig, shared_pattern_cache
 from repro.scan import (
     IDENTITY,
     DenseJacobian,
@@ -329,54 +328,6 @@ class TestEngineServer:
         stats = run(main())
         assert stats["jobs"]["rejected"] == 1
         assert stats["jobs"]["completed"] == 1
-
-
-class TestAdmissionTimeResolution:
-    """The ContextVar fix: ``configure()`` overlays of the *submitting*
-    task must shape its jobs even though engines are built and run on
-    server worker threads that never see the overlay."""
-
-    def test_configure_overlay_applies_to_submitted_jobs(self, rng):
-        items = dense_job(rng)
-
-        async def main():
-            async with EngineServer(max_wait_ms=0) as server:
-                with configure(algorithm="linear", executor="serial"):
-                    out = await server.submit(None, items)
-                return out, server.stats()
-
-        out, stats = run(main())
-        specs = list(stats["engines"]["per_spec"])
-        assert len(specs) == 1 and specs[0].startswith("linear")
-        assert_scans_equal(out, serial_reference("linear", items))
-
-    def test_explicit_spec_beats_overlay(self, rng):
-        async def main():
-            async with EngineServer(max_wait_ms=0) as server:
-                with configure(algorithm="linear"):
-                    await server.submit("hillis_steele/serial", dense_job(rng))
-                return server.stats()
-
-        specs = list(run(main())["engines"]["per_spec"])
-        assert specs[0].startswith("hillis_steele")
-
-    def test_per_client_overlays_stay_separate(self, rng):
-        """Two clients in different configure() scopes, interleaved on
-        one server: each job lands on the engine its own scope names."""
-
-        async def main():
-            async with EngineServer(max_batch=4, max_wait_ms=20) as server:
-
-                async def client(algorithm):
-                    with configure(algorithm=algorithm, executor="serial"):
-                        return await server.submit(None, dense_job(rng))
-
-                await asyncio.gather(client("linear"), client("blelloch"))
-                return server.stats()
-
-        stats = run(main())
-        algorithms = {spec.split("/")[0] for spec in stats["engines"]["per_spec"]}
-        assert algorithms == {"linear", "blelloch"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Tier-1 tests for the sparse scan execution path.
 
 Covers the density-cutoff dispatch layer
-(:class:`repro.scan.SparsePolicy` — mode parsing, env override,
-boundary decisions), the :class:`~repro.scan.ScanContext` integration
+(:class:`repro.scan.SparsePolicy` — mode parsing, boundary
+decisions), the :class:`~repro.scan.ScanContext` integration
 (``off`` never touches CSR kernels, ``on`` never densifies, ``auto``
 flips exactly at the cutoff), and the bitwise cross-backend
 guarantee of the sparse path (serial / thread).
@@ -17,7 +17,6 @@ from repro.nn import LeNet5, Sequential
 from repro.scan import (
     DenseJacobian,
     GradientVector,
-    SPARSE_ENV_VAR,
     ScanContext,
     SparseJacobian,
     SparsePolicy,
@@ -73,25 +72,15 @@ class TestSparsePolicy:
         with pytest.raises(ValueError, match="mode"):
             SparsePolicy.resolve("sparse:0.4")
 
-    def test_resolve_precedence(self, monkeypatch):
-        # explicit spec wins over the environment
-        monkeypatch.setenv(SPARSE_ENV_VAR, "off")
+    def test_resolve_precedence(self):
+        # an explicit mode or policy wins; None is the default, auto
         assert SparsePolicy.resolve("on").mode == "on"
-        # None follows the environment
-        assert SparsePolicy.resolve(None).mode == "off"
-        monkeypatch.delenv(SPARSE_ENV_VAR)
+        policy = SparsePolicy("off")
+        assert SparsePolicy.resolve(policy) is policy
         assert SparsePolicy.resolve(None) == SparsePolicy("auto")
+        assert ScanContext(sparse=None).sparse_policy == SparsePolicy("auto")
         with pytest.raises(TypeError):
             SparsePolicy.resolve(1.5)
-
-    def test_threshold_env(self, monkeypatch):
-        # The retired cutoff variable is an error wherever the ambient
-        # policy is resolved, not a silently ignored setting.
-        monkeypatch.setenv("REPRO_SCAN_SPARSE_THRESHOLD", "0.5")
-        with pytest.raises(ValueError, match="REPRO_SCAN_SPARSE_THRESHOLD"):
-            SparsePolicy.resolve(None)
-        with pytest.raises(ValueError, match="REPRO_SCAN_SPARSE_THRESHOLD"):
-            ScanContext()
 
     def test_dispatch_boundaries(self):
         p = SparsePolicy("auto")
