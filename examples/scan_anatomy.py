@@ -5,8 +5,8 @@ Walks through the scan on a synthetic chain of transposed Jacobians,
 printing every ⊙ application by phase and level, comparing step counts
 against the serial baseline, demonstrating why the down-sweep must
 reverse operand order for the non-commutative ⊙, re-running the
-scan on every registered execution backend (``repro.backend``) to show
-the results are bitwise-identical, and ending with the declarative
+scan on each execution backend (``repro.backend``) to show the
+results are bitwise-identical, and ending with the declarative
 configuration plane (``repro.config``): spec-string round-tripping and
 a scan run on the executor its config names.
 
@@ -15,17 +15,16 @@ Run:  python examples/scan_anatomy.py
 
 import numpy as np
 
-from repro.backend import available_backends, get_executor
+from repro.backend import get_executor
 from repro.pram import GPUCostModel, PRAMMachine, RTX_2070
 from repro.scan import (
     DenseJacobian,
     GradientVector,
     ScanContext,
     blelloch_scan,
-    build_blelloch_dag,
-    build_linear_dag,
     linear_scan,
     simple_op,
+    uniform_dag,
 )
 
 rng = np.random.default_rng(0)
@@ -49,8 +48,8 @@ for rec in ctx.trace:
     i = rec.info
     print(f"  {i.phase:>4} d={i.level}: a[{i.left}] ⊙ a[{i.right}]  ({rec.kind})")
 
-dag = build_blelloch_dag(N + 1)
-lin = build_linear_dag(N + 1)
+dag = uniform_dag("blelloch", N + 1)
+lin = uniform_dag("linear", N + 1)
 print(f"\nparallel levels: {dag.num_levels} (vs {lin.num_levels} serial steps)")
 
 machine = PRAMMachine(GPUCostModel(RTX_2070))
@@ -59,9 +58,10 @@ print(f"simulated makespan on RTX 2070: {sched.makespan_seconds * 1e6:.1f} µs")
 
 # --- pluggable execution backends -----------------------------------------
 # The ops of one level are independent, so *where* they run is a plug
-# point: any registered backend executes the same schedule with the
-# same per-op order, hence bitwise-identical outputs.
-print(f"\nexecution backends registered: {', '.join(available_backends())}")
+# point: any executor (a spec string or a ScanExecutor instance) runs
+# the same schedule with the same per-op order, hence bitwise-identical
+# outputs.
+print("\nexecution backends:")
 for spec in ("serial", "thread:2"):
     with get_executor(spec) as ex:
         alt = blelloch_scan(items, ScanContext().op, executor=ex)

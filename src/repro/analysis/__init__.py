@@ -9,7 +9,6 @@ method and the baseline implementation through static analysis."
 from repro.analysis.flops import (
     EstimatePattern,
     StaticScanAnalyzer,
-    StepCost,
     conv_dgrad_flops,
     elementwise_backward_flops,
 )
@@ -21,7 +20,6 @@ from repro.analysis.complexity import (
 
 __all__ = [
     "StaticScanAnalyzer",
-    "StepCost",
     "EstimatePattern",
     "conv_dgrad_flops",
     "elementwise_backward_flops",

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from repro.scan.dag import build_blelloch_dag
+from repro.scan.dag import uniform_dag
 from repro.pram.machine import step_count, work_count
 
 
@@ -32,10 +32,9 @@ def linear_step_complexity(n: int) -> int:
 
 def measured_step_complexity(n: int, p: int) -> int:
     """Critical-path steps of the *implemented* scan on ``p`` workers."""
-    dag = build_blelloch_dag(n + 1)
-    return step_count(dag, p)
+    return step_count(uniform_dag("blelloch", n + 1), p)
 
 
 def measured_work(n: int) -> int:
     """Total ⊙ applications of the implemented scan."""
-    return work_count(build_blelloch_dag(n + 1))
+    return work_count(uniform_dag("blelloch", n + 1))

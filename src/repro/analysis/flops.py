@@ -3,10 +3,12 @@
 Runs a scan algorithm *symbolically* over the stage Jacobians' CSR
 patterns: every ⊙ application is costed (sparse-aware FLOPs plus the
 dense-equivalent ``m·n·k`` the paper uses as Figure 11's x-axis) without
-any numeric multiplication.  When chaining exact patterns becomes too
-large to materialize, the analyzer degrades gracefully to a
-uniform-distribution estimate (documented in EXPERIMENTS.md); the FLOP
-count of a product of two *exact* patterns is always exact.
+any numeric multiplication, and the steps come back as the
+:class:`~repro.scan.ScanDAG` a numeric scan's trace groups into.  When
+chaining exact patterns becomes too large to materialize, the analyzer
+degrades gracefully to a uniform-distribution estimate (see the
+Figure 11 section of BENCHMARKS.md); the FLOP count of a product of two
+*exact* patterns is always exact.
 
 Baseline costs ("gradient operators" of ordinary BP — the green circles)
 come from the standard dense backward FLOP formulas.
@@ -15,25 +17,13 @@ come from the standard dense backward FLOP formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
-from repro.scan.algorithms import (
-    blelloch_scan,
-    linear_scan,
-    truncated_blelloch_scan,
-)
-from repro.scan.elements import Identity, OpInfo
+from repro.scan.dag import ScanDAG, dag_from_trace, symbolic_dag
+from repro.scan.elements import OpInfo, StepRecord
 from repro.sparse import CSRMatrix, build_spgemm_plan, spgemm_flops
-
-
-# ---------------------------------------------------------------------------
-# symbolic elements
-# ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class VectorElement:
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -47,19 +37,6 @@ class EstimatePattern:
 PatternLike = Union[CSRMatrix, EstimatePattern]
 
 
-@dataclass
-class StepCost:
-    """One scan step's static cost — one point in Figure 11."""
-
-    phase: str
-    level: int
-    kind: str  # "mv" | "mm"
-    flops: float
-    dense_mnk: float
-    critical: bool = False
-    exact: bool = True
-
-
 class StaticScanAnalyzer:
     """Cost a scan over CSR patterns without numeric execution.
 
@@ -70,11 +47,14 @@ class StaticScanAnalyzer:
         SpGEMM symbolic phase is materialized; beyond it, products are
         *estimated* (their own FLOPs stay exact when both inputs are
         exact; downstream steps become estimates).
+
+    After :meth:`analyze`, ``estimates`` counts the steps whose FLOPs
+    or output pattern are estimates rather than exact.
     """
 
     def __init__(self, expansion_limit: int = 20_000_000) -> None:
         self.expansion_limit = expansion_limit
-        self.steps: List[StepCost] = []
+        self.estimates = 0
 
     # ------------------------------------------------------------------
     def analyze(
@@ -83,134 +63,65 @@ class StaticScanAnalyzer:
         grad_dim: int,
         algorithm: str = "truncated",
         up_levels: int = 2,
-    ) -> List[StepCost]:
+    ) -> ScanDAG:
         """Cost the scan of ``[∇, P_n, …, P_1]``.
 
         ``patterns`` are the stage transposed-Jacobian patterns ordered
-        as in Eq. 5 (last layer first).  Returns the step list and marks
-        per-level critical steps (max FLOPs in each level — the filled
-        circles of Figure 11).
+        as in Eq. 5 (last layer first); the gradient vector enters the
+        symbolic scan as its dimension ``grad_dim``.  Returns the scan's
+        :class:`~repro.scan.ScanDAG`, whose
+        :meth:`~repro.scan.ScanDAG.critical` marks the per-level
+        critical steps (the filled circles of Figure 11).
         """
-        self.steps = []
-        items: List[object] = [VectorElement(grad_dim)]
-        items.extend(patterns)
+        self.estimates = 0
+        return symbolic_dag(algorithm, [grad_dim, *patterns], self._cost, up_levels)
 
-        if algorithm == "linear":
-            linear_scan(items, self._op)
-        elif algorithm == "blelloch":
-            blelloch_scan(items, self._op)
-        elif algorithm == "truncated":
-            truncated_blelloch_scan(items, self._op, up_levels=up_levels)
-        else:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
-
-        self._mark_critical()
-        return self.steps
-
-    def baseline_steps(
-        self, layer_costs: Sequence[tuple]
-    ) -> List[StepCost]:
+    def baseline_steps(self, layer_costs: Sequence[tuple]) -> ScanDAG:
         """Baseline BP 'gradient operator' costs (green circles).
 
         ``layer_costs`` — (flops, dense_mnk) per layer, e.g. from
-        :func:`conv_dgrad_flops`.  Each is one sequential step on the
-        baseline's critical path.
+        :func:`conv_dgrad_flops`.  Each is one sequential level, so
+        every step is on the baseline's critical path.
         """
-        return [
-            StepCost(
-                phase="baseline",
-                level=i,
-                kind="mv",
-                flops=f,
-                dense_mnk=mnk,
-                critical=True,
-            )
-            for i, (f, mnk) in enumerate(layer_costs)
-        ]
+        return dag_from_trace(
+            [
+                StepRecord(OpInfo("baseline", i, i, i + 1), "mv", f, mnk)
+                for i, (f, mnk) in enumerate(layer_costs)
+            ]
+        )
 
     # ------------------------------------------------------------------
-    def _op(self, a, b, info: OpInfo):
-        if isinstance(a, (str, Identity)) or isinstance(b, (str, Identity)):
-            return b if isinstance(a, (str, Identity)) else a
-        if isinstance(a, VectorElement):
-            return self._matvec(a, b, info)
-        return self._matmat(a, b, info)
-
-    def _matvec(self, v: VectorElement, b: PatternLike, info: OpInfo):
-        m, n = _shape(b)
-        if n != v.dim:
-            raise ValueError(f"shape mismatch: {(m, n)} @ ({v.dim},)")
-        flops = 2.0 * _nnz(b)
-        self.steps.append(
-            StepCost(
-                phase=info.phase,
-                level=info.level,
-                kind="mv",
-                flops=flops,
-                dense_mnk=float(m) * n,
-                exact=isinstance(b, CSRMatrix),
-            )
-        )
-        return VectorElement(m)
-
-    def _matmat(self, a: PatternLike, b: PatternLike, info: OpInfo):
-        # result = B @ A
-        (mb, kb), (ka, na) = _shape(b), _shape(a)
+    def _cost(self, a, b):
+        """The symbolic ⊙ ``b·a``: a mat-vec when ``a`` is the gradient
+        vector (held as its dimension), else a pattern product."""
+        if isinstance(a, int):
+            m, n = b.shape
+            if n != a:
+                raise ValueError(f"shape mismatch: {(m, n)} @ ({a},)")
+            if not isinstance(b, CSRMatrix):
+                self.estimates += 1
+            return m, "mv", 2.0 * b.nnz, float(m) * n
+        (mb, kb), (ka, na) = b.shape, a.shape
         if kb != ka:
             raise ValueError(f"shape mismatch: {(mb, kb)} @ {(ka, na)}")
-        mnk = float(mb) * na * kb
-        exact_inputs = isinstance(a, CSRMatrix) and isinstance(b, CSRMatrix)
-        if exact_inputs:
+        out = None
+        if isinstance(a, CSRMatrix) and isinstance(b, CSRMatrix):
             expansion = spgemm_flops(b, a) // 2
-            flops = 2.0 * expansion
             if expansion <= self.expansion_limit:
                 plan = build_spgemm_plan(b, a)
-                out: PatternLike = CSRMatrix(
+                out = CSRMatrix(
                     plan.out_indptr,
                     plan.out_indices,
                     np.ones(plan.out_nnz),
                     plan.out_shape,
                 )
-                exact_out = True
-            else:
-                out = EstimatePattern(
-                    (mb, na), min(float(mb) * na, float(expansion))
-                )
-                exact_out = False
         else:
             # expected expansion under uniformly distributed nnz
-            expansion = _nnz(b) * _nnz(a) / kb
-            flops = 2.0 * expansion
-            out = EstimatePattern((mb, na), min(float(mb) * na, expansion))
-            exact_out = False
-        self.steps.append(
-            StepCost(
-                phase=info.phase,
-                level=info.level,
-                kind="mm",
-                flops=flops,
-                dense_mnk=mnk,
-                exact=exact_inputs and exact_out,
-            )
-        )
-        return out
-
-    def _mark_critical(self) -> None:
-        by_level: dict = {}
-        for s in self.steps:
-            by_level.setdefault((s.phase, s.level), []).append(s)
-        for group in by_level.values():
-            fmax = max(s.flops for s in group)
-            for s in group:
-                s.critical = s.flops == fmax
-
-
-def _shape(p: PatternLike) -> tuple:
-    return p.shape
-
-
-def _nnz(p: PatternLike) -> float:
-    return float(p.nnz)
+            expansion = float(b.nnz) * float(a.nnz) / kb
+        if out is None:
+            self.estimates += 1
+            out = EstimatePattern((mb, na), min(float(mb) * na, float(expansion)))
+        return out, "mm", 2.0 * expansion, float(mb) * na * kb
 
 
 # ---------------------------------------------------------------------------

@@ -38,10 +38,10 @@ to another backend by its explicit config::
 
 A scan function called with ``executor=None`` runs serially.
 
-Custom backends implement :class:`ScanExecutor` and join the registry
-via :func:`register_backend`; from then on any engine accepts their
-spec string.  This is the plug point for future device-style backends
-(sharded, async, GPU-like).
+A custom backend implements :class:`ScanExecutor` and is passed as an
+instance: every scan function and both engines accept one, and so does
+``build_engine(..., executor=<instance>)``.  Only ``serial`` and
+``thread`` have spec strings.
 """
 
 from repro.backend.executor import (
@@ -51,11 +51,7 @@ from repro.backend.executor import (
     SerialExecutor,
     ThreadPoolScanExecutor,
 )
-from repro.backend.registry import (
-    available_backends,
-    get_executor,
-    register_backend,
-)
+from repro.backend.registry import get_executor
 
 __all__ = [
     "ExecutorOwner",
@@ -63,7 +59,5 @@ __all__ = [
     "ScanExecutor",
     "SerialExecutor",
     "ThreadPoolScanExecutor",
-    "available_backends",
     "get_executor",
-    "register_backend",
 ]

@@ -15,7 +15,7 @@ varies.
 
 Executors own their worker threads and follow a uniform lifecycle:
 construct, use across any number of scans, then ``close()`` (or use as
-a context manager).  String-keyed construction lives in
+a context manager).  Construction from a spec string lives in
 :mod:`repro.backend.registry`.
 """
 
@@ -57,7 +57,7 @@ class ScanExecutor(abc.ABC):
     serial baseline.
     """
 
-    #: registry key of the backend (e.g. ``"thread"``); set by subclasses.
+    #: spec name of the backend (e.g. ``"thread"``); set by subclasses.
     name: str = "abstract"
 
     @abc.abstractmethod

@@ -1,16 +1,15 @@
-"""String-keyed executor registry.
+"""Executor specs: ``"serial"`` or ``"thread:8"`` → a :class:`ScanExecutor`.
 
-Backends are addressed by a compact spec — ``"serial"`` or
-``"thread:8"`` — so every layer that accepts an ``executor=`` argument
-(scan algorithms, gradient engines, experiment entry points) can take
-a plain string from a config file or a CLI flag without importing
-executor classes.  Third-party backends plug in via
-:func:`register_backend`.
+Backends are addressed by a compact spec, so every layer that accepts
+an ``executor=`` argument (scan algorithms, gradient engines,
+experiment entry points) can take a plain string from a config file or
+a CLI flag without importing executor classes.  Any other
+:class:`ScanExecutor` plugs in as an instance instead of a spec.
 
 Spec grammar::
 
     spec     := name [":" workers]
-    name     := registered backend name ("serial" | "thread" | …)
+    name     := "serial" | "thread"
     workers  := positive integer worker count
 
 ``get_executor`` also accepts ``None`` (→ the serial executor) and
@@ -21,7 +20,7 @@ so call sites can be spec-or-instance agnostic.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from repro.backend.executor import (
     ScanExecutor,
@@ -29,32 +28,8 @@ from repro.backend.executor import (
     ThreadPoolScanExecutor,
 )
 
-ExecutorFactory = Callable[[Optional[int]], ScanExecutor]
-
-_REGISTRY: Dict[str, ExecutorFactory] = {}
-
 # The serial executor is stateless; one shared instance serves everyone.
 _SERIAL = SerialExecutor()
-
-
-def register_backend(
-    name: str, factory: ExecutorFactory, *, overwrite: bool = False
-) -> None:
-    """Register ``factory(workers) -> ScanExecutor`` under ``name``.
-
-    ``workers`` is ``None`` when the spec gave no ``:N`` suffix; the
-    factory chooses its own default (or rejects a count it cannot use).
-    """
-    if not name or ":" in name:
-        raise ValueError(f"invalid backend name {name!r}")
-    if name in _REGISTRY and not overwrite:
-        raise ValueError(f"backend {name!r} already registered")
-    _REGISTRY[name] = factory
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_REGISTRY))
 
 
 def _parse_spec(spec: str) -> Tuple[str, Optional[int]]:
@@ -81,6 +56,7 @@ def get_executor(
     * a :class:`ScanExecutor` instance → returned unchanged;
     * a string → a **new** executor the caller owns (``"serial"`` is
       the shared stateless singleton; ``close()`` on it is a no-op).
+      ``"thread"`` without a count takes ``min(cpu_count, 8)`` workers.
     """
     if spec is None:
         return _SERIAL
@@ -92,29 +68,10 @@ def get_executor(
             f"got {type(spec).__name__}"
         )
     name, workers = _parse_spec(spec)
-    factory = _REGISTRY.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown scan backend {name!r}; available: "
-            + ", ".join(available_backends())
-        )
-    return factory(workers)
-
-
-# ---------------------------------------------------------------------------
-# built-in backends
-# ---------------------------------------------------------------------------
-def _serial_factory(workers: Optional[int]) -> ScanExecutor:
-    if workers is not None and workers != 1:
-        raise ValueError("the serial backend runs exactly one worker")
-    return _SERIAL
-
-
-def _thread_factory(workers: Optional[int]) -> ScanExecutor:
-    if workers is None:
-        workers = min(os.cpu_count() or 4, 8)
-    return ThreadPoolScanExecutor(workers)
-
-
-register_backend("serial", _serial_factory)
-register_backend("thread", _thread_factory)
+    if name == "serial":
+        if workers is not None and workers != 1:
+            raise ValueError("the serial backend runs exactly one worker")
+        return _SERIAL
+    if name == "thread":
+        return ThreadPoolScanExecutor(workers or min(os.cpu_count() or 4, 8))
+    raise ValueError(f"unknown scan backend {name!r}; available: serial, thread")

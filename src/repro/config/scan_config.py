@@ -48,10 +48,11 @@ from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Union
 
 from repro.backend.registry import _parse_spec
+from repro.scan.algorithms import SCANS
 from repro.scan.sparse_policy import SPARSE_MODES, SparsePolicy
 
 #: Scan algorithms an engine can run (shared by both BPPSA engines).
-ALGORITHMS = ("blelloch", "linear", "hillis_steele", "truncated")
+ALGORITHMS = tuple(SCANS)
 
 #: Pattern-cache policies: per-engine cache vs. one process-wide cache.
 PATTERN_CACHE_POLICIES = ("private", "shared")

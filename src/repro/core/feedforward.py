@@ -23,16 +23,14 @@ import numpy as np
 
 from repro.backend import ExecutorOwner, ScanExecutor
 from repro.config import ScanConfig
-from repro.jacobian.dispatch import BatchedJacobian, has_tjac, layer_tjac_batched
+from repro.jacobian.dispatch import has_tjac, layer_tjac_batched
 from repro.nn import layers as L
 from repro.nn.loss import softmax_xent_grad
 from repro.nn.module import Sequential
 from repro.scan import (
     IDENTITY,
-    DenseJacobian,
     GradientVector,
     ScanContext,
-    SparseJacobian,
     SparsePolicy,
     blelloch_scan,
     hillis_steele_scan,
@@ -189,7 +187,7 @@ class FeedforwardBPPSA(ExecutorOwner):
             self._activations[idx + 1],
             sparse_linear_tol=self.config.sparse_linear_tol,
         )
-        return None if jac is None else self.sparse_policy.element(_to_element(jac))
+        return None if jac is None else self.sparse_policy.element(jac)
 
     def compute_gradients(
         self,
@@ -301,11 +299,3 @@ class FeedforwardBPPSA(ExecutorOwner):
             g = grads.get(id(p))
             if g is not None:
                 p.grad = g.reshape(p.data.shape)
-
-
-def _to_element(jac: BatchedJacobian):
-    if jac.is_sparse:
-        if jac.data is None:
-            return SparseJacobian(jac.pattern)
-        return SparseJacobian(jac.pattern, jac.data)
-    return DenseJacobian(jac.dense)

@@ -10,15 +10,17 @@ and report, for each depth,
 
 * the maximum critical-step FLOPs (per-step complexity, P_Blelloch),
 * the total FLOPs (work),
-* the number of parallel levels (step complexity proxy).
+* the number of levels, each serial-middle step counting as one
+  (step complexity: the length of the critical path).
 
-Observed shape: depth buys parallel levels; the max critical step
-grows over the first levels (smoke scale: depth 1, paper scale: depth
-2) and then stops, and full depth does less total work than depth 2.
-The products that would keep growing denser with depth sit on the
-up-sweep's right spine, which would only build the scan total an
-exclusive scan discards, so the scans skip it (see
-:func:`repro.scan.blelloch_scan`).
+Observed shape: depth shortens the critical path — at depth 0 every
+⊙ is a serial step, and each added up-sweep level shortens the serial
+middle until it is gone; the max critical step grows over the first
+levels (smoke scale: depth 1, paper scale: depth 2) and then stops,
+and full depth does less total work than depth 2.  The products that
+would keep growing denser with depth sit on the up-sweep's right
+spine, which would only build the scan total an exclusive scan
+discards, so the scans skip it (see :func:`repro.scan.blelloch_scan`).
 """
 
 from __future__ import annotations
@@ -57,23 +59,23 @@ def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
 
     rows: List[Dict] = []
     for depth in p["depths"]:
-        analyzer = StaticScanAnalyzer()
-        steps = analyzer.analyze(
+        dag = StaticScanAnalyzer().analyze(
             patterns,
             grad_dim=stages["grad_dim"],
             algorithm="truncated",
             up_levels=depth,
         )
-        levels = {(s.phase, s.level) for s in steps}
+        steps = dag.all_steps()
         rows.append(
             {
                 "up_levels": depth,
-                "parallel_levels": len(levels),
-                "num_steps": len(steps),
+                "parallel_levels": dag.num_levels,
+                "num_steps": dag.num_ops,
                 "max_critical_flops": max(
-                    (s.flops for s in steps if s.critical), default=0.0
+                    (s.flops for s, c in zip(steps, dag.critical()) if c),
+                    default=0.0,
                 ),
-                "total_flops": sum(s.flops for s in steps),
+                "total_flops": dag.total_flops,
                 "mm_steps": sum(1 for s in steps if s.kind == "mm"),
             }
         )
@@ -111,8 +113,9 @@ def render_report(result: Dict) -> str:
     first = min(x["up_levels"] for x in r["rows"] if x["max_critical_flops"] == peak)
     return (
         format_table(headers, rows)
-        + f"\ndepth buys parallel levels; the max critical step stops "
-        f"growing at depth {first} ({peak:.3e} FLOPs)"
+        + f"\ndepth shortens the critical path to "
+        f"{min(x['parallel_levels'] for x in r['rows'])} levels; the max "
+        f"critical step stops growing at depth {first} ({peak:.3e} FLOPs)"
     )
 
 

@@ -16,9 +16,7 @@ from typing import Dict, List
 
 from repro.experiments.common import Scale, format_table, print_report
 from repro.pram.machine import step_count, work_count
-from repro.scan import build_blelloch_dag, build_linear_dag
-from repro.scan.algorithms import hillis_steele_scan
-from repro.scan.elements import OpInfo
+from repro.scan import uniform_dag
 
 PARAMS = {
     Scale.SMOKE: {"sizes": [8, 32, 128, 512, 2048], "workers": [1, 4, 16, 64, 10**9]},
@@ -27,22 +25,6 @@ PARAMS = {
         "workers": [1, 8, 64, 512, 10**9],
     },
 }
-
-
-def _hillis_steele_work(n: int) -> int:
-    identity = object()
-    element = object()
-    count = 0
-
-    def op(a, b, info: OpInfo):
-        nonlocal count
-        if a is identity or b is identity:
-            return a if b is identity else b
-        count += 1
-        return element
-
-    hillis_steele_scan([element] * (n + 1), op, identity=identity)
-    return count
 
 
 def run(scale: Scale = Scale.SMOKE, config=None) -> Dict:
@@ -56,13 +38,13 @@ def run(scale: Scale = Scale.SMOKE, config=None) -> Dict:
     p = PARAMS[scale]
     rows = []
     for n in p["sizes"]:
-        dag = build_blelloch_dag(n + 1)
-        lin = build_linear_dag(n + 1)
+        dag = uniform_dag("blelloch", n + 1)
+        lin = uniform_dag("linear", n + 1)
         row = {
             "n": n,
             "work_blelloch": work_count(dag),
             "work_linear": work_count(lin),
-            "work_hillis_steele": _hillis_steele_work(n),
+            "work_hillis_steele": work_count(uniform_dag("hillis_steele", n + 1)),
             "log2n": math.log2(n),
         }
         for w in p["workers"]:

@@ -32,7 +32,6 @@ import numpy as np
 
 from repro.analysis import (
     StaticScanAnalyzer,
-    StepCost,
     conv_dgrad_flops,
     elementwise_backward_flops,
 )
@@ -46,6 +45,7 @@ from repro.scan import (
     GradientVector,
     ScanContext,
     SparseJacobian,
+    dag_from_trace,
     truncated_blelloch_scan,
 )
 from repro.tensor import Tensor, no_grad
@@ -109,12 +109,12 @@ def _stage_patterns(model: VGG11, input_hw, rng) -> Dict:
 
 
 def _measured_steps(stages: Dict, rng, cfg) -> Dict:
-    """Execute the truncated scan on the sparse path and cost its trace.
+    """Execute the truncated scan on the sparse path and group its trace.
 
     ``cfg`` is the resolved :class:`~repro.config.ScanConfig`: its
     sparse policy decides CSR-vs-dense dispatch, its executor runs the
-    scan (gradient-identical on every backend).  Returns the per-⊙
-    :class:`StepCost` list (FLOPs as actually executed — SpGEMM
+    scan (gradient-identical on every backend).  Returns the scan's
+    :class:`~repro.scan.ScanDAG` (FLOPs as actually executed — SpGEMM
     numeric-phase counts while products stay CSR, dense counts after
     the dispatch densifies) plus the context's measured totals.
     """
@@ -127,26 +127,8 @@ def _measured_steps(stages: Dict, rng, cfg) -> Dict:
     truncated_blelloch_scan(
         items, ctx.op, up_levels=UP_LEVELS, executor=cfg.executor
     )
-
-    steps = [
-        StepCost(
-            phase=rec.info.phase,
-            level=rec.info.level,
-            kind=rec.kind,
-            flops=float(rec.flops),
-            dense_mnk=float(rec.dense_mnk),
-        )
-        for rec in ctx.trace
-    ]
-    by_level: Dict = {}
-    for s in steps:
-        by_level.setdefault((s.phase, s.level), []).append(s)
-    for group in by_level.values():
-        fmax = max(s.flops for s in group)
-        for s in group:
-            s.critical = s.flops == fmax
     return {
-        "steps": steps,
+        "dag": dag_from_trace(ctx.trace),
         "measured_total_flops": float(ctx.total_flops),
         "sparse_mode": str(policy),
     }
@@ -169,34 +151,44 @@ def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
 
     cfg = ScanConfig.coerce(config).resolve()
     measured = _measured_steps(stages, rng, cfg)
-    steps = measured["steps"]
+    dag = measured["dag"]
 
     analyzer = StaticScanAnalyzer()
-    modeled_steps = analyzer.analyze(
+    modeled = analyzer.analyze(
         list(reversed(stages["patterns"])),
         grad_dim=stages["grad_dim"],
         algorithm="truncated",
         up_levels=UP_LEVELS,
     )
-    baseline_steps = analyzer.baseline_steps(stages["baseline"])
+    baseline = analyzer.baseline_steps(stages["baseline"])
 
-    bppsa_max = max(s.flops for s in steps)
-    bppsa_critical_max = max(s.flops for s in steps if s.critical)
-    base_max = max(s.flops for s in baseline_steps)
+    steps = dag.all_steps()
+    bppsa_critical_max = max(
+        s.flops for s, critical in zip(steps, dag.critical()) if critical
+    )
+    base_max = max(s.flops for s in baseline.all_steps())
     return {
-        "steps": steps,
-        "baseline_steps": baseline_steps,
-        "modeled_steps": modeled_steps,
+        "dag": dag,
+        "baseline": baseline,
+        "modeled": modeled,
         "stage_names": stages["names"],
-        "bppsa_max_step_flops": bppsa_max,
+        "bppsa_max_step_flops": max(s.flops for s in steps),
         "bppsa_critical_max_flops": bppsa_critical_max,
         "baseline_max_step_flops": base_max,
         "per_step_ratio": bppsa_critical_max / base_max,
         "measured_total_flops": measured["measured_total_flops"],
-        "modeled_total_flops": float(sum(s.flops for s in modeled_steps)),
+        "modeled_total_flops": float(modeled.total_flops),
         "sparse_mode": measured["sparse_mode"],
         "params": p,
     }
+
+
+def _marked_steps(result: Dict):
+    """``(source, step, critical)`` for every BPPSA then baseline step."""
+    for source, key in (("bppsa", "dag"), ("baseline", "baseline")):
+        dag = result[key]
+        for step, critical in zip(dag.all_steps(), dag.critical()):
+            yield source, step, critical
 
 
 def result_rows(result: Dict) -> List[Dict]:
@@ -205,40 +197,31 @@ def result_rows(result: Dict) -> List[Dict]:
     BPPSA scan steps and baseline gradient-operator steps are
     concatenated; the ``source`` column tells them apart.
     """
-    out: List[Dict] = []
-    sources = (("bppsa", result["steps"]), ("baseline", result["baseline_steps"]))
-    for source, steps in sources:
-        for s in steps:
-            out.append(
-                {
-                    "source": source,
-                    "phase": s.phase,
-                    "level": int(s.level),
-                    "kind": s.kind,
-                    "dense_mnk": float(s.dense_mnk),
-                    "flops": float(s.flops),
-                    "critical": bool(s.critical),
-                    "exact": bool(s.exact),
-                }
-            )
-    return out
+    return [
+        {
+            "source": source,
+            "phase": s.info.phase,
+            "level": int(s.info.level),
+            "kind": s.kind,
+            "dense_mnk": float(s.dense_mnk),
+            "flops": float(s.flops),
+            "critical": bool(critical),
+        }
+        for source, s, critical in _marked_steps(result)
+    ]
 
 
 def render_report(result: Dict) -> str:
     """Render the per-step FLOP table — a pure view over :func:`run`."""
     r = result
-    headers = ["phase", "level", "kind", "m·n·k (dense)", "FLOPs", "critical", "exact"]
+    headers = ["phase", "level", "kind", "m·n·k (dense)", "FLOPs", "critical"]
     rows = [
-        [s.phase, s.level, s.kind, s.dense_mnk, s.flops,
-         "*" if s.critical else "", "" if s.exact else "~"]
-        for s in r["steps"]
-    ]
-    base_rows = [
-        [s.phase, s.level, s.kind, s.dense_mnk, s.flops, "*", ""]
-        for s in r["baseline_steps"]
+        [s.info.phase, s.info.level, s.kind, float(s.dense_mnk), float(s.flops),
+         "*" if critical else ""]
+        for _, s, critical in _marked_steps(r)
     ]
     return (
-        format_table(headers, rows + base_rows)
+        format_table(headers, rows)
         + f"\nmax BPPSA critical-step FLOPs: {r['bppsa_critical_max_flops']:.3e}"
         + f"\nmax baseline gradient-op FLOPs: {r['baseline_max_step_flops']:.3e}"
         + f"\nper-step ratio (want ≈ O(1)): {r['per_step_ratio']:.2f}"

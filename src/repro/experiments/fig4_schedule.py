@@ -14,7 +14,7 @@ from typing import Dict, List
 
 from repro.experiments.common import Scale, format_table, print_report
 from repro.nn.models import vgg11_conv_shapes
-from repro.scan import build_blelloch_dag, build_linear_dag
+from repro.scan import uniform_dag
 
 
 def run(scale: Scale = Scale.SMOKE, input_hw=(32, 32), config=None) -> Dict:
@@ -27,8 +27,8 @@ def run(scale: Scale = Scale.SMOKE, input_hw=(32, 32), config=None) -> Dict:
     """
     shapes = vgg11_conv_shapes(input_hw)
     n = len(shapes)  # 8 convolutions
-    dag = build_blelloch_dag(n + 1)
-    linear = build_linear_dag(n + 1)
+    dag = uniform_dag("blelloch", n + 1)
+    linear = uniform_dag("linear", n + 1)
     levels = []
     for i, level in enumerate(dag.levels):
         levels.append(

@@ -23,7 +23,7 @@ from typing import Dict, List
 
 from repro.experiments.common import Scale, format_table, print_report
 from repro.pram.machine import step_count
-from repro.scan import build_blelloch_dag
+from repro.scan import uniform_dag
 
 PARAMS = {
     Scale.SMOKE: {"n": 512, "devices": [1, 2, 4, 8, 16, 32, 64, 128, 256, 512]},
@@ -37,8 +37,7 @@ def bppsa_steps(n: int, p: int, mm_cost: float = 1.0) -> float:
     ``mm_cost`` is the per-step cost of a ⊙ matrix–matrix product in
     units of one baseline BP stage step (a matrix–vector product).
     """
-    dag = build_blelloch_dag(n + 1)
-    return step_count(dag, p) * mm_cost
+    return step_count(uniform_dag("blelloch", n + 1), p) * mm_cost
 
 
 def naive_steps(n: int, p: int) -> float:

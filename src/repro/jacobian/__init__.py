@@ -44,7 +44,7 @@ from repro.jacobian.attention import (
 )
 from repro.jacobian.linear import linear_tjac, linear_tjac_csr
 from repro.jacobian.autograd_gen import autograd_tjac
-from repro.jacobian.dispatch import BatchedJacobian, layer_tjac_batched
+from repro.jacobian.dispatch import layer_tjac_batched
 from repro.jacobian.sparsity import (
     conv_guaranteed_sparsity,
     maxpool_guaranteed_sparsity,
@@ -70,7 +70,6 @@ __all__ = [
     "layernorm_tjac_batched",
     "softmax_jac",
     "autograd_tjac",
-    "BatchedJacobian",
     "layer_tjac_batched",
     "conv_guaranteed_sparsity",
     "maxpool_guaranteed_sparsity",

@@ -13,7 +13,7 @@ abstraction explicitly:
   kernel-launch overhead and a latency floor for tiny matrices;
 * :class:`PRAMMachine` — schedules a :class:`~repro.scan.dag.ScanDAG`
   level-synchronously onto ``p`` workers (greedy LPT within a level),
-  returning makespans, per-level times, and critical-path marks;
+  returning makespans and per-level times;
 * step-count helpers verifying the paper's Eq. 6/7 complexity claims.
 
 The simulator never fabricates results: it schedules the *actual* op

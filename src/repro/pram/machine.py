@@ -60,23 +60,20 @@ class PRAMMachine:
     def __init__(self, cost_model: GPUCostModel) -> None:
         self.cost_model = cost_model
 
-    def schedule(
-        self,
-        dag: ScanDAG,
-        batch: int = 1,
-        mark_critical: bool = True,
-    ) -> ScheduleResult:
+    def schedule(self, dag: ScanDAG, batch: int = 1) -> ScheduleResult:
         """Simulate level-synchronous execution.
 
         ``batch`` replicates every task ``batch`` times (one independent
         scan per sample, as in the RNN benchmark) before scheduling.
+        The DAG is only read; :meth:`ScanDAG.critical` names the steps
+        whose costs set each level's time.
         """
         device = self.cost_model.device
         result = ScheduleResult(makespan_seconds=0.0)
         for li, level in enumerate(dag.levels):
             if not level:
                 continue
-            flops = [node.flops for node in level]
+            flops = [step.flops for step in level]
             uniform = len(set(flops)) == 1
             total_tasks = len(level) * batch
             if uniform:
@@ -87,10 +84,6 @@ class PRAMMachine:
                     _lpt_makespan(costs, device.concurrent_blocks)
                     + device.kernel_launch_overhead
                 )
-            if mark_critical:
-                fmax = max(flops)
-                for node in level:
-                    node.critical = node.flops == fmax
             result.levels.append(
                 LevelResult(
                     index=li,

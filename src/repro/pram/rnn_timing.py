@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from repro.pram.cost_model import GPUCostModel
 from repro.pram.device import DeviceSpec
 from repro.pram.machine import PRAMMachine
-from repro.scan.dag import ScanDAG, build_blelloch_dag
+from repro.scan.dag import ScanDAG, uniform_dag
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,8 @@ class RNNTimingResult:
 @functools.lru_cache(maxsize=64)
 def _scan_dag(seq_len: int, hidden: int) -> ScanDAG:
     """Blelloch schedule for a (T+1)-element array of H×H Jacobians."""
-    return build_blelloch_dag(
+    return uniform_dag(
+        "blelloch",
         seq_len + 1,
         flops_mm=2 * hidden**3,
         flops_mv=2 * hidden * hidden,
@@ -67,8 +68,7 @@ def simulate_rnn_iteration(
     """
     cm = GPUCostModel(device)
     machine = PRAMMachine(cm)
-    sched = machine.schedule(_scan_dag(seq_len, hidden), batch=batch,
-                             mark_critical=False)
+    sched = machine.schedule(_scan_dag(seq_len, hidden), batch=batch)
     bppsa_backward = sched.makespan_seconds + cm.jacobian_prep_seconds(
         seq_len, batch, hidden
     )

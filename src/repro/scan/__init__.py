@@ -24,16 +24,18 @@ producing ``[I, ∇x_n ℓ, ..., ∇x_1 ℓ]``.  This package provides:
 * :func:`truncated_blelloch_scan` — Section 5.2's balanced variant
   (up-sweep only to level k, serial matrix–vector middle, down-sweep
   from level k), used by the pruned-VGG-11 benchmark;
-* a scan-DAG builder for the PRAM simulator (Figure 4's schedule).
+* :data:`SCANS` — the one table from algorithm name to scan;
+* :class:`ScanDAG` — a scan's :class:`StepRecord` steps grouped into
+  parallel levels, from a numeric trace (:func:`dag_from_trace`) or a
+  symbolic run of any scan (:func:`symbolic_dag`, :func:`uniform_dag`)
+  — Figure 4's schedule and the PRAM simulator's input.
 
 *Where* each level's independent ⊙ ops execute is pluggable: every
 parallel scan takes ``executor=`` — a backend spec string
 (``"serial"``, ``"thread:8"``), a
 :class:`~repro.backend.ScanExecutor` instance, or ``None`` for the
-serial executor.  See :mod:`repro.backend`; the
-registry entry points (:func:`get_executor`, :func:`register_backend`,
-:func:`available_backends`) and the executor base class are re-exported
-here for convenience.
+serial executor.  See :mod:`repro.backend`; :func:`get_executor` and
+the executor base class are re-exported here for convenience.
 """
 
 from repro.scan.elements import (
@@ -49,6 +51,7 @@ from repro.scan.elements import (
 )
 from repro.scan.sparse_policy import SPARSE_MODES, SparsePolicy
 from repro.scan.algorithms import (
+    SCANS,
     blelloch_scan,
     blelloch_num_levels,
     hillis_steele_scan,
@@ -60,19 +63,8 @@ from repro.scan.algorithms import (
 # Submodule imports (not `from repro.backend import …`): repro.backend's
 # own __init__ may still be mid-import when this package loads.
 from repro.backend.executor import LevelTask, ScanExecutor
-from repro.backend.registry import (
-    available_backends,
-    get_executor,
-    register_backend,
-)
-from repro.scan.dag import (
-    ScanDAG,
-    TaskNode,
-    build_blelloch_dag,
-    build_linear_dag,
-    build_truncated_dag,
-    dag_from_trace,
-)
+from repro.backend.registry import get_executor
+from repro.scan.dag import ScanDAG, dag_from_trace, symbolic_dag, uniform_dag
 
 __all__ = [
     "Identity",
@@ -93,15 +85,12 @@ __all__ = [
     "truncated_blelloch_scan",
     "stage_truncated_scan",
     "simple_op",
+    "SCANS",
     "LevelTask",
     "ScanExecutor",
-    "available_backends",
     "get_executor",
-    "register_backend",
     "ScanDAG",
-    "TaskNode",
-    "build_blelloch_dag",
-    "build_linear_dag",
-    "build_truncated_dag",
     "dag_from_trace",
+    "symbolic_dag",
+    "uniform_dag",
 ]

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
 
 from repro.backend.executor import LevelTask, ScanExecutor
 from repro.backend.registry import get_executor
@@ -337,3 +337,14 @@ def stage_truncated_scan(
 
         _down_sweep(a, op, n, range(k - 1, -1, -1), ex)
     return a, pfx
+
+
+#: Every scan algorithm by name — the one table an algorithm name is
+#: looked up in (``repro.config.ALGORITHMS`` is its keys).  Only
+#: ``"truncated"`` takes ``up_levels``.
+SCANS: Dict[str, Callable[..., List[Any]]] = {
+    "blelloch": blelloch_scan,
+    "linear": linear_scan,
+    "hillis_steele": hillis_steele_scan,
+    "truncated": truncated_blelloch_scan,
+}

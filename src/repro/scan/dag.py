@@ -2,44 +2,37 @@
 
 A scan algorithm's ⊙ applications form a DAG: operations at the same
 (phase, level) are mutually independent; levels are ordered up-sweep
-``L0, L1, …`` then down-sweep back to ``L…``.  This module turns a
-recorded trace (:class:`~repro.scan.elements.StepRecord` list) into an
-explicit :class:`ScanDAG` of :class:`TaskNode` levels — the object the
-PRAM simulator schedules onto ``p`` workers, and the object the Fig. 4
-experiment prints.
+``L0, L1, …`` then down-sweep back to ``L…``.  This module groups the
+:class:`~repro.scan.elements.StepRecord` list a scan leaves — one
+record per ⊙ — into an explicit :class:`ScanDAG` of levels: the object
+the PRAM simulator schedules onto ``p`` workers, the Fig. 4 experiment
+prints and the Fig. 11 experiment costs.
 
-Builders are also provided that *symbolically* enumerate the schedule
-for a given array length without any numeric data, so schedules for
-n = 30000 can be analyzed instantly.
+A numeric scan leaves its records in its
+:class:`~repro.scan.ScanContext`'s trace.  :func:`symbolic_dag` records
+the same steps without numeric data, by running any scan of
+:data:`~repro.scan.algorithms.SCANS` with a symbolic ⊙ that only costs
+each application, so schedules for n = 30000 can be analyzed
+instantly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-from repro.scan.algorithms import (
-    blelloch_scan,
-    linear_scan,
-    truncated_blelloch_scan,
-)
-from repro.scan.elements import OpInfo, StepRecord
+from repro.scan.algorithms import SCANS
+from repro.scan.elements import IDENTITY, StepRecord
 
-
-@dataclass
-class TaskNode:
-    """One ⊙ application with its cost."""
-
-    info: OpInfo
-    kind: str  # "mv" | "mm"
-    flops: int
-    dense_mnk: int = 0
-    critical: bool = False  # filled by the PRAM scheduler
+#: ``cost(a, b) -> (result, kind, flops, dense_mnk)``: a symbolic
+#: stand-in for the numeric ``a ⊙ b = b·a`` of two non-identity
+#: operands (see :func:`symbolic_dag`).
+SymbolicCost = Callable[[Any, Any], Tuple[Any, str, float, float]]
 
 
 @dataclass
 class ScanDAG:
-    """An ordered sequence of parallel levels of :class:`TaskNode`.
+    """An ordered sequence of parallel levels of :class:`StepRecord`.
 
     ``levels[i]`` may execute concurrently on available workers;
     level ``i+1`` must wait for level ``i`` (the level-synchronous
@@ -47,7 +40,7 @@ class ScanDAG:
     one kernel per level).
     """
 
-    levels: List[List[TaskNode]] = field(default_factory=list)
+    levels: List[List[StepRecord]] = field(default_factory=list)
 
     @property
     def num_levels(self) -> int:
@@ -58,11 +51,25 @@ class ScanDAG:
         return sum(len(lv) for lv in self.levels)
 
     @property
-    def total_flops(self) -> int:
-        return sum(node.flops for lv in self.levels for node in lv)
+    def total_flops(self) -> float:
+        return sum(step.flops for lv in self.levels for step in lv)
 
-    def all_nodes(self) -> List[TaskNode]:
-        return [node for lv in self.levels for node in lv]
+    def all_steps(self) -> List[StepRecord]:
+        return [step for lv in self.levels for step in lv]
+
+    def critical(self) -> List[bool]:
+        """For each step of :meth:`all_steps`, whether it is critical.
+
+        A level lasts as long as its costliest ⊙, so the steps with
+        their level's maximum FLOPs (ties all count) form the critical
+        path — the filled circles of Figure 11.  A sequential phase has
+        one step per level, so each of its steps is critical.
+        """
+        marks: List[bool] = []
+        for lv in self.levels:
+            fmax = max((step.flops for step in lv), default=0)
+            marks.extend(step.flops == fmax for step in lv)
+        return marks
 
     def level_keys(self) -> List[Tuple[str, int]]:
         return [
@@ -95,73 +102,68 @@ def dag_from_trace(trace: Sequence[StepRecord]) -> ScanDAG:
     dag = ScanDAG()
     current_key: Optional[Tuple[str, int]] = None
     for rec in trace:
-        node = TaskNode(rec.info, rec.kind, rec.flops, rec.dense_mnk)
         key = (rec.info.phase, rec.info.level)
         sequential = rec.info.phase in ("linear", "serial-mid")
         if sequential or key != current_key or not dag.levels:
-            dag.levels.append([node])
+            dag.levels.append([rec])
             current_key = None if sequential else key
         else:
-            dag.levels[-1].append(node)
+            dag.levels[-1].append(rec)
     return dag
 
 
-# ---------------------------------------------------------------------------
-# symbolic builders (no numeric data)
-# ---------------------------------------------------------------------------
-class _Seg:
-    """Symbolic scan element: a contiguous segment, vector iff it
-    contains position 0 (the gradient vector)."""
+def symbolic_dag(
+    algorithm: str,
+    items: Sequence[Any],
+    cost: SymbolicCost,
+    up_levels: int = 0,
+) -> ScanDAG:
+    """Run scan ``algorithm`` over symbolic ``items`` and group its steps.
 
-    __slots__ = ("has_vector",)
-
-    def __init__(self, has_vector: bool) -> None:
-        self.has_vector = has_vector
-
-
-def _symbolic_items(length: int) -> List[_Seg]:
-    return [_Seg(i == 0) for i in range(length)]
-
-
-def _collect(algorithm, length: int, flops_mm: int, flops_mv: int, **kw) -> ScanDAG:
+    ``cost(a, b)`` stands in for the numeric ⊙ on two non-identity
+    operands and returns ``(result, kind, flops, dense_mnk)``; each
+    call becomes one :class:`StepRecord`.  Identity operands pass
+    through uncosted, as in :meth:`~repro.scan.ScanContext.op`, so the
+    DAG is the one a numeric scan of the same array records.
+    ``up_levels`` is the ``"truncated"`` scan's depth.
+    """
+    scan = SCANS.get(algorithm)
+    if scan is None:
+        raise ValueError(
+            f"unknown algorithm {algorithm!r}; expected one of {tuple(SCANS)}"
+        )
     trace: List[StepRecord] = []
 
-    def op(a: _Seg, b: _Seg, info: OpInfo) -> _Seg:
-        if isinstance(a, str) or isinstance(b, str):  # identity sentinel
-            result = a if isinstance(b, str) else b
-            return result if isinstance(result, _Seg) else _Seg(False)
-        kind = "mv" if a.has_vector else "mm"
-        trace.append(
-            StepRecord(
-                info=info,
-                kind=kind,
-                flops=flops_mv if kind == "mv" else flops_mm,
-                dense_mnk=0,
-            )
-        )
-        return _Seg(a.has_vector or b.has_vector)
+    def op(a, b, info):
+        if a is IDENTITY:
+            return b
+        if b is IDENTITY:
+            return a
+        result, kind, flops, dense_mnk = cost(a, b)
+        trace.append(StepRecord(info, kind, flops, dense_mnk))
+        return result
 
-    algorithm(_symbolic_items(length), op, identity="I", **kw)
+    kw = {"up_levels": up_levels} if algorithm == "truncated" else {}
+    scan(items, op, **kw)
     return dag_from_trace(trace)
 
 
-def build_blelloch_dag(
-    length: int, flops_mm: int = 1, flops_mv: int = 1
+def uniform_dag(
+    algorithm: str,
+    length: int,
+    flops_mm: int = 1,
+    flops_mv: int = 1,
+    up_levels: int = 0,
 ) -> ScanDAG:
-    """Schedule of the modified Blelloch scan on an ``length``-element
-    array, with uniform per-kind costs (e.g. the RNN's 2H³ / 2H²)."""
-    return _collect(blelloch_scan, length, flops_mm, flops_mv)
+    """Schedule of scan ``algorithm`` on a ``length``-element array with
+    one cost per ⊙ kind (e.g. the RNN's 2H³ mat-mat and 2H² mat-vec).
 
+    Each item stands for its segment of the array, ``True`` when the
+    segment holds the gradient vector (position 0): a product is a
+    mat-vec exactly when its left operand holds it.
+    """
 
-def build_linear_dag(length: int, flops_mv: int = 1) -> ScanDAG:
-    """Schedule of the serial linear scan (baseline BP)."""
-    return _collect(linear_scan, length, flops_mv, flops_mv)
+    def cost(a: bool, b: bool):
+        return a or b, "mv" if a else "mm", flops_mv if a else flops_mm, 0
 
-
-def build_truncated_dag(
-    length: int, up_levels: int, flops_mm: int = 1, flops_mv: int = 1
-) -> ScanDAG:
-    """Schedule of Section 5.2's truncated Blelloch scan."""
-    return _collect(
-        truncated_blelloch_scan, length, flops_mm, flops_mv, up_levels=up_levels
-    )
+    return symbolic_dag(algorithm, [True] + [False] * (length - 1), cost, up_levels)

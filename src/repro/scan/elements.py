@@ -240,12 +240,17 @@ _ADHOC = OpInfo("adhoc", -1, -1, -1)
 
 
 class StepRecord(NamedTuple):
-    """Cost record of one ⊙ application (one Figure 11 data point)."""
+    """Cost record of one ⊙ application (one Figure 11 data point).
+
+    A :class:`ScanContext` appends one per ⊙ it runs;
+    :func:`~repro.scan.symbolic_dag` makes the same records without
+    numeric data, where a static cost may be a float estimate.
+    """
 
     info: OpInfo
     kind: str  # "mv" (matrix-vector) or "mm" (matrix-matrix)
-    flops: int  # actual FLOPs (per batch, sparse-aware)
-    dense_mnk: int  # m·n·k if operands were dense — Figure 11's x-axis
+    flops: float  # FLOPs (per batch, sparse-aware)
+    dense_mnk: float  # m·n·k if operands were dense — Figure 11's x-axis
 
 
 class ScanContext:

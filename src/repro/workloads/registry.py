@@ -32,6 +32,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.experiments.common import Scale
+from repro.scan import SparseJacobian
 
 
 def _scale(scale: Any) -> Scale:
@@ -79,13 +80,13 @@ class WorkloadSpec:
 
 
 def structure_tag(jac) -> str:
-    """The structure tag of one :class:`~repro.jacobian.BatchedJacobian`
+    """The structure tag of one stage's Jacobian element, as
+    :func:`~repro.jacobian.layer_tjac_batched` returns it
     (``None`` → ``"identity"``)."""
     if jac is None:
         return "identity"
-    if jac.is_sparse:
-        return "sparse-shared" if jac.data is None else "sparse-per-sample"
-    return "dense-shared" if jac.dense.ndim == 2 else "dense-per-sample"
+    storage = "sparse" if isinstance(jac, SparseJacobian) else "dense"
+    return f"{storage}-{'shared' if jac.shared else 'per-sample'}"
 
 
 def stage_structures(
@@ -117,22 +118,14 @@ def stage_structures(
             activations[idx + 1],
             sparse_linear_tol=sparse_linear_tol,
         )
-        if jac is None:
-            density = 1.0
-            shape: Tuple[int, ...] = ()
-        elif jac.is_sparse:
-            density = jac.pattern.density
-            shape = jac.shape
-        else:
-            density = 1.0
-            shape = jac.shape
+        sparse = isinstance(jac, SparseJacobian)
         rows.append(
             {
                 "stage": idx,
                 "layer": type(layer).__name__,
                 "structure": structure_tag(jac),
-                "shape": shape,
-                "density": density,
+                "shape": () if jac is None else jac.shape,
+                "density": jac.pattern.density if sparse else 1.0,
             }
         )
     return rows

@@ -1,6 +1,5 @@
 """Tests for static FLOP analysis and complexity laws."""
 
-import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -15,6 +14,7 @@ from repro.scan import (
     GradientVector,
     ScanContext,
     SparseJacobian,
+    dag_from_trace,
     truncated_blelloch_scan,
 )
 from repro.sparse import CSRMatrix
@@ -31,56 +31,59 @@ def random_pattern_chain(rng, n, dim=6, density=0.5):
 
 class TestStaticAnalyzer:
     def test_flops_match_numeric_execution(self, rng):
-        """Static analysis must cost exactly what the numeric scan does."""
+        """Static analysis must cost exactly what the numeric scan does,
+        level by level and step by step."""
         chain = random_pattern_chain(rng, 7)
         analyzer = StaticScanAnalyzer()
-        steps = analyzer.analyze(chain, grad_dim=6, algorithm="truncated", up_levels=2)
+        dag = analyzer.analyze(chain, grad_dim=6, algorithm="truncated", up_levels=2)
 
         ctx = ScanContext(sparse="on")
         items = [GradientVector(rng.standard_normal((1, 6)))]
         items += [SparseJacobian(p) for p in chain]
         truncated_blelloch_scan(items, ctx.op, up_levels=2)
+        numeric = dag_from_trace(ctx.trace)
 
-        assert len(steps) == len(ctx.trace)
-        static_flops = sorted(s.flops for s in steps)
-        numeric_flops = sorted(r.flops for r in ctx.trace)
-        np.testing.assert_allclose(static_flops, numeric_flops)
+        assert analyzer.estimates == 0
+        assert dag.num_levels == numeric.num_levels
+        for static_level, numeric_level in zip(dag.levels, numeric.levels):
+            assert [(s.info, s.kind, s.flops, s.dense_mnk) for s in static_level] == [
+                (s.info, s.kind, s.flops, s.dense_mnk) for s in numeric_level
+            ]
 
     def test_linear_algorithm_only_matvecs(self, rng):
         chain = random_pattern_chain(rng, 5)
-        steps = StaticScanAnalyzer().analyze(chain, grad_dim=6, algorithm="linear")
-        assert all(s.kind == "mv" for s in steps)
+        dag = StaticScanAnalyzer().analyze(chain, grad_dim=6, algorithm="linear")
+        assert all(s.kind == "mv" for s in dag.all_steps())
 
     def test_blelloch_has_matmats(self, rng):
         chain = random_pattern_chain(rng, 8)
-        steps = StaticScanAnalyzer().analyze(chain, grad_dim=6, algorithm="blelloch")
-        assert any(s.kind == "mm" for s in steps)
+        dag = StaticScanAnalyzer().analyze(chain, grad_dim=6, algorithm="blelloch")
+        assert any(s.kind == "mm" for s in dag.all_steps())
 
     def test_critical_marking_per_level(self, rng):
         chain = random_pattern_chain(rng, 8)
-        steps = StaticScanAnalyzer().analyze(chain, grad_dim=6, algorithm="blelloch")
-        levels = {}
-        for s in steps:
-            levels.setdefault((s.phase, s.level), []).append(s)
-        for group in levels.values():
-            assert any(s.critical for s in group)
-            fmax = max(s.flops for s in group)
-            assert all(s.flops == fmax for s in group if s.critical)
+        dag = StaticScanAnalyzer().analyze(chain, grad_dim=6, algorithm="blelloch")
+        marks = iter(dag.critical())
+        for level in dag.levels:
+            critical = [s for s in level if next(marks)]
+            assert critical
+            assert all(s.flops == max(x.flops for x in level) for s in critical)
 
     def test_estimator_fallback(self, rng):
         """With a tiny expansion limit, downstream steps become estimates
         but remain well-formed."""
         chain = random_pattern_chain(rng, 8, dim=8, density=0.8)
         analyzer = StaticScanAnalyzer(expansion_limit=1)
-        steps = analyzer.analyze(chain, grad_dim=8, algorithm="blelloch")
-        assert any(not s.exact for s in steps)
-        assert all(s.flops >= 0 for s in steps)
+        dag = analyzer.analyze(chain, grad_dim=8, algorithm="blelloch")
+        assert analyzer.estimates > 0
+        assert all(s.flops >= 0 for s in dag.all_steps())
 
     def test_estimate_pattern_element(self):
         analyzer = StaticScanAnalyzer()
         est = EstimatePattern((4, 4), 8.0)
-        steps = analyzer.analyze([est, est], grad_dim=4, algorithm="linear")
-        assert all(not s.exact for s in steps) or all(s.kind == "mv" for s in steps)
+        dag = analyzer.analyze([est, est], grad_dim=4, algorithm="linear")
+        assert all(s.kind == "mv" for s in dag.all_steps())
+        assert analyzer.estimates == dag.num_ops
 
     def test_shape_mismatch_raises(self, rng):
         a = CSRMatrix.from_dense(rng.standard_normal((3, 4)))
@@ -96,9 +99,10 @@ class TestStaticAnalyzer:
 
     def test_baseline_steps(self):
         analyzer = StaticScanAnalyzer()
-        steps = analyzer.baseline_steps([(100.0, 1000.0), (50.0, 500.0)])
-        assert len(steps) == 2
-        assert all(s.phase == "baseline" and s.critical for s in steps)
+        dag = analyzer.baseline_steps([(100.0, 1000.0), (50.0, 500.0)])
+        assert dag.num_levels == dag.num_ops == 2
+        assert all(s.info.phase == "baseline" for s in dag.all_steps())
+        assert all(dag.critical())
 
 
 class TestBaselineFormulas:

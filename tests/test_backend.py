@@ -1,8 +1,8 @@
 """Tests for the pluggable scan-execution backend subsystem.
 
-Covers the registry (spec parsing, custom registration, error cases)
-and — the property the whole subsystem rests on — bitwise-identical
-scan results and gradients across the serial and thread executors.
+Covers executor specs (parsing, instances, error cases) and — the
+property the whole subsystem rests on — bitwise-identical scan results
+and gradients across the serial and thread executors.
 """
 
 import threading
@@ -16,9 +16,7 @@ from repro.backend import (
     ScanExecutor,
     SerialExecutor,
     ThreadPoolScanExecutor,
-    available_backends,
     get_executor,
-    register_backend,
 )
 from repro.scan import (
     DenseJacobian,
@@ -52,9 +50,6 @@ def chain(rng, n, batch=2, h=4, kind="dense"):
 # registry
 # ---------------------------------------------------------------------------
 class TestRegistry:
-    def test_builtins_registered(self):
-        assert set(available_backends()) >= {"serial", "thread"}
-
     def test_serial_is_shared_singleton(self):
         assert get_executor("serial") is get_executor("serial")
         assert isinstance(get_executor("serial"), SerialExecutor)
@@ -83,7 +78,6 @@ class TestRegistry:
         from repro.core import RNNBPPSA
         from repro.nn import RNNClassifier
 
-        assert "process" not in available_backends()
         clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
         for build in (
             lambda: get_executor("process:2"),
@@ -112,30 +106,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             get_executor(7)
 
-    def test_register_custom_backend(self):
-        calls = []
-
-        class Recording(SerialExecutor):
-            name = "recording"
-
-            def run_level(self, tasks):
-                calls.append(len(tasks))
-                return super().run_level(tasks)
-
-        register_backend("recording", lambda workers: Recording(), overwrite=True)
-        assert "recording" in available_backends()
-        ex = get_executor("recording")
-        blelloch_scan(list("abcd"), simple_op(lambda a, b: b + a),
-                      identity="", executor=ex)
-        assert calls  # levels actually went through the custom backend
-
-    def test_register_duplicate_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("serial", lambda workers: SerialExecutor())
-
-    def test_register_invalid_name(self):
-        with pytest.raises(ValueError, match="invalid backend name"):
-            register_backend("thread:4", lambda workers: SerialExecutor())
 
 # ---------------------------------------------------------------------------
 # executor equivalence: bitwise-identical across backends

@@ -25,11 +25,12 @@ import pytest
 
 import repro
 from repro.backend import SerialExecutor, ThreadPoolScanExecutor
-from repro.config import ScanConfig, build_engine
+from repro.config import ALGORITHMS, ScanConfig, build_engine
 from repro.core import FeedforwardBPPSA, RNNBPPSA, Trainer
 from repro.nn import LeNet5, RNNClassifier, make_mlp
 from repro.optim import SGD
 from repro.scan import (
+    SCANS,
     SPARSE_MODES,
     DenseJacobian,
     GradientVector,
@@ -141,6 +142,8 @@ class TestSpecGrammar:
             ScanConfig.from_spec(bad)
 
     def test_validation(self):
+        # a config names an algorithm of the one scan table
+        assert ALGORITHMS == tuple(SCANS)
         with pytest.raises(ValueError, match="algorithm"):
             ScanConfig(algorithm="bogus")
         with pytest.raises(ValueError, match="up_levels"):

@@ -17,6 +17,7 @@ from repro.experiments import (
     table2_devices,
 )
 from repro.experiments.common import format_table, sparkline
+from repro.scan import DenseJacobian, GradientVector, ScanContext, hillis_steele_scan
 
 
 class TestCheapExperiments:
@@ -61,6 +62,13 @@ class TestCheapExperiments:
             assert row["work_blelloch"] <= 2 * (n + 1)
             assert row["steps_p=inf"] <= 2 * np.log2(n) + 2
             assert row["work_hillis_steele"] > row["work_blelloch"] or n < 8
+        # the symbolic count is the ⊙ count of a numeric scan
+        n = rows[0]["n"]
+        ctx = ScanContext()
+        items = [GradientVector(np.ones((1, 2)))]
+        items += [DenseJacobian(np.eye(2)) for _ in range(n)]
+        hillis_steele_scan(items, ctx.op)
+        assert rows[0]["work_hillis_steele"] == len(ctx.trace)
 
     def test_scaling_comparison(self):
         from repro.experiments import scaling_comparison
@@ -115,10 +123,19 @@ class TestFig11:
         # sparsity keeps BPPSA's per-step cost within O(1) of baseline
         assert r["per_step_ratio"] < 20.0
         assert r["bppsa_critical_max_flops"] > 0
-        assert len(r["steps"]) > len(r["stage_names"])
+        steps = r["dag"].all_steps()
+        assert len(steps) > len(r["stage_names"])
         # truncated scan produced both phases
-        phases = {s.phase for s in r["steps"]}
+        phases = {s.info.phase for s in steps}
         assert "up" in phases and "down" in phases and "serial-mid" in phases
+
+    def test_serial_mid_steps_are_critical(self):
+        """Each serial-middle step is a level of its own, so each is on
+        the critical path."""
+        rows = fig11_flops.result_rows(fig11_flops.run(Scale.SMOKE))
+        serial = [row for row in rows if row["phase"] == "serial-mid"]
+        assert len(serial) > 1
+        assert all(row["critical"] for row in serial)
 
 
 class TestCommonHelpers:

@@ -23,7 +23,19 @@ from repro.jacobian.sparsity import (
     relu_guaranteed_sparsity,
 )
 from repro.nn import layers as L
+from repro.scan import DenseJacobian, SparseJacobian
 from repro.tensor import Tensor, ops
+
+#: The scan element (type, shared) each layer type's Jacobian lands in.
+ELEMENT_BY_LAYER = {
+    L.Linear: (DenseJacobian, True),
+    L.Conv2d: (SparseJacobian, True),
+    L.ReLU: (SparseJacobian, False),
+    L.Tanh: (SparseJacobian, False),
+    L.Sigmoid: (SparseJacobian, False),
+    L.MaxPool2d: (SparseJacobian, False),
+    L.AvgPool2d: (SparseJacobian, True),
+}
 
 
 class TestPointwise:
@@ -163,8 +175,10 @@ class TestDispatch:
         with __import__("repro.tensor", fromlist=["no_grad"]).no_grad():
             x_out = layer(Tensor(x)).data
         jac = layer_tjac_batched(layer, x, x_out)
+        assert (type(jac), jac.shared) == ELEMENT_BY_LAYER[type(layer)]
         batch = x.shape[0]
-        per_sample = jac.per_sample_dense(batch)
+        dense = jac.to_dense() if isinstance(jac, SparseJacobian) else jac
+        per_sample = np.broadcast_to(dense.data, (batch, *jac.shape))
         for b in range(batch):
             ref = autograd_tjac(
                 lambda t: layer(t.reshape((1,) + x_shape[1:])),
@@ -180,7 +194,7 @@ class TestDispatch:
         jac = layer_tjac_batched(
             layer, x, x @ layer.weight.data.T, sparse_linear_tol=0.0
         )
-        assert jac.is_sparse and jac.is_shared
+        assert isinstance(jac, SparseJacobian) and jac.shared
         np.testing.assert_allclose(
             jac.pattern.to_dense(), layer.weight.data.T
         )

@@ -19,7 +19,7 @@ from repro.pram import (
 )
 from repro.pram.machine import _lpt_makespan
 from repro.pram.rnn_timing import simulate_rnn_iteration
-from repro.scan import build_blelloch_dag, build_linear_dag
+from repro.scan import uniform_dag
 
 
 class TestDevices:
@@ -91,7 +91,7 @@ class TestStepWorkCounts:
         assert n <= measured_work(n) <= 2 * (n + 1)
 
     def test_linear_scan_steps_equal_n(self):
-        dag = build_linear_dag(101)
+        dag = uniform_dag("linear", 101)
         assert step_count(dag, 10**9) == 99  # n−1 real multiplications
         assert work_count(dag) == 99
 
@@ -99,7 +99,7 @@ class TestStepWorkCounts:
 class TestSchedule:
     def test_makespan_positive_and_additive(self):
         machine = PRAMMachine(GPUCostModel(RTX_2070))
-        dag = build_blelloch_dag(64, flops_mm=1000, flops_mv=100)
+        dag = uniform_dag("blelloch", 64, flops_mm=1000, flops_mv=100)
         result = machine.schedule(dag)
         assert result.makespan_seconds > 0
         assert result.makespan_seconds == pytest.approx(
@@ -108,17 +108,20 @@ class TestSchedule:
 
     def test_batch_replication_increases_time(self):
         machine = PRAMMachine(GPUCostModel(RTX_2070))
-        dag = build_blelloch_dag(4096, flops_mm=16000, flops_mv=800)
+        dag = uniform_dag("blelloch", 4096, flops_mm=16000, flops_mv=800)
         t1 = machine.schedule(dag, batch=1).makespan_seconds
         t256 = machine.schedule(dag, batch=256).makespan_seconds
         assert t256 > t1
 
     def test_critical_marking(self):
         machine = PRAMMachine(GPUCostModel(RTX_2070))
-        dag = build_blelloch_dag(16, flops_mm=1000, flops_mv=10)
-        machine.schedule(dag, mark_critical=True)
+        dag = uniform_dag("blelloch", 16, flops_mm=1000, flops_mv=10)
+        before = dag.all_steps()
+        machine.schedule(dag)
+        assert dag.all_steps() == before  # scheduling only reads the DAG
+        marks = iter(dag.critical())
         for level in dag.levels:
-            assert any(node.critical for node in level)
+            assert any([next(marks) for _ in level])
 
 
 class TestRNNTiming:
