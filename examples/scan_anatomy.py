@@ -2,7 +2,8 @@
 """Anatomy of the modified Blelloch scan (paper Figures 1 and 4).
 
 Walks through the scan on a synthetic chain of transposed Jacobians,
-printing every ⊙ application by phase and level, comparing step counts
+printing every ⊙ application by phase and level with the rule of
+``repro.scan.elements.RULES`` that ran it, comparing step counts
 against the serial baseline, demonstrating why the down-sweep must
 reverse operand order for the non-commutative ⊙, re-running the
 scan on each execution backend (``repro.backend``) to show the
@@ -43,10 +44,13 @@ worst = max(
 print(f"Blelloch vs linear scan: max |Δ| = {worst:.2e} over {N} outputs")
 
 # --- the schedule ----------------------------------------------------------
-print("\n⊙ applications by level (phase d: positions l,r → kind):")
+print("\n⊙ applications by level (phase d: positions l,r → kind, rule):")
 for rec in ctx.trace:
     i = rec.info
-    print(f"  {i.phase:>4} d={i.level}: a[{i.left}] ⊙ a[{i.right}]  ({rec.kind})")
+    print(
+        f"  {i.phase:>4} d={i.level}: a[{i.left}] ⊙ a[{i.right}]  "
+        f"({rec.kind}, {rec.rule}: {rec.flops} FLOPs)"
+    )
 
 dag = uniform_dag("blelloch", N + 1)
 lin = uniform_dag("linear", N + 1)

@@ -4,7 +4,9 @@ Runs a scan algorithm *symbolically* over the stage Jacobians' CSR
 patterns: every ⊙ application is costed (sparse-aware FLOPs plus the
 dense-equivalent ``m·n·k`` the paper uses as Figure 11's x-axis) without
 any numeric multiplication, and the steps come back as the
-:class:`~repro.scan.ScanDAG` a numeric scan's trace groups into.  When
+:class:`~repro.scan.ScanDAG` a numeric scan's trace groups into, each
+priced by its numeric rule (:data:`repro.scan.elements.RULES`) and
+:class:`~repro.scan.SparsePolicy` decisions.  When
 chaining exact patterns becomes too large to materialize, the analyzer
 degrades gracefully to a uniform-distribution estimate (see the
 Figure 11 section of BENCHMARKS.md); the FLOP count of a product of two
@@ -17,13 +19,13 @@ come from the standard dense backward FLOP formulas.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
-
-import numpy as np
+from typing import NamedTuple, Sequence, Union
 
 from repro.scan.dag import ScanDAG, dag_from_trace, symbolic_dag
+from repro.scan.elements import CSR, DENSE, DENSE_SHARED, RULES, VECTOR
 from repro.scan.elements import OpInfo, StepRecord
-from repro.sparse import CSRMatrix, build_spgemm_plan, spgemm_flops
+from repro.scan.sparse_policy import SparsePolicy
+from repro.sparse import CSRMatrix, build_spgemm_plan
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,15 @@ class EstimatePattern:
     nnz: float
 
 
-PatternLike = Union[CSRMatrix, EstimatePattern]
+class DenseShape(NamedTuple):
+    """An operand stored dense, known by its shape (every entry stored)."""
+
+    shape: tuple
+    nnz: int
+
+
+#: Each symbolic operand's kind; the static plane holds one sample.
+_KINDS = {int: VECTOR, CSRMatrix: CSR, EstimatePattern: CSR, DenseShape: DENSE_SHARED}
 
 
 class StaticScanAnalyzer:
@@ -47,19 +57,23 @@ class StaticScanAnalyzer:
         SpGEMM symbolic phase is materialized; beyond it, products are
         *estimated* (their own FLOPs stay exact when both inputs are
         exact; downstream steps become estimates).
+    sparse:
+        The :class:`~repro.scan.SparsePolicy` (or mode string, ``None``
+        for ``auto``) deciding which inputs and products stay CSR.
 
     After :meth:`analyze`, ``estimates`` counts the steps whose FLOPs
     or output pattern are estimates rather than exact.
     """
 
-    def __init__(self, expansion_limit: int = 20_000_000) -> None:
+    def __init__(self, expansion_limit: int = 20_000_000, sparse=None) -> None:
         self.expansion_limit = expansion_limit
+        self.policy = SparsePolicy.resolve(sparse)
         self.estimates = 0
 
     # ------------------------------------------------------------------
     def analyze(
         self,
-        patterns: Sequence[PatternLike],
+        patterns: Sequence[Union[CSRMatrix, EstimatePattern]],
         grad_dim: int,
         algorithm: str = "truncated",
         up_levels: int = 2,
@@ -74,7 +88,8 @@ class StaticScanAnalyzer:
         critical steps (the filled circles of Figure 11).
         """
         self.estimates = 0
-        return symbolic_dag(algorithm, [grad_dim, *patterns], self._cost, up_levels)
+        items = [grad_dim, *map(self._stored, patterns)]
+        return symbolic_dag(algorithm, items, self._op, up_levels)
 
     def baseline_steps(self, layer_costs: Sequence[tuple]) -> ScanDAG:
         """Baseline BP 'gradient operator' costs (green circles).
@@ -91,37 +106,29 @@ class StaticScanAnalyzer:
         )
 
     # ------------------------------------------------------------------
-    def _cost(self, a, b):
-        """The symbolic ⊙ ``b·a``: a mat-vec when ``a`` is the gradient
-        vector (held as its dimension), else a pattern product."""
-        if isinstance(a, int):
-            m, n = b.shape
-            if n != a:
-                raise ValueError(f"shape mismatch: {(m, n)} @ ({a},)")
-            if not isinstance(b, CSRMatrix):
-                self.estimates += 1
-            return m, "mv", 2.0 * b.nnz, float(m) * n
-        (mb, kb), (ka, na) = b.shape, a.shape
-        if kb != ka:
-            raise ValueError(f"shape mismatch: {(mb, kb)} @ {(ka, na)}")
-        out = None
-        if isinstance(a, CSRMatrix) and isinstance(b, CSRMatrix):
-            expansion = spgemm_flops(b, a) // 2
-            if expansion <= self.expansion_limit:
-                plan = build_spgemm_plan(b, a)
-                out = CSRMatrix(
-                    plan.out_indptr,
-                    plan.out_indices,
-                    np.ones(plan.out_nnz),
-                    plan.out_shape,
-                )
+    def _stored(self, pattern):
+        """``pattern`` stored as the engines store it: CSR while
+        :meth:`SparsePolicy.keep_sparse` keeps its density, else dense."""
+        (m, n), nnz = pattern.shape, pattern.nnz
+        keep = self.policy.keep_sparse(nnz / max(m * n, 1))
+        return pattern if keep else DenseShape((m, n), m * n)
+
+    def _op(self, a, b):
+        """The symbolic ⊙ ``b·a``, priced by the numeric scan's rule."""
+        rule = RULES[_KINDS[type(a)], _KINDS[type(b)]]
+        flops, mnk = rule.cost(b, a)
+        estimate = EstimatePattern in (type(a), type(b))
+        if rule.store == VECTOR:
+            out = b.shape[0]
+        elif rule.store == DENSE:
+            out = DenseShape((b.shape[0], a.shape[1]), b.shape[0] * a.shape[1])
+        elif estimate or flops // 2 > self.expansion_limit:
+            estimate, (m, n) = True, (b.shape[0], a.shape[1])
+            out = self._stored(EstimatePattern((m, n), min(float(m) * n, flops / 2)))
         else:
-            # expected expansion under uniformly distributed nnz
-            expansion = float(b.nnz) * float(a.nnz) / kb
-        if out is None:
-            self.estimates += 1
-            out = EstimatePattern((mb, na), min(float(mb) * na, float(expansion)))
-        return out, "mm", 2.0 * expansion, float(mb) * na * kb
+            out = self._stored(build_spgemm_plan(b, a).out_pattern())
+        self.estimates += estimate
+        return out, rule.name, float(flops), float(mnk)
 
 
 # ---------------------------------------------------------------------------

@@ -271,7 +271,7 @@ def _pipeline_scan_rows(
     RNN mini-batch through :class:`~repro.pipeline.StagedRNNBPPSA` for
     every (stages, micro-batches) cell under both schedules — the
     measured composition of the scan engine with pipeline parallelism
-    (ROADMAP open item 4)."""
+    (the pipeline plane)."""
     from repro.nn.rnn import RNNClassifier
     from repro.pipeline import SCHEDULES, StagedRNNBPPSA
 

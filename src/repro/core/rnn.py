@@ -71,12 +71,10 @@ class RNNBPPSA(ExecutorOwner):
     release its workers.  Every backend yields bitwise-identical
     gradients.
 
-    ``sparse`` is accepted for API uniformity with
-    :class:`FeedforwardBPPSA` and recorded on ``self.config``, but it
-    changes nothing here: the engine builds every scan element itself
-    (:func:`hidden_jacobian_elements`), and those structured dense
-    Jacobians never reach a CSR kernel, so every mode yields the same
-    gradients.
+    There is no ``sparse`` keyword: the engine builds every scan element
+    itself (:func:`hidden_jacobian_elements`), and those structured
+    Jacobians never reach a CSR kernel, so a ``config``'s sparse mode
+    changes no gradient.
     """
 
     def __init__(
@@ -85,7 +83,6 @@ class RNNBPPSA(ExecutorOwner):
         algorithm: Optional[str] = None,
         up_levels: Optional[int] = None,
         executor: Union[str, ScanExecutor, None] = None,
-        sparse: Union[str, SparsePolicy, None] = None,
         config: Union[ScanConfig, str, Mapping, None] = None,
     ) -> None:
         cfg = ScanConfig.coerce(
@@ -93,7 +90,6 @@ class RNNBPPSA(ExecutorOwner):
             algorithm=algorithm,
             up_levels=up_levels,
             executor=executor if isinstance(executor, str) else None,
-            sparse=sparse,
         ).resolve()
         self.config = cfg
         self.clf = classifier

@@ -30,6 +30,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.analysis import StaticScanAnalyzer
+from repro.config import ScanConfig
 from repro.experiments.common import Scale, format_table, print_report
 from repro.experiments.fig11_flops import PARAMS as FIG11_PARAMS
 from repro.experiments.fig11_flops import _stage_patterns
@@ -45,10 +46,10 @@ PARAMS = {
 def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
     """Sweep truncation depths over the pruned-VGG-11 scan analysis.
 
-    ``config`` is accepted for entry-point uniformity across the 13
-    artifacts (see :mod:`repro.config`); the sweep is a *static*
-    analysis over every depth, so the config's single ``up_levels``
-    has nothing to pin here.
+    ``config`` names the sparse mode the static analysis prices the
+    scan under (see :mod:`repro.config`); the sweep covers every
+    depth, so the config's single ``up_levels`` has nothing to pin
+    here.
     """
     p = PARAMS[scale]
     rng = np.random.default_rng(seed)
@@ -56,10 +57,11 @@ def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
     magnitude_prune(model, p["prune"], scope="global")
     stages = _stage_patterns(model, p["input_hw"], rng)
     patterns = list(reversed(stages["patterns"]))
+    sparse = ScanConfig.coerce(config).resolve().sparse_policy()
 
     rows: List[Dict] = []
     for depth in p["depths"]:
-        dag = StaticScanAnalyzer().analyze(
+        dag = StaticScanAnalyzer(sparse=sparse).analyze(
             patterns,
             grad_dim=stages["grad_dim"],
             algorithm="truncated",

@@ -15,8 +15,8 @@ here are **measured**: the truncated scan actually runs on the sparse
 execution path (CSR elements composed through cached SpGEMM plans
 under the :class:`~repro.scan.SparsePolicy` dispatch), and each step's
 FLOPs come from the :class:`~repro.scan.ScanContext` trace of the ⊙
-applications that really executed.  The old static model is kept as a
-cross-check (``modeled_total_flops`` vs ``measured_total_flops``).
+applications that really executed.  The static model, priced by the
+same rules and sparse mode, must agree (``modeled_total_flops``).
 
 The claim to reproduce: BPPSA's (critical) per-step FLOPs sit in the
 same range as the baseline's — sparsity reduces the per-step complexity
@@ -141,7 +141,7 @@ def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
     names the measured scan's dispatch policy and executor; unset
     fields take the global defaults (``sparse=auto``, ``serial``).
     The truncation depth stays the paper's (up-sweep through
-    level 2); the static model is computed alongside as a cross-check.
+    level 2); the static model runs alongside under the same config.
     """
     p = PARAMS[scale]
     rng = np.random.default_rng(seed)
@@ -153,7 +153,7 @@ def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
     measured = _measured_steps(stages, rng, cfg)
     dag = measured["dag"]
 
-    analyzer = StaticScanAnalyzer()
+    analyzer = StaticScanAnalyzer(sparse=cfg.sparse_policy())
     modeled = analyzer.analyze(
         list(reversed(stages["patterns"])),
         grad_dim=stages["grad_dim"],

@@ -1,7 +1,7 @@
 """Attention-block layers: LayerNorm, single-head SelfAttention, and the
 TransformerBlock workload model.
 
-These are the ROADMAP item 5(a) workloads: operators whose transposed
+These are the attention workloads: operators whose transposed
 Jacobians have *block* structure rather than the diagonal/banded
 patterns of the seed models.  LayerNorm's Jacobian is block-diagonal
 across sequence positions (each position mixes only within its own

@@ -6,10 +6,10 @@ The paper's Eq. 9::
 
 The backward recurrence ``∇h_t ℓ ← (∂h_{t+1}/∂h_t)^T ∇h_{t+1} ℓ`` over a
 sequence of length ``T`` is exactly the strong sequential dependency
-BPPSA parallelizes; :meth:`RNN.hidden_jacobians_T` materializes the
-per-step transposed Jacobians ``(∂h_{t}/∂h_{t-1})^T = W_hh^T diag(1 - h_t²)``
-of the scan's input array (Eq. 5), which the scan engines keep
-structured instead (:class:`repro.scan.ScaledShared`).
+BPPSA parallelizes.  The engines scan the per-step transposed Jacobians
+``(∂h_{t}/∂h_{t-1})^T = W_hh^T diag(1 - h_t²)`` (Eq. 5) structured, as
+:func:`repro.core.rnn.hidden_jacobian_elements` builds them;
+:meth:`RNN.hidden_jacobians_T` materializes them dense.
 """
 
 from __future__ import annotations

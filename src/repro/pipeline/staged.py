@@ -2,7 +2,7 @@
 
 The seed repo's pipeline package simulated GPipe/PipeDream in unit time
 slots; the scan engine ran whole backward passes monolithically.  This
-module composes the two (ROADMAP open item 4): an unrolled RNN is
+module composes the two (the pipeline plane): an unrolled RNN is
 partitioned into ``K`` contiguous time-step stages, each stage's
 backward runs as an independent **truncated-scan slice** on its own
 pooled :class:`~repro.serve.ScanEngine`, and a GPipe or PipeDream 1F1B
@@ -248,8 +248,9 @@ class StagedRNNBPPSA:
         boundary gradients upstream, and parameter gradients accumulate
         centrally in micro-batch order.  ``self.last_run_stats``
         captures per-event timings, measured utilization, and actual
-        per-stage Jacobian footprints.
+        per-stage Jacobian footprints (``None`` until a run succeeds).
         """
+        self.last_run_stats = None
         x = np.asarray(x, dtype=np.float64)
         targets = np.asarray(targets)
         batch, seq_len, _ = x.shape

@@ -9,14 +9,11 @@ producing ``[I, ∇x_n ℓ, ..., ∇x_1 ℓ]``.  This package provides:
 
 * typed scan elements (identity / gradient vector / dense / CSR /
   shared-``W`` scaled Jacobians, batched across samples) and a
-  :class:`ScanContext` that evaluates ⊙ with FLOP accounting and
-  SpGEMM plan caching;
-* a density-cutoff dispatch layer (:class:`SparsePolicy`) deciding
-  per element and per product whether composition runs in CSR/SpGEMM
-  or dense BLAS — ``sparse=auto|on|off``, see
-  :mod:`repro.scan.sparse_policy`;
-* symbolic-once/numeric-many SpGEMM plans (:mod:`repro.sparse`), with
-  an arena of numeric-phase scratch per :class:`ScanContext`;
+  :class:`ScanContext` that runs each ⊙ by its named rule of
+  :data:`~repro.scan.elements.RULES`, recording FLOPs per step, with
+  cached SpGEMM plans (:mod:`repro.sparse`) and a per-context arena;
+* :class:`SparsePolicy` (``sparse=auto|on|off``), deciding per element
+  and per product whether composition runs in CSR or dense BLAS;
 * :func:`linear_scan` — the serial baseline (equivalent to BP);
 * :func:`blelloch_scan` — the paper's modified Blelloch scan
   (Algorithm 1: operand order reversed in the down-sweep);

@@ -24,12 +24,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 from repro.scan.algorithms import SCANS
 from repro.scan.elements import IDENTITY, StepRecord
 
-#: ``cost(a, b) -> (result, kind, flops, dense_mnk)``: a symbolic
-#: stand-in for the numeric ``a ⊙ b = b·a`` of two non-identity
-#: operands (see :func:`symbolic_dag`).
-SymbolicCost = Callable[[Any, Any], Tuple[Any, str, float, float]]
-
-
 @dataclass
 class ScanDAG:
     """An ordered sequence of parallel levels of :class:`StepRecord`.
@@ -115,13 +109,13 @@ def dag_from_trace(trace: Sequence[StepRecord]) -> ScanDAG:
 def symbolic_dag(
     algorithm: str,
     items: Sequence[Any],
-    cost: SymbolicCost,
+    cost: Callable[[Any, Any], Tuple[Any, str, float, float]],
     up_levels: int = 0,
 ) -> ScanDAG:
     """Run scan ``algorithm`` over symbolic ``items`` and group its steps.
 
     ``cost(a, b)`` stands in for the numeric ⊙ on two non-identity
-    operands and returns ``(result, kind, flops, dense_mnk)``; each
+    operands and returns ``(result, rule, flops, dense_mnk)``; each
     call becomes one :class:`StepRecord`.  Identity operands pass
     through uncosted, as in :meth:`~repro.scan.ScanContext.op`, so the
     DAG is the one a numeric scan of the same array records.
@@ -139,8 +133,8 @@ def symbolic_dag(
             return b
         if b is IDENTITY:
             return a
-        result, kind, flops, dense_mnk = cost(a, b)
-        trace.append(StepRecord(info, kind, flops, dense_mnk))
+        result, rule, flops, dense_mnk = cost(a, b)
+        trace.append(StepRecord(info, rule, flops, dense_mnk))
         return result
 
     kw = {"up_levels": up_levels} if algorithm == "truncated" else {}
@@ -160,7 +154,8 @@ def uniform_dag(
 
     Each item stands for its segment of the array, ``True`` when the
     segment holds the gradient vector (position 0): a product is a
-    mat-vec exactly when its left operand holds it.
+    mat-vec exactly when its left operand holds it, and a step's rule
+    is its kind alone.
     """
 
     def cost(a: bool, b: bool):

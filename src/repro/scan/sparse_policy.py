@@ -11,12 +11,13 @@ point for *when the scan computes in CSR and when it densifies*, and
   whether a stage's transposed Jacobian enters the scan as a
   :class:`~repro.scan.elements.SparseJacobian` or is materialized
   dense;
-* at **composition time** :class:`~repro.scan.elements.ScanContext`
-  asks whether an SpGEMM product stays CSR or converts to dense
-  storage for the levels above.
+* at **composition time** the ``mm.spgemm`` rule of
+  :data:`~repro.scan.elements.RULES` asks whether its product stays
+  CSR or converts to dense storage for the levels above.
 
-Modes (the ``sparse=`` argument of the scan context and both BPPSA
-engines, or a config's ``sparse`` field):
+:class:`~repro.analysis.StaticScanAnalyzer` decides both alike.  Modes
+(the ``sparse=`` argument of the scan context, the feedforward engine
+and the analyzer, or a config's ``sparse`` field):
 
 ``auto`` (default)
     Keep CSR while density ≤ :attr:`SparsePolicy.AUTO_CUTOFF` (0.25),
@@ -100,11 +101,9 @@ class SparsePolicy:
         dispatch boundary are materialized dense; everything else
         passes through unchanged.
         """
-        from repro.scan.elements import SparseJacobian  # circular-safe
+        from repro.scan.elements import CSR  # circular-safe
 
-        if isinstance(el, SparseJacobian) and not self.keep_sparse(
-            el.pattern.density
-        ):
+        if el.kind == CSR and not self.keep_sparse(el.pattern.density):
             return el.to_dense()
         return el
 

@@ -43,18 +43,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.config import ScanConfig, shared_pattern_cache
-from repro.scan import (
-    IDENTITY,
-    DenseJacobian,
-    GradientVector,
-    Identity,
-    SparseJacobian,
-)
+from repro.scan import IDENTITY, DenseJacobian, GradientVector
+from repro.scan.elements import DENSE, ELEMENT_KINDS
 from repro.serve.pool import EnginePool
 
 _SENTINEL = object()
-
-_ELEMENT_TYPES = (Identity, GradientVector, DenseJacobian, SparseJacobian)
 
 
 def merge_key(items: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
@@ -69,14 +62,9 @@ def merge_key(items: Sequence[Any]) -> Optional[Tuple[Any, ...]]:
     if not items or not isinstance(items[0], GradientVector):
         return None
     seed = items[0]
-    shapes = []
-    for item in items[1:]:
-        if not isinstance(item, DenseJacobian) or item.shared:
-            return None
-        if item.data.shape[0] != seed.batch:
-            return None
-        shapes.append(item.shape)
-    return (seed.dim, tuple(shapes))
+    if any(item.kind != DENSE or item.batch != seed.batch for item in items[1:]):
+        return None
+    return (seed.dim, tuple(item.shape for item in items[1:]))
 
 
 def merge_jobs(item_lists: Sequence[Sequence[Any]]) -> List[Any]:
@@ -198,10 +186,10 @@ class EngineServer:
         if not items:
             raise ValueError("a scan job needs at least one item")
         for item in items:
-            if not isinstance(item, _ELEMENT_TYPES):
+            if getattr(item, "kind", None) not in ELEMENT_KINDS:
                 raise TypeError(
-                    "scan items must be Identity/GradientVector/"
-                    f"DenseJacobian/SparseJacobian, got {type(item).__name__}"
+                    f"scan items must be scan elements (kinds "
+                    f"{sorted(ELEMENT_KINDS)}), got {type(item).__name__}"
                 )
         config = ScanConfig.coerce(spec).resolve()
         if (

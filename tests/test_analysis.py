@@ -1,5 +1,7 @@
 """Tests for static FLOP analysis and complexity laws."""
 
+import itertools
+
 import pytest
 
 from repro.analysis import (
@@ -32,23 +34,36 @@ def random_pattern_chain(rng, n, dim=6, density=0.5):
 class TestStaticAnalyzer:
     def test_flops_match_numeric_execution(self, rng):
         """Static analysis must cost exactly what the numeric scan does,
-        level by level and step by step."""
-        chain = random_pattern_chain(rng, 7)
-        analyzer = StaticScanAnalyzer()
-        dag = analyzer.analyze(chain, grad_dim=6, algorithm="truncated", up_levels=2)
+        level by level and step by step, rule by rule, under every
+        sparse mode — with the inputs assembled as the engines do."""
+        # Sparse inputs whose products cross the auto cutoff, and inputs
+        # dense enough for assembly to densify them; each chain runs in
+        # every mode.
+        chains = [
+            random_pattern_chain(rng, 7, density=density)
+            for density in (0.15, 0.15, 0.2, 0.2, 0.2, 0.2, 0.5)
+        ]
+        for chain, sparse in itertools.product(chains, ("on", "auto", "off")):
+            analyzer = StaticScanAnalyzer(sparse=sparse)
+            dag = analyzer.analyze(
+                chain, grad_dim=6, algorithm="truncated", up_levels=2
+            )
 
-        ctx = ScanContext(sparse="on")
-        items = [GradientVector(rng.standard_normal((1, 6)))]
-        items += [SparseJacobian(p) for p in chain]
-        truncated_blelloch_scan(items, ctx.op, up_levels=2)
-        numeric = dag_from_trace(ctx.trace)
+            ctx = ScanContext(sparse=sparse)
+            items = [GradientVector(rng.standard_normal((1, 6)))]
+            items += [ctx.sparse_policy.element(SparseJacobian(p)) for p in chain]
+            truncated_blelloch_scan(items, ctx.op, up_levels=2)
+            numeric = dag_from_trace(ctx.trace)
 
-        assert analyzer.estimates == 0
-        assert dag.num_levels == numeric.num_levels
-        for static_level, numeric_level in zip(dag.levels, numeric.levels):
-            assert [(s.info, s.kind, s.flops, s.dense_mnk) for s in static_level] == [
-                (s.info, s.kind, s.flops, s.dense_mnk) for s in numeric_level
-            ]
+            assert analyzer.estimates == 0
+            assert dag.num_levels == numeric.num_levels
+            for static_level, numeric_level in zip(dag.levels, numeric.levels):
+                assert [
+                    (s.info, s.rule, s.flops, s.dense_mnk) for s in static_level
+                ] == [
+                    (s.info, s.rule, s.flops, s.dense_mnk) for s in numeric_level
+                ], sparse
+            assert dag.total_flops == ctx.total_flops
 
     def test_linear_algorithm_only_matvecs(self, rng):
         chain = random_pattern_chain(rng, 5)
@@ -73,13 +88,13 @@ class TestStaticAnalyzer:
         """With a tiny expansion limit, downstream steps become estimates
         but remain well-formed."""
         chain = random_pattern_chain(rng, 8, dim=8, density=0.8)
-        analyzer = StaticScanAnalyzer(expansion_limit=1)
+        analyzer = StaticScanAnalyzer(expansion_limit=1, sparse="on")
         dag = analyzer.analyze(chain, grad_dim=8, algorithm="blelloch")
         assert analyzer.estimates > 0
         assert all(s.flops >= 0 for s in dag.all_steps())
 
     def test_estimate_pattern_element(self):
-        analyzer = StaticScanAnalyzer()
+        analyzer = StaticScanAnalyzer(sparse="on")
         est = EstimatePattern((4, 4), 8.0)
         dag = analyzer.analyze([est, est], grad_dim=4, algorithm="linear")
         assert all(s.kind == "mv" for s in dag.all_steps())

@@ -204,9 +204,11 @@ class TestResolvePrecedence:
         # The RNN engine resolves like every other engine: the same
         # config whether or not sparse="auto" is named.
         clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
-        with RNNBPPSA(clf) as eng, RNNBPPSA(clf, sparse="auto") as named:
+        with RNNBPPSA(clf) as eng, RNNBPPSA(clf, config="sparse=auto") as named:
             assert eng.config == named.config == ScanConfig().resolve()
             assert eng.sparse_policy == SparsePolicy("auto")
+        with pytest.raises(TypeError, match="sparse"):
+            RNNBPPSA(clf, sparse="auto")
 
     def test_caller_defaults_rank_between_explicit_and_global(self):
         defaults = {"algorithm": "truncated", "executor": "thread:3"}
@@ -381,9 +383,11 @@ class TestBuildEngine:
             assert eng.config.up_levels == 3
             assert eng.sparse_policy == SparsePolicy("auto")
         clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
-        with RNNBPPSA(clf, config=base.spec(), sparse="on") as eng:
+        config = ScanConfig.coerce(base, sparse="on").spec()
+        with RNNBPPSA(clf, config=config, algorithm="linear") as eng:
             assert eng.config.sparse == "on"
-            assert eng.config.algorithm == "truncated"
+            assert eng.config.algorithm == "linear"
+            assert eng.config.up_levels == 3
 
     def test_bogus_executor_type_fails_at_construction(self):
         model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))

@@ -2,6 +2,7 @@
 paper's qualitative claims at SMOKE scale."""
 
 import numpy as np
+import pytest
 
 from repro.experiments import Scale
 from repro.experiments import (
@@ -136,6 +137,17 @@ class TestFig11:
         serial = [row for row in rows if row["phase"] == "serial-mid"]
         assert len(serial) > 1
         assert all(row["critical"] for row in serial)
+
+    @pytest.mark.parametrize("sparse", ["on", "auto", "off"])
+    def test_modeled_total_is_the_measured_total(self, sparse):
+        """The static model prices each step by the rule the measured
+        scan ran, under the config's sparse mode, step for step."""
+        r = fig11_flops.run(Scale.SMOKE, config=f"sparse={sparse}")
+        assert r["modeled_total_flops"] == r["measured_total_flops"]
+        modeled, measured = r["modeled"].all_steps(), r["dag"].all_steps()
+        assert [(s.info, s.rule, s.flops) for s in modeled] == [
+            (s.info, s.rule, s.flops) for s in measured
+        ]
 
 
 class TestCommonHelpers:

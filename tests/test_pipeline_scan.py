@@ -254,6 +254,29 @@ class TestPipelineOracleMatrix:
             assert staged.up_levels == 2 == staged.configs[0].up_levels
             assert staged.algorithm == "truncated"
 
+    def test_failed_run_leaves_no_stale_stats(self, workload, monkeypatch):
+        """A stage scan that raises reaches the caller and leaves
+        ``last_run_stats`` empty, not the previous run's; once the
+        fault is gone the next run fills it again, with the monolithic
+        engine's gradients, bitwise."""
+        clf, x, targets = workload
+        mono = RNNBPPSA(clf, algorithm="truncated", up_levels=2)
+        ref = grad_bytes(mono.compute_gradients(x, targets))
+
+        def fail(*args, **kwargs):
+            raise RuntimeError("injected stage fault")
+
+        with StagedRNNBPPSA(clf, 2, 1, configs="truncated/up=2") as staged:
+            staged.compute_gradients(x, targets)
+            assert staged.last_run_stats is not None
+            monkeypatch.setattr(staged.engines[1], "run_stage_scan", fail)
+            with pytest.raises(RuntimeError, match="injected stage fault"):
+                staged.compute_gradients(x, targets)
+            assert staged.last_run_stats is None
+            monkeypatch.undo()
+            assert grad_bytes(staged.compute_gradients(x, targets)) == ref
+            assert staged.last_run_stats is not None
+
     def test_too_short_sequence_rejected(self, workload):
         clf, x, targets = workload
         engine = StagedRNNBPPSA(clf, 8, configs="truncated/up=2")

@@ -1,17 +1,26 @@
-"""Tests for the ⊙ operator's type dispatch and cost accounting."""
+"""Tests for the ⊙ operator's rule table and cost accounting."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro
+from repro.data import BitstreamDataset, SyntheticImages
+from repro.nn import LeNet5, RNNClassifier
+from repro.pruning import magnitude_prune
 from repro.scan import (
     DenseJacobian,
     GradientVector,
     IDENTITY,
     Identity,
+    OpInfo,
     ScaledShared,
     ScanContext,
     SparseJacobian,
+    StepRecord,
 )
+from repro.scan.elements import ELEMENT_KINDS, RULES
 from repro.sparse import CSRMatrix
 
 
@@ -302,3 +311,75 @@ class TestElementTypes:
                DenseJacobian(rng.standard_normal((3, 3))))
         ctx.reset_trace()
         assert ctx.total_flops == 0 and not ctx.trace
+
+
+def rnn_step():
+    """The rnn_bitstream step: a Blelloch RNN engine, T=1000, B=16, H=20."""
+    data = BitstreamDataset(1000, num_samples=16, seed=0)
+    x, y = next(iter(data.batches(16, num_batches=1, epoch_seed=0)))
+    clf = RNNClassifier(1, 20, 10, rng=np.random.default_rng(0))
+    return repro.build_engine(clf, "blelloch/serial"), x, y
+
+
+def lenet_step():
+    """The pruned_lenet step: LeNet-5 (w=0.25) pruned 90% globally, B=4,
+    truncated at depth 2 with CSR Linears under ``sparse=auto``."""
+    data = SyntheticImages(num_samples=8, seed=0)
+    x, y = next(iter(data.batches(4, num_batches=1, epoch_seed=0)))
+    model = LeNet5(rng=np.random.default_rng(0), width_multiplier=0.25)
+    with pytest.warns(RuntimeWarning, match="kept no weight"):
+        magnitude_prune(model, 0.9, scope="global")
+    engine = repro.build_engine(
+        model, "truncated/serial/sparse=auto", up_levels=2, sparse_linear_tol=0.0
+    )
+    return engine, x, y
+
+
+class TestRuleTable:
+    NAMES = {
+        "mv.csr", "mv.scaled", "mv.dense_shared", "mv.dense",
+        "mm.pair", "mm.spgemm", "mm.gemm",
+    }
+
+    def test_every_operand_pair_has_one_rule(self):
+        """A vector or matrix left operand meets every matrix kind; a
+        vector on the right has no rule."""
+        matrices = ELEMENT_KINDS - {"identity", "vector"}
+        lefts = matrices | {"vector"}
+        assert set(RULES) == {(a, b) for a in lefts for b in matrices}
+        assert {rule.name for rule in RULES.values()} == self.NAMES
+        for (left, _), rule in RULES.items():
+            assert rule.name.startswith("mv." if left == "vector" else "mm.")
+
+    def test_kind_is_the_rules_family(self):
+        info = OpInfo("up", 0, 0, 1)
+        assert StepRecord(info, "mm.spgemm", 2, 8).kind == "mm"
+        assert StepRecord(info, "mv.csr", 2, 4).kind == "mv"
+        assert StepRecord(info, "mv", 2, 4).kind == "mv"  # a model without rules
+
+    def test_paired_operands_hold_one_table(self, rng):
+        a, _ = scaled_from(rng, 4, 2)
+        b, _ = scaled_from(rng, 4, 2)  # its own pair table
+        with pytest.raises(ValueError, match="one pair table"):
+            ScanContext().op(a, b)
+
+    @pytest.mark.parametrize(
+        "step, counts",
+        [
+            (rnn_step, {"mv.scaled": 500, "mv.dense": 499, "mm.pair": 499,
+                        "mm.gemm": 486}),
+            (lenet_step, {"mv.csr": 8, "mm.spgemm": 4, "mm.gemm": 1,
+                          "mv.dense_shared": 1, "mv.dense": 1}),
+        ],
+        ids=["rnn_blelloch", "pruned_lenet_truncated"],
+    )
+    def test_warm_step_rule_counts(self, step, counts):
+        """Every record of a warm step names a table rule; the per-rule
+        counts are the step's ⊙ mix, and their FLOPs sum to the total."""
+        engine, x, y = step()
+        with engine:
+            engine.compute_gradients(x, y)
+            engine.compute_gradients(x, y)
+            trace = engine.context.trace
+            assert Counter(rec.rule for rec in trace) == counts
+            assert sum(rec.flops for rec in trace) == engine.context.total_flops

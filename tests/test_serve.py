@@ -20,7 +20,10 @@ from repro.scan import (
     IDENTITY,
     DenseJacobian,
     GradientVector,
+    ScaledShared,
+    ScanContext,
     SparseJacobian,
+    blelloch_scan,
 )
 from repro.serve import (
     EnginePool,
@@ -200,6 +203,21 @@ class TestEngineServer:
                 return await server.submit("blelloch/serial", items)
 
         assert_scans_equal(run(main()), serial_reference("blelloch", items))
+
+    def test_accepts_every_element_kind(self, rng):
+        """A ScaledShared chain — what both RNN engines scan — is served
+        (alone: it has no merge key) and equals a solo serial scan."""
+        w = rng.standard_normal((5, 5))
+        pairs = ScaledShared.pair_table(w)
+        items = [GradientVector(rng.standard_normal((3, 5)))]
+        items += [ScaledShared(w, rng.standard_normal((3, 5)), pairs) for _ in range(7)]
+        assert merge_key(items) is None
+
+        async def main():
+            async with EngineServer(max_wait_ms=0) as server:
+                return await server.submit("blelloch/serial", items)
+
+        assert_scans_equal(run(main()), blelloch_scan(items, ScanContext().op))
 
     def test_merges_same_shape_jobs(self, rng):
         jobs = [dense_job(rng) for _ in range(4)]
