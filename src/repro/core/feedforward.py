@@ -41,6 +41,23 @@ from repro.sparse import PatternCache
 from repro.tensor import Tensor, no_grad
 
 
+def forward_activations(layers, x: np.ndarray) -> List[np.ndarray]:
+    """Run ``layers`` on ``x`` without a tape and record every activation.
+
+    Returns ``[x_0, …, x_n]``: stage ``i``'s Jacobian is
+    ``layer_tjac_batched(layers[i], x_i, x_{i+1})``.  The engine's
+    forward pass, Figure 11's stage Jacobians and
+    :func:`repro.workloads.stage_structures` all record through here.
+    """
+    activations = [np.asarray(x, dtype=np.float64)]
+    with no_grad():
+        cur = Tensor(activations[0])
+        for layer in layers:
+            cur = layer(cur)
+            activations.append(cur.data)
+    return activations
+
+
 class FeedforwardBPPSA(ExecutorOwner):
     """Gradient engine running BP as a parallel scan over a Sequential.
 
@@ -134,12 +151,7 @@ class FeedforwardBPPSA(ExecutorOwner):
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Forward pass recording activations; returns logits (B, C)."""
-        self._activations = [np.asarray(x, dtype=np.float64)]
-        with no_grad():
-            cur = Tensor(self._activations[0])
-            for layer in self.model:
-                cur = layer(cur)
-                self._activations.append(cur.data)
+        self._activations = forward_activations(self.model, x)
         return self._activations[-1]
 
     # ------------------------------------------------------------------

@@ -35,8 +35,9 @@ from repro.analysis import (
     conv_dgrad_flops,
     elementwise_backward_flops,
 )
+from repro.core.feedforward import forward_activations
 from repro.experiments.common import Scale, format_table, print_report
-from repro.jacobian import conv2d_tjac_pruned, maxpool_tjac_batched, relu_tjac_batched
+from repro.jacobian import layer_tjac_batched
 from repro.nn import VGG11
 from repro.nn import layers as L
 from repro.pruning import magnitude_prune
@@ -48,7 +49,6 @@ from repro.scan import (
     dag_from_trace,
     truncated_blelloch_scan,
 )
-from repro.tensor import Tensor, no_grad
 
 PARAMS = {
     Scale.SMOKE: {"width": 0.25, "input_hw": (16, 16), "prune": 0.97},
@@ -58,53 +58,34 @@ UP_LEVELS = 2  # paper: up-sweep L0–L2, down-sweep L7–L10 (balanced variant)
 
 
 def _stage_patterns(model: VGG11, input_hw, rng) -> Dict:
-    """Per-stage T-Jacobian patterns + baseline costs from one forward."""
-    x = rng.standard_normal((1, 3, *input_hw))
-    acts = [x]
-    with no_grad():
-        cur = Tensor(x)
-        for layer in model.features:
-            cur = layer(cur)
-            acts.append(cur.data)
+    """Per-stage T-Jacobian patterns + baseline costs from one forward.
 
+    The patterns are built the engine's way: the forward recorder of
+    :class:`~repro.core.FeedforwardBPPSA`, then
+    :func:`~repro.jacobian.layer_tjac_batched` per stage (so a pruned
+    conv filter stores only its live taps).
+    """
+    layers = list(model.features)
+    acts = forward_activations(layers, rng.standard_normal((1, 3, *input_hw)))
     patterns: List = []
     baseline: List[tuple] = []
-    names: List[str] = []
-    for idx, layer in enumerate(model.features):
-        x_in, x_out = acts[idx], acts[idx + 1]
+    for layer, x_in, x_out in zip(layers, acts, acts[1:]):
+        patterns.append(layer_tjac_batched(layer, x_in, x_out).pattern)
         if isinstance(layer, L.Conv2d):
-            hi, wi = x_in.shape[2], x_in.shape[3]
-            tj = conv2d_tjac_pruned(
-                layer.weight.data, (hi, wi), layer.stride, layer.padding
-            )
-            density = float((layer.weight.data != 0).mean())
-            ho, wo = x_out.shape[2], x_out.shape[3]
             baseline.append(
                 conv_dgrad_flops(
                     layer.in_channels, layer.out_channels, layer.kernel_size,
-                    hi, wi, ho, wo, weight_density=density,
+                    *x_in.shape[2:], *x_out.shape[2:],
+                    weight_density=float((layer.weight.data != 0).mean()),
                 )
             )
-            names.append(f"conv{sum(1 for n in names if n.startswith('conv')) + 1}")
-        elif isinstance(layer, L.ReLU):
-            pattern, _ = relu_tjac_batched(x_in.reshape(1, -1))
-            tj = pattern
+        else:  # ReLU / max-pool: one elementwise backward
             baseline.append(elementwise_backward_flops(x_in.size))
-            names.append("relu")
-        elif isinstance(layer, L.MaxPool2d):
-            pattern, _ = maxpool_tjac_batched(x_in, layer.kernel_size, layer.stride)
-            tj = pattern
-            baseline.append(elementwise_backward_flops(x_in.size))
-            names.append("maxpool")
-        else:  # pragma: no cover - VGG features has no other layer kinds
-            raise TypeError(type(layer))
-        patterns.append(tj)
-    grad_dim = acts[-1].size
     return {
         "patterns": patterns,
         "baseline": baseline,
-        "names": names,
-        "grad_dim": grad_dim,
+        "names": [type(layer).__name__ for layer in layers],
+        "grad_dim": acts[-1].size,
     }
 
 

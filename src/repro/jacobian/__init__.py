@@ -6,7 +6,10 @@ directly in CSR rather than column-by-column through autograd.  This
 package provides:
 
 * exact generators for convolution (any kernel/stride/padding), ReLU,
-  tanh/sigmoid (diagonal), max-pool, avg-pool, and linear layers;
+  tanh/sigmoid (diagonal), max-pool, avg-pool, and linear layers; the
+  one conv generator, :func:`conv2d_tjac`, stores only the entries of
+  nonzero filter taps, so a pruned filter yields a pruned Jacobian
+  (Section 4.2);
 * :func:`conv3x3p1_tjac_paper` — a faithful implementation of the
   paper's Algorithms 2–4 (3×3 convolution, padding 1) including its
   structural-zero border layout;
@@ -19,11 +22,7 @@ Index convention: a single-sample activation of shape (C, H, W) is
 flattened in C order, ``flat = c·H·W + y·W + x``.
 """
 
-from repro.jacobian.conv import (
-    conv2d_tjac,
-    conv2d_tjac_pruned,
-    conv3x3p1_tjac_paper,
-)
+from repro.jacobian.conv import conv2d_tjac, conv3x3p1_tjac_paper
 from repro.jacobian.pointwise import (
     relu_tjac,
     relu_tjac_batched,
@@ -53,7 +52,6 @@ from repro.jacobian.sparsity import (
 
 __all__ = [
     "conv2d_tjac",
-    "conv2d_tjac_pruned",
     "conv3x3p1_tjac_paper",
     "relu_tjac",
     "relu_tjac_batched",

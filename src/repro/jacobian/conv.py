@@ -7,17 +7,21 @@ transposed Jacobian therefore has rows indexed by input positions and
 columns by output positions, with values read straight off the filter —
 *no data-dependent entries*, which is why the paper can generate it
 analytically and reuse its sparsity pattern across iterations
-(Section 3.4, Algorithms 2–4).
+(Section 3.4, Algorithms 2–4).  It also means a pruned filter tap
+prunes every Jacobian entry it would fill (Section 4.2).
 
 Two generators are provided:
 
-* :func:`conv2d_tjac` — exact/minimal layout for any square kernel,
-  stride, and padding (only truly-reachable entries are stored);
+* :func:`conv2d_tjac` — the exact generator for any square kernel,
+  stride and padding, used everywhere a conv Jacobian is built.  It
+  stores only live entries: taps whose weight is nonzero, at the
+  output positions they reach inside the image.  Dense weights give
+  every reachable entry; pruned weights give none for a zero tap;
 * :func:`conv3x3p1_tjac_paper` — the paper's Algorithms 2–4 layout for
   the 3×3 / padding-1 / stride-1 case, which keeps 6·co or 9·co
   structural entries per row (left/right image borders keep wrapped
   column indices with explicit zero values, the paper's "fix corner
-  cases" step).  Both yield identical dense matrices.
+  cases" step).  On dense weights both yield identical dense matrices.
 """
 
 from __future__ import annotations
@@ -46,9 +50,13 @@ def conv2d_tjac(
 ) -> CSRMatrix:
     """Exact transposed Jacobian of conv2d, shape (ci·hi·wi, co·ho·wo).
 
-    Fully vectorized: entries are enumerated over the broadcast grid
-    (c, u, v, p, q) × o, masked to the image interior, and assembled
-    with a single COO→CSR conversion.
+    Stores one entry per nonzero filter tap ``W[o,c,u,v]`` and output
+    position ``(p, q)`` its input coordinate lands inside the image, so
+    zero (pruned) taps cost nothing.  Fully vectorized: the in-image
+    positions of every kernel cell are enumerated once, each tap is
+    paired with its cell's run of them, and the entries are assembled
+    with a single COO→CSR conversion (whose sort makes the layout
+    independent of enumeration order).
     """
     weight = np.asarray(weight)
     co, ci, kh, kw = weight.shape
@@ -59,96 +67,32 @@ def conv2d_tjac(
     if ho <= 0 or wo <= 0:
         raise ValueError("kernel larger than padded input")
 
-    # Spatial structure shared by all (o, c) channel pairs:
-    # axes (u, v, p, q) → input coordinates.
+    # Spatial structure shared by all (o, c) channel pairs, over the
+    # axes (u, v, p, q): flat input and output positions of each kernel
+    # cell's in-image entries, in cell-major order.
     u = np.arange(kh)[:, None, None, None]
     v = np.arange(kw)[None, :, None, None]
     p = np.arange(ho)[None, None, :, None]
     q = np.arange(wo)[None, None, None, :]
-    i = p * stride + u - padding  # (kh, kw, ho, wo) broadcast
-    j = q * stride + v - padding
-    i, j, p_b, q_b, u_b, v_b = np.broadcast_arrays(i, j, p, q, u, v)
+    i = p * stride + u - padding  # (kh, 1, ho, 1)
+    j = q * stride + v - padding  # (1, kw, 1, wo)
     valid = (i >= 0) & (i < hi) & (j >= 0) & (j < wi)
-    i, j = i[valid], j[valid]
-    p_f, q_f, u_f, v_f = p_b[valid], q_b[valid], u_b[valid], v_b[valid]
-    n_spatial = i.size  # entries per (o, c) pair
+    in_pos = (i * wi + j)[valid]
+    out_pos = np.broadcast_to(p * wo + q, valid.shape)[valid]
+    per_cell = valid.reshape(kh * kw, -1).sum(axis=1)
+    cell_start = np.cumsum(per_cell) - per_cell
 
-    # Tile over channel pairs: row blocks by c, column blocks by o.
-    c_idx = np.repeat(np.arange(ci), n_spatial * co)
-    o_idx = np.tile(np.repeat(np.arange(co), n_spatial), ci)
-    rows = c_idx * (hi * wi) + np.tile(i * wi + j, ci * co)
-    cols = o_idx * (ho * wo) + np.tile(p_f * wo + q_f, ci * co)
-    vals = weight[
-        o_idx, c_idx, np.tile(u_f, ci * co), np.tile(v_f, ci * co)
-    ].astype(np.float64)
+    # Pair each live tap with its kernel cell's run of positions.
+    o, c, tu, tv = np.nonzero(weight)
+    cell = tu * kw + tv
+    counts = per_cell[cell]
+    tap_start = np.cumsum(counts) - counts
+    spot = np.arange(counts.sum()) + np.repeat(cell_start[cell] - tap_start, counts)
+    rows = np.repeat(c * (hi * wi), counts) + in_pos[spot]
+    cols = np.repeat(o * (ho * wo), counts) + out_pos[spot]
+    vals = np.repeat(weight[o, c, tu, tv], counts).astype(np.float64)
     return CSRMatrix.from_coo(
         rows, cols, vals, (ci * hi * wi, co * ho * wo), sum_duplicates=False
-    )
-
-
-def conv2d_tjac_pruned(
-    weight: np.ndarray,
-    input_hw: Tuple[int, int],
-    stride: int = 1,
-    padding: int = 0,
-) -> CSRMatrix:
-    """Transposed Jacobian of conv2d *skipping zero filter weights*.
-
-    Identical result to ``conv2d_tjac(...).prune_explicit_zeros()`` but
-    never materializes the pruned entries — essential for the pruned
-    VGG-11 analysis where 97 % of weights are zero and the full
-    structural enumeration would be ~30× larger than needed
-    (Section 4.2: "pruning the weights can lead to a higher sparsity in
-    the Jacobian").
-    """
-    weight = np.asarray(weight)
-    co, ci, kh, kw = weight.shape
-    hi, wi = input_hw
-    ho, wo = conv_output_hw(hi, wi, kh, stride, padding)
-    rows_parts, cols_parts, vals_parts = [], [], []
-    p_all = np.arange(ho)
-    q_all = np.arange(wo)
-    for u in range(kh):
-        for v in range(kw):
-            o_nz, c_nz = np.nonzero(weight[:, :, u, v])
-            if len(o_nz) == 0:
-                continue
-            i_all = p_all * stride + u - padding
-            j_all = q_all * stride + v - padding
-            pv = p_all[(i_all >= 0) & (i_all < hi)]
-            qv = q_all[(j_all >= 0) & (j_all < wi)]
-            if len(pv) == 0 or len(qv) == 0:
-                continue
-            pp, qq = np.meshgrid(pv, qv, indexing="ij")
-            pp, qq = pp.reshape(-1), qq.reshape(-1)
-            ii = pp * stride + u - padding
-            jj = qq * stride + v - padding
-            n_pos = len(pp)
-            n_w = len(o_nz)
-            rows_parts.append(
-                (np.repeat(c_nz, n_pos) * (hi * wi))
-                + np.tile(ii * wi + jj, n_w)
-            )
-            cols_parts.append(
-                (np.repeat(o_nz, n_pos) * (ho * wo))
-                + np.tile(pp * wo + qq, n_w)
-            )
-            vals_parts.append(
-                np.repeat(weight[o_nz, c_nz, u, v], n_pos)
-            )
-    if not rows_parts:
-        return CSRMatrix(
-            np.zeros(ci * hi * wi + 1, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-            np.empty(0),
-            (ci * hi * wi, co * ho * wo),
-        )
-    return CSRMatrix.from_coo(
-        np.concatenate(rows_parts),
-        np.concatenate(cols_parts),
-        np.concatenate(vals_parts).astype(np.float64),
-        (ci * hi * wi, co * ho * wo),
-        sum_duplicates=False,
     )
 
 

@@ -203,14 +203,6 @@ class CSRMatrix:
         """Hashable identifier of the sparsity pattern (for plan caching)."""
         return (self.indptr.tobytes(), self.indices.tobytes(), self.shape)
 
-    def prune_explicit_zeros(self, tol: float = 0.0) -> "CSRMatrix":
-        """Drop stored entries with ``|v| <= tol`` (possible-zero cleanup)."""
-        keep = np.abs(self.data) > tol
-        rows = self.row_ids()[keep]
-        return CSRMatrix.from_coo(
-            rows, self.indices[keep], self.data[keep], self.shape, sum_duplicates=False
-        )
-
     def __repr__(self) -> str:
         return (
             f"CSRMatrix(shape={self.shape}, nnz={self.nnz}, "

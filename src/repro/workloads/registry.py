@@ -96,20 +96,17 @@ def stage_structures(
 ) -> List[Dict[str, Any]]:
     """Per-stage Jacobian structure of ``model`` on input ``x``.
 
-    Runs the recorded forward the engine would run, dispatches every
-    stage through :func:`~repro.jacobian.dispatch.layer_tjac_batched`,
-    and returns one row per stage: layer repr, structure tag, Jacobian
-    shape, and density (1.0 for dense storage).
+    Runs the engine's recorded forward
+    (:func:`~repro.core.feedforward.forward_activations`), dispatches
+    every stage through
+    :func:`~repro.jacobian.dispatch.layer_tjac_batched`, and returns one
+    row per stage: layer repr, structure tag, Jacobian shape, and
+    density (1.0 for dense storage).
     """
+    from repro.core.feedforward import forward_activations
     from repro.jacobian.dispatch import layer_tjac_batched
-    from repro.tensor import Tensor, no_grad
 
-    activations = [np.asarray(x, dtype=np.float64)]
-    with no_grad():
-        cur = Tensor(activations[0])
-        for layer in model:
-            cur = layer(cur)
-            activations.append(cur.data)
+    activations = forward_activations(model, x)
     rows: List[Dict[str, Any]] = []
     for idx, layer in enumerate(model):
         jac = layer_tjac_batched(

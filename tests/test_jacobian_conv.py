@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.jacobian import (
-    autograd_tjac,
-    conv2d_tjac,
-    conv2d_tjac_pruned,
-    conv3x3p1_tjac_paper,
-)
+from repro.jacobian import autograd_tjac, conv2d_tjac, conv3x3p1_tjac_paper
 from repro.tensor import Tensor, ops
 
 
@@ -106,26 +101,28 @@ class TestPaperLayout:
 
 
 class TestPrunedGenerator:
+    """``conv2d_tjac`` on pruned filters stores only the live taps."""
+
     @pytest.mark.parametrize("ci,co,k,s,p,hw", CONFIGS[:4])
     def test_equals_exact_pruned(self, rng, ci, co, k, s, p, hw):
         w = rng.standard_normal((co, ci, k, k))
         w[np.abs(w) < 0.8] = 0.0  # prune
-        fast = conv2d_tjac_pruned(w, hw, stride=s, padding=p)
-        fast.validate()
-        slow = conv2d_tjac(w, hw, stride=s, padding=p).prune_explicit_zeros()
-        np.testing.assert_allclose(fast.to_dense(), slow.to_dense(), atol=1e-12)
-        assert fast.nnz == slow.nnz
+        tj = conv2d_tjac(w, hw, stride=s, padding=p)
+        tj.validate()
+        reference = reference_tjac(w, hw, s, p)
+        np.testing.assert_allclose(tj.to_dense(), reference, atol=1e-12)
+        assert tj.nnz == np.count_nonzero(reference)
 
     def test_all_pruned_gives_empty(self, rng):
-        w = np.zeros((2, 2, 3, 3))
-        tj = conv2d_tjac_pruned(w, (4, 4), padding=1)
+        tj = conv2d_tjac(np.zeros((2, 2, 3, 3)), (4, 4), padding=1)
+        tj.validate()
         assert tj.nnz == 0 and tj.shape == (2 * 16, 2 * 16)
 
     def test_sparsity_grows_with_pruning(self, rng):
         w = rng.standard_normal((4, 4, 3, 3))
-        full = conv2d_tjac_pruned(w, (8, 8), padding=1).nnz
+        full = conv2d_tjac(w, (8, 8), padding=1).nnz
         w_pruned = w.copy()
         thresh = np.quantile(np.abs(w), 0.97)
         w_pruned[np.abs(w_pruned) < thresh] = 0.0
-        pruned = conv2d_tjac_pruned(w_pruned, (8, 8), padding=1).nnz
+        pruned = conv2d_tjac(w_pruned, (8, 8), padding=1).nnz
         assert pruned < 0.1 * full

@@ -1,6 +1,7 @@
 """Tests for the ⊙ operator's rule table and cost accounting."""
 
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -321,14 +322,18 @@ def rnn_step():
     return repro.build_engine(clf, "blelloch/serial"), x, y
 
 
-def lenet_step():
-    """The pruned_lenet step: LeNet-5 (w=0.25) pruned 90% globally, B=4,
-    truncated at depth 2 with CSR Linears under ``sparse=auto``."""
+def lenet_step(scope="global"):
+    """The pruned_lenet step: LeNet-5 (w=0.25) pruned 90% (globally by
+    default, or per layer), B=4, truncated at depth 2 with CSR Linears
+    under ``sparse=auto``."""
     data = SyntheticImages(num_samples=8, seed=0)
     x, y = next(iter(data.batches(4, num_batches=1, epoch_seed=0)))
     model = LeNet5(rng=np.random.default_rng(0), width_multiplier=0.25)
-    with pytest.warns(RuntimeWarning, match="kept no weight"):
-        magnitude_prune(model, 0.9, scope="global")
+    if scope == "global":  # global pruning empties Linear(100→30)
+        with pytest.warns(RuntimeWarning, match="kept no weight"):
+            magnitude_prune(model, 0.9, scope=scope)
+    else:
+        magnitude_prune(model, 0.9, scope=scope)
     engine = repro.build_engine(
         model, "truncated/serial/sparse=auto", up_levels=2, sparse_linear_tol=0.0
     )
@@ -364,18 +369,24 @@ class TestRuleTable:
             ScanContext().op(a, b)
 
     @pytest.mark.parametrize(
-        "step, counts",
+        "step, counts, flops",
         [
             (rnn_step, {"mv.scaled": 500, "mv.dense": 499, "mm.pair": 499,
-                        "mm.gemm": 486}),
+                        "mm.gemm": 486}, 264_947_200),
             (lenet_step, {"mv.csr": 8, "mm.spgemm": 4, "mm.gemm": 1,
-                          "mv.dense_shared": 1, "mv.dense": 1}),
+                          "mv.dense_shared": 1, "mv.dense": 1}, 384_840),
+            (partial(lenet_step, "layer"), {"mv.csr": 10, "mm.spgemm": 5},
+             110_256),
         ],
-        ids=["rnn_blelloch", "pruned_lenet_truncated"],
+        ids=["rnn_blelloch", "pruned_lenet_truncated",
+             "pruned_lenet_per_layer_truncated"],
     )
-    def test_warm_step_rule_counts(self, step, counts):
+    def test_warm_step_rule_counts(self, step, counts, flops):
         """Every record of a warm step names a table rule; the per-rule
-        counts are the step's ⊙ mix, and their FLOPs sum to the total."""
+        counts are the step's ⊙ mix, and their FLOPs sum to the total.
+        The pruned LeNet-5 totals count only live conv taps (storing the
+        pruned taps as explicit zeros would read 744,840 global and
+        758,256 per layer)."""
         engine, x, y = step()
         with engine:
             engine.compute_gradients(x, y)
@@ -383,3 +394,4 @@ class TestRuleTable:
             trace = engine.context.trace
             assert Counter(rec.rule for rec in trace) == counts
             assert sum(rec.flops for rec in trace) == engine.context.total_flops
+            assert engine.context.total_flops == flops

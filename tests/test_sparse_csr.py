@@ -145,12 +145,6 @@ class TestPatternsAndBatching:
         with pytest.raises(ValueError):
             mat.with_data(np.ones(mat.nnz + 1))
 
-    def test_prune_explicit_zeros(self):
-        mat = CSRMatrix.from_coo([0, 0, 1], [0, 1, 1], [0.0, 2.0, 0.0], (2, 2))
-        pruned = mat.prune_explicit_zeros()
-        assert pruned.nnz == 1
-        np.testing.assert_allclose(pruned.to_dense(), mat.to_dense())
-
     def test_coo_to_csr_with_perm(self, rng):
         rows = np.array([2, 0, 1, 0])
         cols = np.array([1, 2, 0, 0])
