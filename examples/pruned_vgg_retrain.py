@@ -1,17 +1,20 @@
 #!/usr/bin/env python
 """Retraining a pruned VGG-11 with BPPSA (paper Section 4.2).
 
-1. Build a (width-scaled) VGG-11, prune 97 % of conv/linear weights by
-   global magnitude (See et al., 2016).
+1. Build a (width-scaled) VGG-11, prune 97 % of each conv/linear
+   layer's weights by magnitude (See et al., 2016).  Per-layer pruning
+   keeps weights in every layer; global pruning of this untrained model
+   would empty conv4–conv8, so no gradient below them would read a
+   conv Jacobian.
 2. Show the effect on the convolutions' transposed Jacobians: pruning
    the filters prunes the Jacobians (their values depend only on filter
    weights — Algorithm 4), slashing the FLOPs of every scan step.
 3. Check the first step's BPPSA gradients against taped BP, then
-   retrain the pruned network for a few steps, re-applying masks after
-   each update, and verify sparsity holds.
+   retrain the pruned network for a few steps (batches of 4), re-applying
+   masks after each update, and verify sparsity holds.
 
 Exits non-zero when a first-step gradient entry differs from taped BP
-by more than 1e-9.
+by more than 1e-9, so a wrong conv Jacobian entry fails the run.
 
 Run:  python examples/pruned_vgg_retrain.py
 """
@@ -34,7 +37,7 @@ model = VGG11(rng=rng, width_multiplier=0.125)
 # --- Jacobian sparsity before/after pruning ------------------------------
 conv1 = model.features[0]
 dense_nnz = conv2d_tjac(conv1.weight.data, (32, 32), padding=1).nnz
-masks = magnitude_prune(model, fraction=0.97, scope="global")
+masks = magnitude_prune(model, fraction=0.97, scope="layer")
 pruned_nnz = conv2d_tjac(conv1.weight.data, (32, 32), padding=1).nnz
 print(f"model weight sparsity after pruning: {model_sparsity(model):.3f}")
 print(
@@ -51,7 +54,7 @@ data = SyntheticImages(num_samples=128, seed=1)
 
 print("\nretraining (masks re-applied after each step):")
 grad_error = None
-for step, (x, y) in enumerate(data.batches(16, num_batches=6)):
+for step, (x, y) in enumerate(data.batches(4, num_batches=6)):
     grads = engine.compute_gradients(x, y)
     if grad_error is None:  # first step: BPPSA against taped BP
         full.zero_grad()

@@ -62,9 +62,9 @@ print(f"simulated makespan on RTX 2070: {sched.makespan_seconds * 1e6:.1f} µs")
 
 # --- pluggable execution backends -----------------------------------------
 # The ops of one level are independent, so *where* they run is a plug
-# point: any executor (a spec string or a ScanExecutor instance) runs
-# the same schedule with the same per-op order, hence bitwise-identical
-# outputs.
+# point: any ScanExecutor instance (opened from a spec string with
+# get_executor) runs the same schedule with the same per-op order,
+# hence bitwise-identical outputs.
 print("\nexecution backends:")
 for spec in ("serial", "thread:2"):
     with get_executor(spec) as ex:

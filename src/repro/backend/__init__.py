@@ -25,27 +25,29 @@ Usage::
     with get_executor("thread:8") as ex:
         out = blelloch_scan(items, ScanContext().op, executor=ex)
 
-or end to end through an engine, by spec string::
+or end to end through an engine, whose config names the backend::
 
-    engine = RNNBPPSA(clf, executor="thread:4")
+    engine = RNNBPPSA(clf, config="thread:4")
 
-An engine fixes its executor when it is built: the one it is given,
-else the spec its resolved ``config.executor`` names (``"serial"``
-unless the caller names another).  A whole experiment run is switched
-to another backend by its explicit config::
+An engine fixes its executor when it is built: the instance it is
+given, else the one its resolved ``config.executor`` names
+(``"serial"`` unless the caller names another), which the engine owns
+and ``close()`` releases.  A whole experiment run is switched to
+another backend by its explicit config::
 
     python -m repro.experiments.run_all --config thread:8
 
-A scan function called with ``executor=None`` runs serially.
+A scan function takes an executor instance or ``None`` (serial); a
+spec string raises ``TypeError``, so every pool a scan runs on is one
+its caller opened and closes.
 
 A custom backend implements :class:`ScanExecutor` and is passed as an
-instance: every scan function and both engines accept one, and so does
+instance: every scan function and every engine accept one, and so does
 ``build_engine(..., executor=<instance>)``.  Only ``serial`` and
 ``thread`` have spec strings.
 """
 
 from repro.backend.executor import (
-    ExecutorOwner,
     LevelTask,
     ScanExecutor,
     SerialExecutor,
@@ -54,7 +56,6 @@ from repro.backend.executor import (
 from repro.backend.registry import get_executor
 
 __all__ = [
-    "ExecutorOwner",
     "LevelTask",
     "ScanExecutor",
     "SerialExecutor",

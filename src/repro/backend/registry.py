@@ -1,10 +1,11 @@
 """Executor specs: ``"serial"`` or ``"thread:8"`` → a :class:`ScanExecutor`.
 
-Backends are addressed by a compact spec, so every layer that accepts
-an ``executor=`` argument (scan algorithms, gradient engines,
-experiment entry points) can take a plain string from a config file or
-a CLI flag without importing executor classes.  Any other
-:class:`ScanExecutor` plugs in as an instance instead of a spec.
+Backends are addressed by a compact spec, so a config
+(``ScanConfig.executor``), a config file or a CLI flag names one as a
+plain string; an engine builds its config's spec here, and a caller
+running a scan directly opens one with ``get_executor`` and passes the
+instance.  Any other :class:`ScanExecutor` plugs in as an instance
+instead of a spec.
 
 Spec grammar::
 

@@ -32,21 +32,7 @@ from repro.bench.env import environment_fingerprint
 from repro.bench.record import BenchRecord
 from repro.bench.timing import measure
 from repro.config import ScanConfig
-from repro.experiments import (
-    ablation_truncation,
-    eq6_complexity,
-    fig3_pipeline,
-    fig4_schedule,
-    fig6_patterns,
-    fig7_convergence,
-    fig8_bitstreams,
-    fig9_rnn_curve,
-    fig10_sensitivity,
-    fig11_flops,
-    scaling_comparison,
-    table1_sparsity,
-    table2_devices,
-)
+from repro.experiments import run_all
 from repro.experiments.common import Scale
 
 #: Backend value recorded for artifacts that never reach a scan executor.
@@ -369,35 +355,23 @@ def _serve_throughput_metrics(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
     return serve_metrics(rows)
 
 
+#: The paper artifacts whose run reaches a scan executor, with the
+#: sweep axes each one is measured on: fig3 runs a measured staged
+#: pipeline per cell, fig7 and fig9 train through a BPPSA engine.
+_EXPERIMENT_AXES: Dict[str, Dict[str, bool]] = {
+    "fig3_pipeline": {"backend_sensitive": True},
+    "fig7_convergence": {"backend_sensitive": True, "sparse_sensitive": True},
+    "fig9_rnn_curve": {"backend_sensitive": True},
+}
+
 #: Every benchmarkable artifact, in run order: the 13 paper artifacts
-#: of :mod:`repro.experiments.run_all`, the scan/serving/pipeline
-#: microbenchmarks, and the :mod:`repro.workloads` registry sweeps.
+#: of :data:`repro.experiments.run_all.ARTIFACTS`, the
+#: scan/serving/pipeline microbenchmarks, and the :mod:`repro.workloads`
+#: registry sweeps.
 ARTIFACTS: List[BenchArtifact] = [
-    BenchArtifact("table2_devices", _experiment(table2_devices)),
-    BenchArtifact(
-        # Since PR 8 this artifact also runs a *measured* staged
-        # pipeline per cell, so it sweeps the backend axis.
-        "fig3_pipeline",
-        _experiment(fig3_pipeline),
-        backend_sensitive=True,
-    ),
-    BenchArtifact("fig4_schedule", _experiment(fig4_schedule)),
-    BenchArtifact("table1_sparsity", _experiment(table1_sparsity)),
-    BenchArtifact("fig6_patterns", _experiment(fig6_patterns)),
-    BenchArtifact("fig8_bitstreams", _experiment(fig8_bitstreams)),
-    BenchArtifact("eq6_complexity", _experiment(eq6_complexity)),
-    BenchArtifact("scaling_comparison", _experiment(scaling_comparison)),
-    BenchArtifact("fig10_sensitivity", _experiment(fig10_sensitivity)),
-    BenchArtifact("fig11_flops", _experiment(fig11_flops)),
-    BenchArtifact("ablation_truncation", _experiment(ablation_truncation)),
-    BenchArtifact(
-        "fig7_convergence",
-        _experiment(fig7_convergence),
-        backend_sensitive=True,
-        sparse_sensitive=True,
-    ),
-    BenchArtifact(
-        "fig9_rnn_curve", _experiment(fig9_rnn_curve), backend_sensitive=True
+    *(
+        BenchArtifact(name, _experiment(module), **_EXPERIMENT_AXES.get(name, {}))
+        for name, module in run_all.ARTIFACTS
     ),
     BenchArtifact(
         "parallel_backends", _parallel_backends_rows, backend_sensitive=True

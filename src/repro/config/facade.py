@@ -57,14 +57,14 @@ def build_engine(
     from repro.nn.rnn import RNNClassifier
 
     if isinstance(model, RNNClassifier):
-        return RNNBPPSA(model, executor=executor_instance, config=cfg)
+        return RNNBPPSA(model, cfg, executor_instance)
     if isinstance(model, Sequential):
-        return FeedforwardBPPSA(model, executor=executor_instance, config=cfg)
+        return FeedforwardBPPSA(model, cfg, executor_instance)
     features = getattr(model, "features", None)
     classifier = getattr(model, "classifier", None)
     if isinstance(features, Sequential) and isinstance(classifier, Sequential):
         stacked = Sequential(*(list(features) + list(classifier)))
-        return FeedforwardBPPSA(stacked, executor=executor_instance, config=cfg)
+        return FeedforwardBPPSA(stacked, cfg, executor_instance)
     raise TypeError(
         "build_engine expects an RNNClassifier, a Sequential, or a model "
         "with features/classifier Sequentials (LeNet-5, VGG-11); got "

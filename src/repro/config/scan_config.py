@@ -181,12 +181,6 @@ class ScanConfig:
         return None
 
     def __post_init__(self) -> None:
-        # A SparsePolicy value (an engine's sparse= kwarg) is its mode.
-        if isinstance(self.sparse, SparsePolicy):
-            object.__setattr__(self, "sparse", self.sparse.mode)
-        self._validate()
-
-    def _validate(self) -> None:
         if self.algorithm is not None and self.algorithm not in ALGORITHMS:
             raise ValueError(
                 f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}"

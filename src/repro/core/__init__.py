@@ -19,12 +19,16 @@ Entry points
     optimizer-agnostic training loop that can swap between baseline BP
     and BPPSA, used by the convergence experiments (Figs. 7 and 9).
 
-Both engines accept ``executor=`` — a scan-backend spec string
-(``"serial"``, ``"thread:8"``) or a
-:class:`~repro.backend.ScanExecutor` — selecting *where* each scan
-level's independent ⊙ ops run, fixed when the engine is built; the
-trainer runs the engine it is given.  Gradients are bitwise-identical
-on every backend (see :mod:`repro.backend`).
+Both engines subclass :class:`repro.core.engine.EngineCore`, as does
+the serve plane's :class:`~repro.serve.ScanEngine`: it resolves the
+engine's :class:`~repro.config.ScanConfig` once, builds the
+:class:`~repro.scan.ScanContext` from it, and uses the caller's
+:class:`~repro.backend.ScanExecutor` instance or builds, owns and
+closes the executor ``config.executor`` names.  So an engine takes its
+model, ``config=`` and ``executor=`` (an instance) and nothing else;
+:func:`repro.build_engine` folds keyword overrides into the config.
+The trainer runs the engine it is given.  Gradients are
+bitwise-identical on every backend (see :mod:`repro.backend`).
 """
 
 from repro.core.feedforward import FeedforwardBPPSA

@@ -21,8 +21,9 @@ from typing import Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.backend import ExecutorOwner, ScanExecutor
+from repro.backend import ScanExecutor
 from repro.config import ScanConfig
+from repro.core.engine import EngineCore
 from repro.jacobian.dispatch import has_tjac, layer_tjac_batched
 from repro.nn import layers as L
 from repro.nn.loss import softmax_xent_grad
@@ -30,14 +31,11 @@ from repro.nn.module import Sequential
 from repro.scan import (
     IDENTITY,
     GradientVector,
-    ScanContext,
-    SparsePolicy,
     blelloch_scan,
     hillis_steele_scan,
     linear_scan,
     truncated_blelloch_scan,
 )
-from repro.sparse import PatternCache
 from repro.tensor import Tensor, no_grad
 
 
@@ -58,7 +56,7 @@ def forward_activations(layers, x: np.ndarray) -> List[np.ndarray]:
     return activations
 
 
-class FeedforwardBPPSA(ExecutorOwner):
+class FeedforwardBPPSA(EngineCore):
     """Gradient engine running BP as a parallel scan over a Sequential.
 
     Parameters
@@ -69,84 +67,32 @@ class FeedforwardBPPSA(ExecutorOwner):
         AvgPool2d / Flatten / SelfAttention / LayerNorm — so a
         :class:`~repro.nn.attention.TransformerBlock` works directly).
     config:
-        A :class:`~repro.config.ScanConfig` (or spec string / mapping)
-        naming the whole scan surface declaratively — the preferred
-        construction path (see :func:`repro.build_engine`).  Unset
-        fields take the global defaults; the fully resolved config
-        is kept on ``self.config``, and the engine reads its algorithm,
-        depth, tolerance and sparse mode from there.  Nothing changes
-        them after construction: build a new engine for another
-        configuration.  The config is pure *declarative* data:
-        caller-provided ``executor``/``pattern_cache``
-        *instances* take precedence over it but are not representable
-        in it, so ``self.config`` then records the resolved spec rather
-        than the instance actually in use (``self.executor`` /
-        ``self.context.cache`` are authoritative).
-    algorithm:
-        ``"blelloch"`` (default), ``"linear"`` (the serial baseline,
-        numerically identical to BP), ``"hillis_steele"``, or
-        ``"truncated"`` (Section 5.2; set ``up_levels``).  Overrides
-        the ``config`` field when given.
-    sparse_linear_tol:
-        When set, linear-layer Jacobians are stored in CSR dropping
-        entries ≤ tol — the pruned-retraining configuration.
-    sparse:
-        Dense-vs-sparse dispatch for the scan: a
-        :class:`~repro.scan.SparsePolicy`, a mode string (``"auto"``,
-        ``"on"``, ``"off"``), or ``None`` for the config's mode
-        (``"auto"`` unless it names another).  For any fixed policy,
-        gradients are bitwise-identical on every backend; sparse- and
-        dense-mode gradients agree up to floating-point reassociation
-        (Section 3.5).
+        The scan's :class:`~repro.config.ScanConfig` (or spec string /
+        mapping; see :func:`repro.build_engine`): its algorithm
+        (``"blelloch"`` by default; ``"linear"`` is the serial baseline,
+        numerically identical to BP), truncation depth, executor,
+        sparse mode (for any fixed mode, gradients are bitwise-identical
+        on every backend; sparse- and dense-mode gradients agree up to
+        floating-point reassociation, Section 3.5), linear-Jacobian
+        tolerance (set, linear-layer Jacobians are stored in CSR
+        dropping entries ≤ tol — the pruned-retraining configuration)
+        and plan-cache policy.  Resolved once, see
+        :class:`~repro.core.engine.EngineCore`.
     executor:
-        Scan-execution backend: a spec string (``"serial"``,
-        ``"thread:8"`` — see :mod:`repro.backend`), an
-        executor instance, or ``None`` for the config's executor
-        (``"serial"`` unless it names another).  The executor is
-        fixed at construction: ``self.executor`` runs every scan, and
-        unless an instance was passed it is built from
-        ``self.config.executor`` and owned by the engine.  Every
-        backend yields bitwise-identical gradients; call :meth:`close`
-        (or use the engine as a context manager) to release pooled
-        workers.
+        A :class:`~repro.backend.ScanExecutor` instance the caller
+        owns, or ``None`` for an executor built from
+        ``self.config.executor`` and released by :meth:`close`.
     """
 
     def __init__(
         self,
         model: Sequential,
-        algorithm: Optional[str] = None,
-        up_levels: Optional[int] = None,
-        sparse_linear_tol: Optional[float] = None,
-        pattern_cache: Optional[PatternCache] = None,
-        executor: Union[str, ScanExecutor, None] = None,
-        sparse: Union[str, SparsePolicy, None] = None,
         config: Union[ScanConfig, str, Mapping, None] = None,
+        executor: Optional[ScanExecutor] = None,
     ) -> None:
-        cfg = ScanConfig.coerce(
-            config,
-            algorithm=algorithm,
-            up_levels=up_levels,
-            sparse_linear_tol=sparse_linear_tol,
-            executor=executor if isinstance(executor, str) else None,
-            sparse=sparse,
-        ).resolve()
-        self.config = cfg
+        super().__init__(config, executor)
         self.model = model
-        self._init_executor(executor, cfg.executor)
-        self.context = ScanContext(
-            pattern_cache=(
-                pattern_cache
-                if pattern_cache is not None
-                else cfg.make_pattern_cache()
-            ),
-            sparse=cfg.sparse_policy(),
-        )
         self._activations: List[np.ndarray] = []
-
-    @property
-    def sparse_policy(self) -> SparsePolicy:
-        """The scan's dense-vs-sparse dispatch policy."""
-        return self.context.sparse_policy
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -199,7 +145,7 @@ class FeedforwardBPPSA(ExecutorOwner):
             self._activations[idx + 1],
             sparse_linear_tol=self.config.sparse_linear_tol,
         )
-        return None if jac is None else self.sparse_policy.element(jac)
+        return None if jac is None else self.context.sparse_policy.element(jac)
 
     def compute_gradients(
         self,
@@ -303,11 +249,3 @@ class FeedforwardBPPSA(ExecutorOwner):
         grads[id(layer.weight)] = res["weight"]
         if res["bias"] is not None:
             grads[id(layer.bias)] = res["bias"]
-
-    # ------------------------------------------------------------------
-    def apply_gradients(self, grads: Dict[int, np.ndarray]) -> None:
-        """Write gradients into ``param.grad`` (for ``Optimizer.step``)."""
-        for p in self.model.parameters():
-            g = grads.get(id(p))
-            if g is not None:
-                p.grad = g.reshape(p.data.shape)

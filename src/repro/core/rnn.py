@@ -20,15 +20,15 @@ from typing import Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
-from repro.backend import ExecutorOwner, ScanExecutor
+from repro.backend import ScanExecutor
 from repro.config import ScanConfig
+from repro.core.engine import EngineCore
 from repro.nn.loss import softmax_xent_grad
-from repro.nn.rnn import RNN, RNNClassifier
+from repro.nn.layers import Linear
+from repro.nn.rnn import RNN, RNNCell, RNNClassifier
 from repro.scan import (
     GradientVector,
     ScaledShared,
-    ScanContext,
-    SparsePolicy,
     blelloch_scan,
     hillis_steele_scan,
     linear_scan,
@@ -49,81 +49,68 @@ def hidden_jacobian_elements(rnn: RNN, hidden: np.ndarray) -> List[ScaledShared]
     return [ScaledShared(w_hh, damp, pairs) for damp in 1.0 - hidden**2]
 
 
-class RNNBPPSA(ExecutorOwner):
+def hidden_states(
+    cell: RNNCell, x: np.ndarray, h0: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Eq. 9 unrolled: ``h_t = tanh(x_t W_ih^T + h_{t−1} W_hh^T + b)``.
+
+    ``x`` is (B, T, I) and ``h0`` the (B, H) state before its first
+    step (zeros when ``None``); returns ``h_1 … h_T`` as (T, B, H).
+    Both RNN engines run their forward pass here: :class:`RNNBPPSA`
+    over the whole sequence, and each pipeline stage of
+    :class:`~repro.pipeline.StagedRNNBPPSA` over its own span from the
+    boundary state it is handed.
+    """
+    batch, seq_len, _ = x.shape
+    w_ih, w_hh = cell.weight_ih.data, cell.weight_hh.data
+    b = cell.bias_ih.data + cell.bias_hh.data
+    h = np.zeros((batch, cell.hidden_size)) if h0 is None else h0
+    hs = np.empty((seq_len, batch, cell.hidden_size))
+    for t in range(seq_len):
+        h = np.tanh(x[:, t, :] @ w_ih.T + h @ w_hh.T + b)
+        hs[t] = h
+    return hs
+
+
+def head_logits(head: Linear, h: np.ndarray) -> np.ndarray:
+    """The classifier head's logits (B, C) from the last hidden state."""
+    logits = h @ head.weight.data.T
+    if head.bias is not None:
+        logits = logits + head.bias.data
+    return logits
+
+
+class RNNBPPSA(EngineCore):
     """Scan-based gradient engine for :class:`~repro.nn.rnn.RNNClassifier`.
 
-    ``config`` names the whole scan surface declaratively
-    (:class:`~repro.config.ScanConfig`, spec string, or mapping — see
-    :func:`repro.build_engine`); the kwargs below override its
-    fields when given, and the fully resolved config is kept on
-    ``self.config``, which is what the scan runs: nothing changes it
-    after construction.  A caller-provided executor *instance* takes
-    precedence over the config but is not representable in it
-    (``self.executor`` is authoritative in that case).
+    ``config`` names the scan (:class:`~repro.config.ScanConfig`, spec
+    string, or mapping — see :func:`repro.build_engine`) and
+    ``executor`` is a :class:`~repro.backend.ScanExecutor` instance the
+    caller owns, or ``None`` for one built from ``self.config.executor``
+    and released by :meth:`close`; both are fixed at construction (see
+    :class:`~repro.core.engine.EngineCore`).  Every backend yields
+    bitwise-identical gradients.
 
-    ``executor`` selects the scan-execution backend: a spec string
-    (``"serial"``, ``"thread:8"`` — see
-    :mod:`repro.backend`), an executor instance, or ``None`` for the
-    config's executor (``"serial"`` unless it names another).  The
-    executor is fixed at construction; unless an instance was passed
-    it is built from ``self.config.executor`` and owned by the engine:
-    call :meth:`close` (or use the engine as a context manager) to
-    release its workers.  Every backend yields bitwise-identical
-    gradients.
-
-    There is no ``sparse`` keyword: the engine builds every scan element
-    itself (:func:`hidden_jacobian_elements`), and those structured
-    Jacobians never reach a CSR kernel, so a ``config``'s sparse mode
-    changes no gradient.
+    The config's sparse mode changes no gradient: the engine builds
+    every scan element itself (:func:`hidden_jacobian_elements`), and
+    those structured Jacobians never reach a CSR kernel.
     """
 
     def __init__(
         self,
-        classifier: RNNClassifier,
-        algorithm: Optional[str] = None,
-        up_levels: Optional[int] = None,
-        executor: Union[str, ScanExecutor, None] = None,
+        model: RNNClassifier,
         config: Union[ScanConfig, str, Mapping, None] = None,
+        executor: Optional[ScanExecutor] = None,
     ) -> None:
-        cfg = ScanConfig.coerce(
-            config,
-            algorithm=algorithm,
-            up_levels=up_levels,
-            executor=executor if isinstance(executor, str) else None,
-        ).resolve()
-        self.config = cfg
-        self.clf = classifier
-        self._init_executor(executor, cfg.executor)
-        self.context = ScanContext(
-            pattern_cache=cfg.make_pattern_cache(),
-            sparse=cfg.sparse_policy(),
-        )
-
-    @property
-    def sparse_policy(self) -> SparsePolicy:
-        """The scan's dense-vs-sparse dispatch policy."""
-        return self.context.sparse_policy
+        super().__init__(config, executor)
+        self.model = model
 
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Pure-NumPy forward pass; returns logits and caches h_1..h_T."""
-        x = np.asarray(x, dtype=np.float64)
-        batch, seq_len, _ = x.shape
-        cell = self.clf.rnn.cell
-        w_ih, w_hh = cell.weight_ih.data, cell.weight_hh.data
-        b = cell.bias_ih.data + cell.bias_hh.data
-        h = np.zeros((batch, cell.hidden_size))
-        hs = np.empty((seq_len, batch, cell.hidden_size))
-        for t in range(seq_len):
-            h = np.tanh(x[:, t, :] @ w_ih.T + h @ w_hh.T + b)
-            hs[t] = h
-        self._x = x
-        self._hidden = hs
-        head = self.clf.head
-        logits = h @ head.weight.data.T
-        if head.bias is not None:
-            logits = logits + head.bias.data
-        return logits
+        self._x = np.asarray(x, dtype=np.float64)
+        self._hidden = hidden_states(self.model.rnn.cell, self._x)
+        return head_logits(self.model.head, self._hidden[-1])
 
     # ------------------------------------------------------------------
     def compute_gradients(
@@ -134,7 +121,7 @@ class RNNBPPSA(ExecutorOwner):
         self.last_logits = logits
         grad_logits = softmax_xent_grad(logits, targets)  # (B, C)
 
-        head = self.clf.head
+        head = self.model.head
         h_last = self._hidden[-1]  # (B, H)
         grads: Dict[int, np.ndarray] = {
             id(head.weight): grad_logits.T @ h_last,
@@ -145,7 +132,7 @@ class RNNBPPSA(ExecutorOwner):
         grad_h_last = grad_logits @ head.weight.data  # ∇h_T ℓ, (B, H)
         hidden_grads = self.scan_hidden_grads(grad_h_last)  # (T, B, H)
 
-        rnn = self.clf.rnn
+        rnn = self.model.rnn
         param = rnn.parameter_gradients_from_hidden_grads(
             self._x, self._hidden, hidden_grads
         )
@@ -159,7 +146,7 @@ class RNNBPPSA(ExecutorOwner):
     def scan_hidden_grads(self, grad_h_last: np.ndarray) -> np.ndarray:
         """Run the scan; returns ``∇h_t ℓ`` stacked as (T, B, H)."""
         seq_len = self._hidden.shape[0]
-        jacs = hidden_jacobian_elements(self.clf.rnn, self._hidden)
+        jacs = hidden_jacobian_elements(self.model.rnn, self._hidden)
         # Array order: T_J(h_T), T_J(h_{T−1}), …, T_J(h_1).
         items: List = [GradientVector(grad_h_last), *reversed(jacs)]
 
@@ -187,10 +174,3 @@ class RNNBPPSA(ExecutorOwner):
         for p in range(1, seq_len + 1):
             out[seq_len - p] = scanned[p].data
         return out
-
-    # ------------------------------------------------------------------
-    def apply_gradients(self, grads: Dict[int, np.ndarray]) -> None:
-        for p in self.clf.parameters():
-            g = grads.get(id(p))
-            if g is not None:
-                p.grad = g.reshape(p.data.shape)

@@ -35,6 +35,7 @@ from repro.analysis import (
     conv_dgrad_flops,
     elementwise_backward_flops,
 )
+from repro.backend import get_executor
 from repro.core.feedforward import forward_activations
 from repro.experiments.common import Scale, format_table, print_report
 from repro.jacobian import layer_tjac_batched
@@ -105,9 +106,8 @@ def _measured_steps(stages: Dict, rng, cfg) -> Dict:
     # Eq. 5 ordering: last stage's Jacobian first.
     for pattern in reversed(stages["patterns"]):
         items.append(policy.element(SparseJacobian(pattern)))
-    truncated_blelloch_scan(
-        items, ctx.op, up_levels=UP_LEVELS, executor=cfg.executor
-    )
+    with get_executor(cfg.executor) as ex:
+        truncated_blelloch_scan(items, ctx.op, up_levels=UP_LEVELS, executor=ex)
     return {
         "dag": dag_from_trace(ctx.trace),
         "measured_total_flops": float(ctx.total_flops),

@@ -46,7 +46,8 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.config import ScanConfig, stage_configs
-from repro.core.rnn import hidden_jacobian_elements
+from repro.core.engine import install_gradients
+from repro.core.rnn import head_logits, hidden_jacobian_elements, hidden_states
 from repro.nn.loss import softmax_xent_grad
 from repro.nn.rnn import RNNClassifier
 from repro.pipeline.gpipe import GPipeSchedule, SlotEvent
@@ -283,12 +284,8 @@ class StagedRNNBPPSA:
 
     def apply_gradients(self, grads: Dict[int, np.ndarray]) -> None:
         """Install :meth:`compute_gradients` output onto the classifier's
-        parameters (keyed by ``id(param)``), reshaping each gradient back
-        to its parameter's shape so an optimizer step can consume it."""
-        for p in self.clf.parameters():
-            g = grads.get(id(p))
-            if g is not None:
-                p.grad = g.reshape(p.data.shape)
+        parameters (see :func:`~repro.core.engine.install_gradients`)."""
+        install_gradients(self.clf.parameters(), grads)
 
     def close(self) -> None:
         """Release the private engine pool (no-op on a shared pool —
@@ -324,8 +321,6 @@ class _RunState:
         self.targets = targets
         self.plan = plan
         self.mb_spans = mb_spans
-        cell = engine.clf.rnn.cell
-        self.bias = cell.bias_ih.data + cell.bias_hh.data
         self.hidden: Dict[Tuple[int, int], np.ndarray] = {}
         self.boundary_h: Dict[Tuple[int, int], np.ndarray] = {}
         self.seed: Dict[int, np.ndarray] = {}
@@ -361,25 +356,14 @@ class _RunState:
         engine = self.engine
         lo, hi = self.plan["time_spans"][device]
         b_lo, b_hi = self.mb_spans[m]
-        cell = engine.clf.rnn.cell
-        w_ih, w_hh = cell.weight_ih.data, cell.weight_hh.data
-        if device == 0:
-            h = np.zeros((b_hi - b_lo, cell.hidden_size))
-        else:
-            h = self.boundary_h[(device - 1, m)]
-        hs = np.empty((hi - lo + 1, b_hi - b_lo, cell.hidden_size))
-        for t in range(lo, hi + 1):
-            h = np.tanh(
-                self.x[b_lo:b_hi, t - 1, :] @ w_ih.T + h @ w_hh.T + self.bias
-            )
-            hs[t - lo] = h
+        h0 = None if device == 0 else self.boundary_h[(device - 1, m)]
+        hs = hidden_states(engine.clf.rnn.cell, self.x[b_lo:b_hi, lo - 1 : hi], h0)
+        h = hs[-1]
         self.hidden[(device, m)] = hs
         self.boundary_h[(device, m)] = h
         if device == engine.K - 1:
             head = engine.clf.head
-            logits = h @ head.weight.data.T
-            if head.bias is not None:
-                logits = logits + head.bias.data
+            logits = head_logits(head, h)
             grad_logits = softmax_xent_grad(logits, self.targets[b_lo:b_hi])
             self.head_contrib[m] = (
                 grad_logits.T @ h,

@@ -28,11 +28,12 @@ producing ``[I, ∇x_n ℓ, ..., ∇x_1 ℓ]``.  This package provides:
   — Figure 4's schedule and the PRAM simulator's input.
 
 *Where* each level's independent ⊙ ops execute is pluggable: every
-parallel scan takes ``executor=`` — a backend spec string
-(``"serial"``, ``"thread:8"``), a
-:class:`~repro.backend.ScanExecutor` instance, or ``None`` for the
-serial executor.  See :mod:`repro.backend`; :func:`get_executor` and
-the executor base class are re-exported here for convenience.
+scan takes ``executor=`` — a :class:`~repro.backend.ScanExecutor`
+instance, or ``None`` for the serial executor.  A backend spec string
+(``"thread:8"``) raises ``TypeError``; open it with
+``with get_executor("thread:8") as ex:`` and pass ``ex``.  See
+:mod:`repro.backend`; :func:`get_executor` and the executor base class
+are re-exported here for convenience.
 """
 
 from repro.scan.elements import (

@@ -9,12 +9,14 @@ The same algorithms therefore run (a) numerically via
 PRAM cost model — one schedule feeds both planes.
 
 *Where* each level's independent ⊙ ops run is delegated to a
-:class:`~repro.backend.ScanExecutor`: every parallel scan accepts an
-``executor=`` argument (a backend spec string like ``"thread:8"``, an
-executor instance, or ``None`` for the serial executor — see
-:mod:`repro.backend`).  The three sweeps share one level-dispatch
-core, and every backend preserves per-op association order, so results
-are bitwise-identical across executors.
+:class:`~repro.backend.ScanExecutor`: every scan takes an
+``executor=`` argument, an executor instance or ``None`` for the serial
+executor (see :mod:`repro.backend`).  A spec string such as
+``"thread:8"`` raises ``TypeError``: open it with
+``get_executor("thread:8")`` in a ``with`` block and pass the instance,
+so the caller owns every pool a scan runs on.  The three sweeps share
+one level-dispatch core, and every backend preserves per-op
+association order, so results are bitwise-identical across executors.
 
 Indexing follows the paper exactly: the input array ``a`` has ``n+1``
 entries ``a[0..n]`` (gradient vector followed by ``n`` transposed
@@ -25,8 +27,7 @@ Jacobians) and the exclusive scan output is
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.backend.executor import LevelTask, ScanExecutor
 from repro.backend.registry import get_executor
@@ -34,26 +35,21 @@ from repro.scan.elements import IDENTITY, OpInfo
 
 OpFn = Callable[[Any, Any, OpInfo], Any]
 
-ExecutorLike = Union[str, ScanExecutor, None]
 
-
-@contextmanager
-def _resolved_executor(spec: ExecutorLike) -> Iterator[ScanExecutor]:
-    """Resolve ``executor=`` for the duration of one scan.
-
-    A spec *string* creates a fresh executor that this scan owns, so it
-    is closed on exit — otherwise every ``blelloch_scan(...,
-    executor="thread:8")`` in a training loop would leak a pool.  For
-    pool reuse across scans, pass an executor instance (or construct
-    the engine with the spec); instances are caller-owned and left
-    open, and ``None`` is the shared serial executor.
-    """
-    ex = get_executor(spec)
-    try:
-        yield ex
-    finally:
-        if isinstance(spec, str):
-            ex.close()
+def _scan_executor(executor: Optional[ScanExecutor]) -> ScanExecutor:
+    """The executor a scan runs on: the caller's instance, or the serial
+    executor for ``None``.  A spec string raises ``TypeError``: the
+    caller opens the pool (``with get_executor(spec) as ex``) and
+    closes it, so no scan builds a pool of its own."""
+    if executor is None:
+        return get_executor(None)
+    if not isinstance(executor, ScanExecutor):
+        raise TypeError(
+            "a scan's executor= takes a ScanExecutor instance or None; got "
+            f"{executor!r}.  Open a backend by spec with "
+            f"`with get_executor({executor!r}) as ex:` and pass ex"
+        )
+    return executor
 
 
 def simple_op(fn: Callable[[Any, Any], Any]) -> OpFn:
@@ -145,7 +141,7 @@ def linear_scan(
     items: Sequence[Any],
     op: OpFn,
     identity: Any = IDENTITY,
-    executor: ExecutorLike = None,
+    executor: Optional[ScanExecutor] = None,
 ) -> List[Any]:
     """Serial exclusive scan — the baseline equivalent to sequential BP.
 
@@ -153,9 +149,10 @@ def linear_scan(
     step is a matrix–vector product when ``a[0]`` is the gradient
     vector, exactly like Eq. 3 executed layer by layer.
 
-    ``executor`` is accepted for API uniformity but unused: each step
+    ``executor`` is checked like every scan's but unused: each step
     depends on the previous one, so there is nothing to dispatch.
     """
+    _scan_executor(executor)
     out: List[Any] = [identity]
     acc = identity
     for k, item in enumerate(items[:-1]):
@@ -168,7 +165,7 @@ def blelloch_scan(
     items: Sequence[Any],
     op: OpFn,
     identity: Any = IDENTITY,
-    executor: ExecutorLike = None,
+    executor: Optional[ScanExecutor] = None,
 ) -> List[Any]:
     """The paper's modified Blelloch scan (Algorithm 1).
 
@@ -188,16 +185,16 @@ def blelloch_scan(
     preserves the exact per-op multiplication order and hence bitwise
     behaviour.
     """
+    ex = _scan_executor(executor)
     a = list(items)
     n = len(a) - 1
     if n == 0:
         return [identity]
     levels = blelloch_num_levels(n + 1)
 
-    with _resolved_executor(executor) as ex:
-        _up_sweep(a, op, n, range(levels - 1), ex)  # d = 0 .. ⌈log(n+1)⌉−2
-        a[n] = identity
-        _down_sweep(a, op, n, range(levels - 1, -1, -1), ex)
+    _up_sweep(a, op, n, range(levels - 1), ex)  # d = 0 .. ⌈log(n+1)⌉−2
+    a[n] = identity
+    _down_sweep(a, op, n, range(levels - 1, -1, -1), ex)
     return a
 
 
@@ -205,7 +202,7 @@ def hillis_steele_scan(
     items: Sequence[Any],
     op: OpFn,
     identity: Any = IDENTITY,
-    executor: ExecutorLike = None,
+    executor: Optional[ScanExecutor] = None,
 ) -> List[Any]:
     """Hillis & Steele (1986) scan, shifted to exclusive form.
 
@@ -216,23 +213,23 @@ def hillis_steele_scan(
     reads the previous level's snapshot, so its ops are independent and
     dispatch to ``executor`` like the Blelloch sweeps.
     """
+    ex = _scan_executor(executor)
     n = len(items)
     a = list(items)
     d = 1
     level = 0
-    with _resolved_executor(executor) as ex:
-        while d < n:
-            prev = a
-            a = list(prev)
-            idxs = range(d, n)
-            tasks = [
-                LevelTask(op, prev[i - d], prev[i], OpInfo("hs", level, i - d, i))
-                for i in idxs
-            ]
-            for i, res in zip(idxs, ex.run_level(tasks)):
-                a[i] = res
-            d <<= 1
-            level += 1
+    while d < n:
+        prev = a
+        a = list(prev)
+        idxs = range(d, n)
+        tasks = [
+            LevelTask(op, prev[i - d], prev[i], OpInfo("hs", level, i - d, i))
+            for i in idxs
+        ]
+        for i, res in zip(idxs, ex.run_level(tasks)):
+            a[i] = res
+        d <<= 1
+        level += 1
     # inclusive → exclusive: shift right, drop the total.
     return [identity] + a[:-1]
 
@@ -242,7 +239,7 @@ def truncated_blelloch_scan(
     op: OpFn,
     up_levels: int,
     identity: Any = IDENTITY,
-    executor: ExecutorLike = None,
+    executor: Optional[ScanExecutor] = None,
 ) -> List[Any]:
     """Section 5.2's balanced variant.
 
@@ -275,7 +272,7 @@ def stage_truncated_scan(
     op: OpFn,
     up_levels: int,
     prefix: Any = IDENTITY,
-    executor: ExecutorLike = None,
+    executor: Optional[ScanExecutor] = None,
     compose_tail: bool = False,
 ) -> Tuple[List[Any], Any]:
     """One pipeline stage's slice of a truncated Blelloch scan.
@@ -307,6 +304,7 @@ def stage_truncated_scan(
     size and break the alignment invariant — levels too deep for a
     short tail slice simply schedule no ops).
     """
+    ex = _scan_executor(executor)
     a = list(items)
     n = len(a) - 1
     if n < 0:
@@ -322,20 +320,19 @@ def stage_truncated_scan(
             carry = op(prefix, a[0], OpInfo("serial-mid", k, 0, 0))
         return [prefix], carry
 
-    with _resolved_executor(executor) as ex:
-        _up_sweep(a, op, n, range(k), ex, spine=compose_tail)
+    _up_sweep(a, op, n, range(k), ex, spine=compose_tail)
 
-        block = 1 << k
-        roots = [min(start + block - 1, n) for start in range(0, n + 1, block)]
-        pfx = prefix
-        for m, root in enumerate(roots):
-            summary = a[root]
-            a[root] = pfx
-            if m < len(roots) - 1 or compose_tail:
-                nxt = roots[m + 1] if m < len(roots) - 1 else root
-                pfx = op(pfx, summary, OpInfo("serial-mid", k, root, nxt))
+    block = 1 << k
+    roots = [min(start + block - 1, n) for start in range(0, n + 1, block)]
+    pfx = prefix
+    for m, root in enumerate(roots):
+        summary = a[root]
+        a[root] = pfx
+        if m < len(roots) - 1 or compose_tail:
+            nxt = roots[m + 1] if m < len(roots) - 1 else root
+            pfx = op(pfx, summary, OpInfo("serial-mid", k, root, nxt))
 
-        _down_sweep(a, op, n, range(k - 1, -1, -1), ex)
+    _down_sweep(a, op, n, range(k - 1, -1, -1), ex)
     return a, pfx
 
 

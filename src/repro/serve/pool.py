@@ -20,11 +20,10 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, List, Sequence
 
-from repro.backend.registry import get_executor
 from repro.config import ScanConfig
+from repro.core.engine import EngineCore
 from repro.scan import (
     IDENTITY,
-    ScanContext,
     blelloch_scan,
     hillis_steele_scan,
     linear_scan,
@@ -33,26 +32,23 @@ from repro.scan import (
 )
 
 
-class ScanEngine:
+class ScanEngine(EngineCore):
     """One resolved configuration's long-lived scan engine.
 
-    ``config`` must be fully resolved (:meth:`ScanConfig.resolve`
-    output, taken at admission): engine construction resolves
-    nothing, so it builds on any worker thread from the config alone.
+    ``config`` is normally fully resolved (:meth:`ScanConfig.resolve`
+    output, taken at admission), so resolving it again at construction
+    is a no-op and the engine builds on any worker thread from the
+    config alone.
 
-    The engine owns its executor (built from the resolved spec string)
-    and its :class:`ScanContext` (plan cache, arena);
-    :meth:`close` releases the executor's workers and is idempotent,
-    so a server can retire engines at any time.
+    The engine owns its executor (built from the config's spec string)
+    and its :class:`~repro.scan.ScanContext` (plan cache, arena), both
+    built by :class:`~repro.core.engine.EngineCore`; :meth:`close`
+    releases the executor's workers and is idempotent, so a server can
+    retire engines at any time.
     """
 
     def __init__(self, config: ScanConfig) -> None:
-        self.config = config
-        self.context = ScanContext(
-            pattern_cache=config.make_pattern_cache(),
-            sparse=config.sparse_policy(),
-        )
-        self.executor = get_executor(config.executor)
+        super().__init__(config)
         self.scans = 0
         self.jobs = 0
         self._lock = threading.Lock()
@@ -63,8 +59,8 @@ class ScanEngine:
         ``jobs`` is the number of client jobs this scan carries (> 1
         when the server merged same-shape requests); it only feeds the
         engine's usage counters.  No per-⊙ record outlives the scan
-        (see :meth:`ScanContext.clear_trace`); ``context.total_flops``
-        keeps counting across scans.
+        (see :meth:`~repro.scan.ScanContext.clear_trace`);
+        ``context.total_flops`` keeps counting across scans.
         """
         with self._lock:
             self.scans += 1
@@ -136,10 +132,6 @@ class ScanEngine:
             "jobs": jobs,
             "plan_cache": self.context.cache.stats(),
         }
-
-    def close(self) -> None:
-        """Release the executor's workers (idempotent)."""
-        self.executor.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ScanEngine({self.config.spec()!r})"

@@ -81,7 +81,7 @@ class TestRegistry:
         clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
         for build in (
             lambda: get_executor("process:2"),
-            lambda: RNNBPPSA(clf, executor="process:2"),
+            lambda: RNNBPPSA(clf, config="process:2"),
             lambda: build_engine(clf, "process:2"),
         ):
             with pytest.raises(ValueError, match="unknown scan backend 'process'") as e:
@@ -130,7 +130,7 @@ class TestEquivalence:
     def test_blelloch_bitwise_identical_to_serial(self, rng, spec):
         """Same ops in the same per-op order ⇒ bitwise identical."""
         items = chain(rng, 12, h=8, kind=self.kind)
-        serial = blelloch_scan(items, ScanContext().op, executor="serial")
+        serial = blelloch_scan(items, ScanContext().op)
         with get_executor(spec) as ex:
             out = blelloch_scan(items, ScanContext().op, executor=ex)
         for p in range(1, 13):
@@ -188,7 +188,7 @@ class TestEquivalenceScaledShared(TestEquivalence):
 # engine-level: gradients bitwise-identical across backends (fig9 shape)
 # ---------------------------------------------------------------------------
 class TestEngineBackends:
-    def _rnn_grads(self, executor):
+    def _rnn_grads(self, spec):
         from repro.core import RNNBPPSA
         from repro.data import BitstreamDataset
         from repro.nn import RNNClassifier
@@ -196,7 +196,7 @@ class TestEngineBackends:
         ds = BitstreamDataset(seq_len=40, num_samples=32, seed=0)
         x, y = next(iter(ds.batches(8, num_batches=1)))
         clf = RNNClassifier(1, 20, 10, rng=np.random.default_rng(0))
-        with RNNBPPSA(clf, algorithm="blelloch", executor=executor) as eng:
+        with RNNBPPSA(clf, config=f"blelloch/{spec}") as eng:
             return list(eng.compute_gradients(x, y).values())
 
     @pytest.mark.parametrize("spec", ["thread:2"])
@@ -216,17 +216,19 @@ class TestEngineBackends:
         x = rng.standard_normal((4, 16))
         y = rng.integers(0, 10, 4)
         ref = list(FeedforwardBPPSA(model).compute_gradients(x, y).values())
-        with FeedforwardBPPSA(model, executor="thread:2") as eng:
+        with FeedforwardBPPSA(model, config="thread:2") as eng:
             got = list(eng.compute_gradients(x, y).values())
         for a, b in zip(ref, got):
             np.testing.assert_array_equal(a, b)
 
     def test_engine_owns_spec_string_executor(self):
+        """The engine builds, owns and closes the executor its config's
+        spec string names."""
         from repro.core import RNNBPPSA
         from repro.nn import RNNClassifier
 
         clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
-        eng = RNNBPPSA(clf, executor="thread:2")
+        eng = RNNBPPSA(clf, config="thread:2")
         assert eng.executor._pool is not None
         eng.close()
         assert eng.executor._pool is None  # owned → closed
@@ -240,14 +242,6 @@ class TestEngineBackends:
             with RNNBPPSA(clf, executor=ex):
                 pass
             assert ex._pool is not None  # caller-owned → untouched
-
-    def test_scan_with_spec_string_does_not_leak_threads(self, rng):
-        items = chain(rng, 8)
-        blelloch_scan(items, ScanContext().op, executor="thread:4")  # warm
-        before = threading.active_count()
-        for _ in range(10):
-            blelloch_scan(items, ScanContext().op, executor="thread:4")
-        assert threading.active_count() <= before  # per-call pools closed
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +301,7 @@ class TestThreadExecutor:
             with pytest.raises(ValueError):
                 blelloch_scan(bad, ScanContext().op, executor=ex)
             out = blelloch_scan(good, ScanContext().op, executor=ex)
-        ref = blelloch_scan(good, ScanContext().op, executor="serial")
+        ref = blelloch_scan(good, ScanContext().op)
         for p in range(1, 9):
             np.testing.assert_array_equal(out[p].data, ref[p].data)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import asyncio
 import collections
 import dataclasses
+import inspect
 import json
 import re
 import warnings
@@ -28,6 +29,7 @@ from repro.backend import SerialExecutor, ThreadPoolScanExecutor
 from repro.config import ALGORITHMS, ScanConfig, build_engine
 from repro.core import FeedforwardBPPSA, RNNBPPSA, Trainer
 from repro.nn import LeNet5, RNNClassifier, make_mlp
+from repro.nn.module import Sequential
 from repro.optim import SGD
 from repro.scan import (
     SCANS,
@@ -36,8 +38,10 @@ from repro.scan import (
     GradientVector,
     ScanContext,
     SparsePolicy,
+    stage_truncated_scan,
 )
-from repro.serve import EngineServer
+from repro.serve import EngineServer, ScanEngine
+from repro.sparse import PatternCache
 
 #: Environment variables that configured a scan before every setting
 #: became explicit, each with a value it once took; each is an error
@@ -121,9 +125,6 @@ class TestSpecGrammar:
         with pytest.raises(TypeError, match="densify_threshold"):
             ScanConfig(densify_threshold=0.4)
 
-    def test_sparse_policy_value_normalizes(self):
-        assert ScanConfig(sparse=SparsePolicy("on")) == ScanConfig(sparse="on")
-
     @pytest.mark.parametrize(
         "bad",
         [
@@ -150,6 +151,9 @@ class TestSpecGrammar:
             ScanConfig(up_levels=-1)
         with pytest.raises(TypeError, match="spec string"):
             ScanConfig(executor=SerialExecutor())
+        # the mode is a string: a SparsePolicy value is not coerced
+        with pytest.raises(ValueError, match="sparse mode"):
+            ScanConfig(sparse=SparsePolicy("on"))
         # an empty executor name would break the spec round-trip
         with pytest.raises(ValueError, match="name a backend"):
             ScanConfig(executor="")
@@ -206,7 +210,7 @@ class TestResolvePrecedence:
         clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
         with RNNBPPSA(clf) as eng, RNNBPPSA(clf, config="sparse=auto") as named:
             assert eng.config == named.config == ScanConfig().resolve()
-            assert eng.sparse_policy == SparsePolicy("auto")
+            assert eng.context.sparse_policy == SparsePolicy("auto")
         with pytest.raises(TypeError, match="sparse"):
             RNNBPPSA(clf, sparse="auto")
 
@@ -325,6 +329,67 @@ class TestExecutorFixedAtConstruction:
             eng.compute_gradients(x, y)
         assert sum(levels_run.values()) == ran + 1  # the refused call only
 
+    def test_scan_engine_closes_the_pool_it_built(self, levels_run, rng):
+        engine = ScanEngine(ScanConfig.from_spec("blelloch/thread:2").resolve())
+        items = [GradientVector(rng.standard_normal((2, 3)))]
+        items += [DenseJacobian(rng.standard_normal((2, 3, 3))) for _ in range(5)]
+        engine.run_scan(items)
+        assert set(levels_run) == {"thread:2"}
+        assert engine.executor._pool is not None
+        engine.close()
+        assert engine.executor._pool is None  # owned → closed
+        engine.close()  # idempotent
+        with pytest.raises(RuntimeError, match="thread:2 executor is closed"):
+            engine.run_scan(items)
+
+
+# ---------------------------------------------------------------------------
+# every engine takes its scan settings through its config alone
+# ---------------------------------------------------------------------------
+#: Constructor keywords removed from the model engines, with a value
+#: each once took.
+REMOVED_ENGINE_KWARGS = {
+    "algorithm": "linear",
+    "up_levels": 2,
+    "sparse_linear_tol": 0.0,
+    "sparse": "on",
+    "pattern_cache": PatternCache(),
+}
+
+
+def _engine_class(model):
+    return FeedforwardBPPSA if isinstance(model, Sequential) else RNNBPPSA
+
+
+class TestEngineSurface:
+    def test_constructors_take_model_config_executor(self):
+        for engine in (FeedforwardBPPSA, RNNBPPSA):
+            params = list(inspect.signature(engine).parameters)
+            assert params == ["model", "config", "executor"], engine
+        assert list(inspect.signature(ScanEngine).parameters) == ["config"]
+
+    @pytest.mark.parametrize("kwarg", sorted(REMOVED_ENGINE_KWARGS))
+    def test_removed_keywords_raise(self, engine_case, kwarg):
+        model = engine_case[0]
+        with pytest.raises(TypeError, match=kwarg):
+            _engine_class(model)(model, **{kwarg: REMOVED_ENGINE_KWARGS[kwarg]})
+
+    @pytest.mark.parametrize("spec", ["serial", "thread:2"])
+    def test_engine_spec_string_executor_points_to_config(self, engine_case, spec):
+        model = engine_case[0]
+        with pytest.raises(TypeError, match="in the config"):
+            _engine_class(model)(model, executor=spec)
+
+    @pytest.mark.parametrize("algorithm", sorted(SCANS))
+    def test_scan_spec_string_executor_points_to_get_executor(self, algorithm, rng):
+        items = [GradientVector(rng.standard_normal((2, 3)))]
+        items += [DenseJacobian(rng.standard_normal((2, 3, 3))) for _ in range(4)]
+        kwargs = {"up_levels": 1} if algorithm == "truncated" else {}
+        with pytest.raises(TypeError, match=r"get_executor\('serial'\)"):
+            SCANS[algorithm](items, ScanContext().op, executor="serial", **kwargs)
+        with pytest.raises(TypeError, match="get_executor"):
+            stage_truncated_scan(items, ScanContext().op, 1, executor="thread:2")
+
 
 # ---------------------------------------------------------------------------
 # build_engine facade
@@ -347,12 +412,13 @@ class TestBuildEngine:
         assert_round_trips(eng.config)
 
     def test_feedforward_gradients_bitwise_equal_legacy(self, rng):
+        # The engine class built directly and through the facade.
         model = make_mlp([6, 8, 3], rng=np.random.default_rng(3))
         x = rng.standard_normal((8, 6))
         y = rng.integers(0, 3, 8)
-        legacy = FeedforwardBPPSA(model, algorithm="blelloch")
+        direct = FeedforwardBPPSA(model, config="blelloch")
         facade = build_engine(model, "blelloch")
-        g_old, g_new = legacy.compute_gradients(x, y), facade.compute_gradients(x, y)
+        g_old, g_new = direct.compute_gradients(x, y), facade.compute_gradients(x, y)
         assert g_old.keys() == g_new.keys()
         assert all(np.array_equal(g_old[k], g_new[k]) for k in g_old)
 
@@ -360,9 +426,9 @@ class TestBuildEngine:
         clf = RNNClassifier(1, 6, 3, rng=np.random.default_rng(5))
         x = rng.standard_normal((4, 7, 1))
         y = rng.integers(0, 3, 4)
-        legacy = RNNBPPSA(clf, algorithm="blelloch")
-        facade = build_engine(clf, ScanConfig(algorithm="blelloch"))
-        g_old, g_new = legacy.compute_gradients(x, y), facade.compute_gradients(x, y)
+        direct = RNNBPPSA(clf, ScanConfig(algorithm="blelloch"))
+        facade = build_engine(clf, "blelloch")
+        g_old, g_new = direct.compute_gradients(x, y), facade.compute_gradients(x, y)
         assert all(np.array_equal(g_old[k], g_new[k]) for k in g_old)
 
     def test_executor_instance_override(self):
@@ -372,22 +438,29 @@ class TestBuildEngine:
         assert eng.executor is ex  # instance wins over the config spec
         eng.close()
 
-    def test_engine_kwargs_fold_like_coerce(self):
-        # Explicit kwargs beat the config's fields, exactly as
-        # ScanConfig.coerce(config, **kwargs) folds them.
+    def test_build_engine_folds_overrides_like_coerce(self):
+        # build_engine's keyword overrides beat the config's fields,
+        # exactly as ScanConfig.coerce(config, **overrides) folds them.
         model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))
         base = ScanConfig.from_spec("truncated:3/sparse=off/tol=0.5")
         kwargs = dict(algorithm="linear", sparse="auto", executor="serial")
-        with FeedforwardBPPSA(model, config=base, **kwargs) as eng:
+        with build_engine(model, base, **kwargs) as eng:
             assert eng.config == ScanConfig.coerce(base, **kwargs).resolve()
             assert eng.config.up_levels == 3
-            assert eng.sparse_policy == SparsePolicy("auto")
+            assert eng.context.sparse_policy == SparsePolicy("auto")
         clf = RNNClassifier(1, 4, 2, rng=np.random.default_rng(0))
-        config = ScanConfig.coerce(base, sparse="on").spec()
-        with RNNBPPSA(clf, config=config, algorithm="linear") as eng:
+        spec = ScanConfig.coerce(base, sparse="on").spec()
+        with build_engine(clf, spec, algorithm="linear") as eng:
             assert eng.config.sparse == "on"
             assert eng.config.algorithm == "linear"
             assert eng.config.up_levels == 3
+        # The overrides perfbench's pruned LeNet-5 passes.
+        lenet = LeNet5(rng=np.random.default_rng(0), width_multiplier=0.25)
+        with build_engine(
+            lenet, "truncated/serial", up_levels=2, sparse_linear_tol=0.0
+        ) as eng:
+            assert eng.config.up_levels == 2
+            assert eng.config.sparse_linear_tol == 0.0
 
     def test_bogus_executor_type_fails_at_construction(self):
         model = make_mlp([4, 4, 2], rng=np.random.default_rng(0))

@@ -62,14 +62,14 @@ class TestFeedforward:
         model = make_mlp([10, 8, 8, 5], activation="tanh", rng=rng)
         x = rng.standard_normal((4, 10))
         y = rng.integers(0, 5, 4)
-        assert_engine_matches(model, FeedforwardBPPSA(model, algorithm=algorithm), x, y)
+        assert_engine_matches(model, FeedforwardBPPSA(model, config=algorithm), x, y)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_mlp_relu(self, rng, algorithm):
         model = make_mlp([6, 12, 4], activation="relu", rng=rng)
         x = rng.standard_normal((3, 6))
         y = rng.integers(0, 4, 3)
-        assert_engine_matches(model, FeedforwardBPPSA(model, algorithm=algorithm), x, y)
+        assert_engine_matches(model, FeedforwardBPPSA(model, config=algorithm), x, y)
 
     @pytest.mark.parametrize("algorithm", ["linear", "blelloch", "truncated"])
     def test_cnn_all_layer_types(self, rng, algorithm):
@@ -87,7 +87,7 @@ class TestFeedforward:
         )
         x = rng.standard_normal((3, 2, 8, 8))
         y = rng.integers(0, 5, 3)
-        assert_engine_matches(model, FeedforwardBPPSA(model, algorithm=algorithm), x, y)
+        assert_engine_matches(model, FeedforwardBPPSA(model, config=algorithm), x, y)
 
     def test_lenet5(self, rng):
         net = LeNet5(rng=rng, width_multiplier=0.5)
@@ -114,7 +114,7 @@ class TestFeedforward:
                 layer.weight.data[np.abs(layer.weight.data) < 0.1] = 0.0
         x = rng.standard_normal((3, 8))
         y = rng.integers(0, 4, 3)
-        engine = FeedforwardBPPSA(model, sparse_linear_tol=0.0)
+        engine = FeedforwardBPPSA(model, config="tol=0.0")
         assert_engine_matches(model, engine, x, y)
 
     def test_activation_gradients_match_tape(self, rng):
@@ -149,8 +149,8 @@ class TestFeedforward:
 
     def test_unknown_algorithm_rejected(self, rng):
         model = make_mlp([2, 2], rng=rng)
-        with pytest.raises(ValueError):
-            FeedforwardBPPSA(model, algorithm="quantum")
+        with pytest.raises(ValueError, match="algorithm"):
+            FeedforwardBPPSA(model, config={"algorithm": "quantum"})
 
     def test_bottom_jacobian_built_only_for_input_gradient(self, rng, monkeypatch):
         """No scan reads the last slot, so the bottom layer's Jacobian is
@@ -228,7 +228,7 @@ class TestRNN:
         clf = RNNClassifier(2, 7, 4, rng=rng)
         x = rng.standard_normal((3, 11, 2))
         y = rng.integers(0, 4, 3)
-        assert_engine_matches(clf, RNNBPPSA(clf, algorithm=algorithm), x, y)
+        assert_engine_matches(clf, RNNBPPSA(clf, config=algorithm), x, y)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_no_dense_hidden_jacobians(self, rng, monkeypatch, algorithm):
@@ -242,7 +242,7 @@ class TestRNN:
         clf = RNNClassifier(2, 7, 4, rng=rng)
         x = rng.standard_normal((3, 11, 2))
         y = rng.integers(0, 4, 3)
-        assert_engine_matches(clf, RNNBPPSA(clf, algorithm=algorithm), x, y)
+        assert_engine_matches(clf, RNNBPPSA(clf, config=algorithm), x, y)
         if algorithm in ("linear", "truncated"):
             with StagedRNNBPPSA(clf, 2, configs=algorithm) as staged:
                 assert_engine_matches(clf, staged, x, y)
@@ -270,12 +270,12 @@ class TestRNN:
 
     def test_scan_trace_is_populated(self, rng):
         clf = RNNClassifier(1, 4, 3, rng=rng)
-        engine = RNNBPPSA(clf, algorithm="blelloch")
+        engine = RNNBPPSA(clf, config="blelloch")
         engine.compute_gradients(rng.standard_normal((2, 8, 1)), np.array([0, 1]))
         assert engine.context.trace  # ⊙ ops were recorded
         assert engine.context.total_flops > 0
 
     def test_unknown_algorithm_rejected(self, rng):
         clf = RNNClassifier(1, 4, 3, rng=rng)
-        with pytest.raises(ValueError):
-            RNNBPPSA(clf, algorithm="nope")
+        with pytest.raises(ValueError, match="algorithm"):
+            RNNBPPSA(clf, config={"algorithm": "nope"})

@@ -54,7 +54,7 @@ class TestEnginePath:
         t2 = Trainer(
             m2,
             SGD(m2.parameters(), lr=0.05, momentum=0.9),
-            engine=FeedforwardBPPSA(m2, algorithm="blelloch"),
+            engine=FeedforwardBPPSA(m2, config="blelloch"),
         )
         r2 = t2.fit(batches)
         np.testing.assert_allclose(r1.losses, r2.losses, atol=1e-10)

@@ -36,7 +36,7 @@ def test_random_mlp_equivalence(depth, width, batch, activation, algorithm, seed
 
     model.zero_grad()
     loss_fn(model(Tensor(x)), y).backward()
-    engine = FeedforwardBPPSA(model, algorithm=algorithm)
+    engine = FeedforwardBPPSA(model, config=algorithm)
     got = engine.compute_gradients(x, y)
     for p in model.parameters():
         np.testing.assert_allclose(
@@ -60,7 +60,7 @@ def test_random_rnn_equivalence(seq_len, hidden, batch, algorithm, seed):
 
     clf.zero_grad()
     loss_fn(clf(Tensor(x)), y).backward()
-    got = RNNBPPSA(clf, algorithm=algorithm).compute_gradients(x, y)
+    got = RNNBPPSA(clf, config=algorithm).compute_gradients(x, y)
     for p in clf.parameters():
         np.testing.assert_allclose(
             got[id(p)].reshape(p.data.shape), p.grad, atol=1e-8

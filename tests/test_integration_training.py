@@ -122,6 +122,6 @@ class TestScanAlgorithmInterchangeability:
         got = Trainer(
             m,
             SGD(m.parameters(), lr=0.01),
-            engine=FeedforwardBPPSA(m, algorithm=algorithm),
+            engine=FeedforwardBPPSA(m, config=algorithm),
         ).fit(batches)
         np.testing.assert_allclose(ref.losses, got.losses, atol=1e-10)

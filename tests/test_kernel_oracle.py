@@ -340,7 +340,7 @@ class TestEngineKernelOracle:
         model = Sequential(*(list(net.features) + list(net.classifier)))
         x = np.random.default_rng(1).standard_normal((2, 3, 32, 32))
         y = np.array([0, 1])
-        with FeedforwardBPPSA(model, executor="serial", sparse="on") as eng:
+        with FeedforwardBPPSA(model, config="serial/sparse=on") as eng:
             grads = eng.compute_gradients(x, y)
         return [grads[id(p)] for p in model.parameters() if id(p) in grads]
 
@@ -372,7 +372,7 @@ class TestTransformerWorkloadOracle:
         wl = get_workload("transformer_block")
         model = wl.build_model("smoke")
         x, y = wl.make_batch("smoke")
-        with FeedforwardBPPSA(model, executor=backend, sparse=sparse) as eng:
+        with FeedforwardBPPSA(model, config=f"{backend}/sparse={sparse}") as eng:
             grads = eng.compute_gradients(x, y)
         return {
             name: grads[id(p)].tobytes()

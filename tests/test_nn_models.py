@@ -140,7 +140,7 @@ class TestRNN:
         # Recover hidden grads from a taped run by replaying BPPSA's path.
         from repro.core import RNNBPPSA
 
-        engine = RNNBPPSA(clf, algorithm="linear")
+        engine = RNNBPPSA(clf, config="linear")
         grads = engine.compute_gradients(x, y)
         cell = clf.rnn.cell
         for p, name in [

@@ -208,7 +208,7 @@ class TestPipelineOracleMatrix:
     def test_m1_matches_monolithic_engine(self, up_levels, workload):
         """At M=1 the staged run IS the monolithic RNNBPPSA, bitwise."""
         clf, x, targets = workload
-        mono = RNNBPPSA(clf, algorithm="truncated", up_levels=up_levels)
+        mono = RNNBPPSA(clf, config=f"truncated:{up_levels}")
         ref = grad_bytes(mono.compute_gradients(x, targets))
         for num_stages in (1, 2, 3):
             for schedule in SCHEDULES:
@@ -260,7 +260,7 @@ class TestPipelineOracleMatrix:
         fault is gone the next run fills it again, with the monolithic
         engine's gradients, bitwise."""
         clf, x, targets = workload
-        mono = RNNBPPSA(clf, algorithm="truncated", up_levels=2)
+        mono = RNNBPPSA(clf, config="truncated:2")
         ref = grad_bytes(mono.compute_gradients(x, targets))
 
         def fail(*args, **kwargs):

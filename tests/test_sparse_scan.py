@@ -156,7 +156,7 @@ class TestCrossBackendBitwise:
         model = Sequential(*(list(net.features) + list(net.classifier)))
         x = np.random.default_rng(1).standard_normal((2, 3, 32, 32))
         y = np.array([0, 1])
-        with FeedforwardBPPSA(model, executor=backend, sparse=mode) as eng:
+        with FeedforwardBPPSA(model, config=f"{backend}/sparse={mode}") as eng:
             grads = eng.compute_gradients(x, y)
             flops = eng.context.total_flops
         ordered = [grads[id(p)] for p in model.parameters() if id(p) in grads]

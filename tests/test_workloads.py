@@ -136,7 +136,7 @@ class TestTransformerEngine:
         loss = loss_fn(model(Tensor(x)), y)
         loss.backward()
         ref = {name: p.grad.copy() for name, p in model.named_parameters()}
-        with FeedforwardBPPSA(model, algorithm=algorithm) as engine:
+        with FeedforwardBPPSA(model, config=algorithm) as engine:
             got = engine.compute_gradients(x, y)
         assert len(got) == len(ref) == 9
         for name, p in model.named_parameters():
