@@ -48,7 +48,7 @@ Package map (see DESIGN.md for the full inventory):
 ``repro.data``            bitstream task, synthetic CIFAR-10 substitute
 ``repro.pruning``         magnitude pruning for the retraining benchmark
 ``repro.analysis``        static FLOPs, complexity laws
-``repro.workloads``       named workload registry: models as bench artifacts
+``repro.workloads``       the transformer and pruning bench workloads
 ``repro.experiments``     one runnable module per paper table/figure
 ========================  =============================================
 """

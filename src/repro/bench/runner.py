@@ -32,8 +32,15 @@ from repro.bench.env import environment_fingerprint
 from repro.bench.record import BenchRecord
 from repro.bench.timing import measure
 from repro.config import ScanConfig
-from repro.experiments import run_all
+from repro.experiments import fig3_pipeline, run_all
 from repro.experiments.common import Scale
+from repro.pipeline import SCHEDULES
+from repro.serve.loadgen import run_loadgen, serve_metrics
+from repro.workloads import (
+    pruned_sparsity_metrics,
+    pruned_sparsity_rows,
+    transformer_scan_rows,
+)
 
 #: Backend value recorded for artifacts that never reach a scan executor.
 NO_BACKEND = "n/a"
@@ -98,12 +105,16 @@ def make_sparse_scan_items(
 
 @dataclass(frozen=True)
 class BenchArtifact:
-    """One benchmarkable artifact: a name plus its rows-producing step.
+    """One benchmarkable artifact: its name, what it reproduces, and its
+    rows-producing step.
 
-    ``rows_fn(scale, spec, sparse)`` executes the artifact's data step
-    under executor spec ``spec`` (``None`` for backend-insensitive
-    artifacts) and sparse dispatch mode ``sparse`` (``None`` when the
-    sparse axis is off) and returns the structured rows.
+    ``paper`` is the table/figure/equation the artifact reproduces
+    (``"repo artifact"`` for repo-native benchmarks) and ``summary``
+    the one-liner that the dashboard index and the BENCHMARKS.md table
+    show.  ``rows_fn(scale, cfg)`` executes the artifact's data step
+    under the measurement's resolved :class:`~repro.config.ScanConfig`
+    (its executor and sparse mode are the swept axes; unswept fields
+    keep the global defaults) and returns the structured rows.
     ``backend_sensitive`` marks artifacts whose wall-clock a scan
     backend can change; ``sparse_sensitive`` marks the ones the
     dense-vs-sparse dispatch flows through.  ``metrics_fn``, when
@@ -113,34 +124,29 @@ class BenchArtifact:
     """
 
     name: str
-    rows_fn: Callable[
-        [Scale, Optional[str], Optional[str]], List[Dict[str, Any]]
-    ]
+    paper: str
+    summary: str
+    rows_fn: Callable[[Scale, ScanConfig], List[Dict[str, Any]]]
     backend_sensitive: bool = False
     sparse_sensitive: bool = False
     metrics_fn: Optional[
         Callable[[List[Dict[str, Any]]], Dict[str, Any]]
     ] = None
 
-
-def measurement_config(spec: Optional[str], sparse: Optional[str]) -> ScanConfig:
-    """The declarative config of one (backend, sparse) measurement.
-
-    Unset axes stay unset, so resolution falls through to the global
-    defaults — :meth:`ScanConfig.resolve` of this value is exactly
-    what the artifact's engines adopt, and its serialized form is what
-    the measurement's :class:`~repro.bench.record.BenchRecord` embeds.
-    """
-    return ScanConfig(executor=spec, sparse=sparse)
+    @property
+    def axes(self) -> str:
+        """The swept axes, e.g. ``"backend, sparse"`` (``"—"`` for none)."""
+        axes = []
+        if self.backend_sensitive:
+            axes.append("backend")
+        if self.sparse_sensitive:
+            axes.append("sparse")
+        return ", ".join(axes) if axes else "—"
 
 
 def _experiment(module):
-    def rows_fn(
-        scale: Scale, spec: Optional[str], sparse: Optional[str]
-    ) -> List[Dict[str, Any]]:
-        return module.result_rows(
-            module.run(scale, config=measurement_config(spec, sparse))
-        )
+    def rows_fn(scale: Scale, cfg: ScanConfig) -> List[Dict[str, Any]]:
+        return module.result_rows(module.run(scale, config=cfg))
 
     return rows_fn
 
@@ -150,14 +156,11 @@ def _experiment(module):
 _PARALLEL_BACKENDS_ITEMS: Dict[Scale, List[Any]] = {}
 
 
-def _parallel_backends_rows(
-    scale: Scale, spec: Optional[str], sparse: Optional[str]
-) -> List[Dict[str, Any]]:
+def _parallel_backends_rows(scale: Scale, cfg: ScanConfig) -> List[Dict[str, Any]]:
     """One Blelloch scan over T dense H×H Jacobians on the given backend."""
     from repro.backend import get_executor
     from repro.scan import ScanContext, blelloch_scan
 
-    cfg = measurement_config(spec, sparse).resolve()
     p = SCAN_PARAMS[scale]
     t, b, h = p["seq_len"], p["batch"], p["hidden"]
     items = _PARALLEL_BACKENDS_ITEMS.get(scale)
@@ -184,9 +187,7 @@ def _parallel_backends_rows(
 _SPARSE_SCAN_STATE: Dict[tuple, tuple] = {}
 
 
-def _sparse_scan_rows(
-    scale: Scale, spec: Optional[str], sparse: Optional[str]
-) -> List[Dict[str, Any]]:
+def _sparse_scan_rows(scale: Scale, cfg: ScanConfig) -> List[Dict[str, Any]]:
     """One Blelloch scan over a CSR Jacobian chain on the given backend
     and dispatch mode — the dense-vs-sparse speedup microbenchmark.
     Measures the *steady-state* (per-training-step) cost: symbolic
@@ -194,7 +195,6 @@ def _sparse_scan_rows(
     from repro.backend import get_executor
     from repro.scan import ScanContext, blelloch_scan
 
-    cfg = measurement_config(spec, sparse).resolve()
     policy = cfg.sparse_policy()
     p = SPARSE_SCAN_PARAMS[scale]
     key = (scale, cfg.executor, cfg.sparse)
@@ -247,112 +247,43 @@ PIPELINE_SCAN_PARAMS = {
 #: Steady-state cache for ``pipeline_scan``: the classifier and input
 #: batch per scale, so repeated timed calls measure the pipeline (not
 #: model initialization).
-_PIPELINE_SCAN_STATE: Dict[tuple, tuple] = {}
+_PIPELINE_SCAN_STATE: Dict[Scale, tuple] = {}
 
 
-def _pipeline_scan_rows(
-    scale: Scale, spec: Optional[str], sparse: Optional[str]
-) -> List[Dict[str, Any]]:
+def _pipeline_scan_rows(scale: Scale, cfg: ScanConfig) -> List[Dict[str, Any]]:
     """The staged-pipeline benchmark: a full scan-backprop pass of one
     RNN mini-batch through :class:`~repro.pipeline.StagedRNNBPPSA` for
     every (stages, micro-batches) cell under both schedules — the
     measured composition of the scan engine with pipeline parallelism
     (the pipeline plane)."""
-    from repro.nn.rnn import RNNClassifier
-    from repro.pipeline import SCHEDULES, StagedRNNBPPSA
-
-    cfg = measurement_config(spec, sparse).resolve()
     p = PIPELINE_SCAN_PARAMS[scale]
-    state = _PIPELINE_SCAN_STATE.get((scale,))
-    if state is None:
-        rng = np.random.default_rng(0)
-        clf = RNNClassifier(
-            p["input_size"], p["hidden"], p["classes"], rng=rng
+    model = _PIPELINE_SCAN_STATE.get(scale)
+    if model is None:
+        model = _PIPELINE_SCAN_STATE[scale] = fig3_pipeline.staged_model(p)
+    return [
+        {
+            "seq_len": p["seq_len"],
+            "batch": p["batch"],
+            "hidden": p["hidden"],
+            "stages": stages,
+            "micro_batches": micro_batches,
+            "schedule": schedule,
+            "backend": cfg.executor,
+            "measured_utilization": stats["measured_utilization"],
+            "scheduled_utilization": stats["scheduled_utilization"],
+            "peak_jacobian_bytes": max(stats["stage_jacobian_bytes"]),
+        }
+        for stages, micro_batches, schedule, stats in fig3_pipeline.staged_runs(
+            model, p["cells"], SCHEDULES, cfg
         )
-        x = rng.standard_normal((p["batch"], p["seq_len"], p["input_size"]))
-        targets = rng.integers(0, p["classes"], size=p["batch"])
-        _PIPELINE_SCAN_STATE[(scale,)] = (clf, x, targets)
-    else:
-        clf, x, targets = state
-    stage_cfg = ScanConfig(
-        algorithm="truncated",
-        up_levels=cfg.up_levels,
-        executor=cfg.executor,
-        sparse=cfg.sparse,
-    )
-    rows: List[Dict[str, Any]] = []
-    for stages, micro_batches in p["cells"]:
-        for schedule in SCHEDULES:
-            with StagedRNNBPPSA(
-                clf,
-                stages,
-                micro_batches,
-                schedule=schedule,
-                configs=stage_cfg,
-            ) as engine:
-                engine.compute_gradients(x, targets)
-                stats = engine.last_run_stats
-            rows.append(
-                {
-                    "seq_len": p["seq_len"],
-                    "batch": p["batch"],
-                    "hidden": p["hidden"],
-                    "stages": stages,
-                    "micro_batches": micro_batches,
-                    "schedule": schedule,
-                    "backend": cfg.executor,
-                    "measured_utilization": stats["measured_utilization"],
-                    "scheduled_utilization": stats["scheduled_utilization"],
-                    "peak_jacobian_bytes": max(stats["stage_jacobian_bytes"]),
-                }
-            )
-    return rows
+    ]
 
 
-def _transformer_scan_rows(
-    scale: Scale, spec: Optional[str], sparse: Optional[str]
-) -> List[Dict[str, Any]]:
-    """The ``transformer_block`` workload (:mod:`repro.workloads`): one
-    scan-backprop pass of an attention + LayerNorm + MLP chain — the
-    mixed dense-per-sample / block-sparse SparsePolicy stress."""
-    from repro.workloads import transformer_scan_rows
-
-    return transformer_scan_rows(scale, spec, sparse)
-
-
-def _pruned_sparsity_rows(
-    scale: Scale, spec: Optional[str], sparse: Optional[str]
-) -> List[Dict[str, Any]]:
-    """The ``pruned_mlp`` workload pipeline (:mod:`repro.workloads`):
-    train → magnitude-prune → retrain (masks asserted every step) →
-    dense-vs-CSR gradient-step timing per pruning fraction.  Sweeps
-    its sparse contrast internally, so backend-sensitive only."""
-    from repro.workloads import pruned_sparsity_rows
-
-    return pruned_sparsity_rows(scale, spec, sparse)
-
-
-def _pruned_sparsity_metrics(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
-    from repro.workloads import pruned_sparsity_metrics
-
-    return pruned_sparsity_metrics(rows)
-
-
-def _serve_throughput_rows(
-    scale: Scale, spec: Optional[str], sparse: Optional[str]
-) -> List[Dict[str, Any]]:
+def _serve_throughput_rows(scale: Scale, cfg: ScanConfig) -> List[Dict[str, Any]]:
     """The serving-plane benchmark: N concurrent clients submitting a
     mixed-spec job stream to an :class:`~repro.serve.EngineServer` on
     the given backend (see :mod:`repro.serve.loadgen`)."""
-    from repro.serve.loadgen import run_loadgen
-
-    return run_loadgen(scale=scale, backend=spec or "serial")
-
-
-def _serve_throughput_metrics(rows: List[Dict[str, Any]]) -> Dict[str, Any]:
-    from repro.serve.loadgen import serve_metrics
-
-    return serve_metrics(rows)
+    return run_loadgen(scale=scale, backend=cfg.executor)
 
 
 #: The paper artifacts whose run reaches a scan executor, with the
@@ -364,46 +295,50 @@ _EXPERIMENT_AXES: Dict[str, Dict[str, bool]] = {
     "fig9_rnn_curve": {"backend_sensitive": True},
 }
 
+_REPO = "repo artifact"
+
 #: Every benchmarkable artifact, in run order: the 13 paper artifacts
 #: of :data:`repro.experiments.run_all.ARTIFACTS`, the
-#: scan/serving/pipeline microbenchmarks, and the :mod:`repro.workloads`
-#: registry sweeps.
+#: scan/serving/pipeline microbenchmarks, and the two
+#: :mod:`repro.workloads` sweeps.  The one statement of each artifact:
+#: the dashboard and the BENCHMARKS.md table render from it.
 ARTIFACTS: List[BenchArtifact] = [
     *(
-        BenchArtifact(name, _experiment(module), **_EXPERIMENT_AXES.get(name, {}))
-        for name, module in run_all.ARTIFACTS
+        BenchArtifact(
+            name, paper, summary, _experiment(module), **_EXPERIMENT_AXES.get(name, {})
+        )
+        for name, module, paper, summary in run_all.ARTIFACTS
     ),
     BenchArtifact(
-        "parallel_backends", _parallel_backends_rows, backend_sensitive=True
+        "parallel_backends", _REPO,
+        "one Blelloch scan timed on every execution backend",
+        _parallel_backends_rows, backend_sensitive=True,
     ),
     BenchArtifact(
-        "sparse_scan",
-        _sparse_scan_rows,
-        backend_sensitive=True,
-        sparse_sensitive=True,
+        "sparse_scan", _REPO,
+        "dense-vs-sparse dispatch of the same CSR Jacobian chain",
+        _sparse_scan_rows, backend_sensitive=True, sparse_sensitive=True,
     ),
     BenchArtifact(
-        "serve_throughput",
-        _serve_throughput_rows,
-        backend_sensitive=True,
-        metrics_fn=_serve_throughput_metrics,
+        "serve_throughput", _REPO,
+        "the serving plane under concurrent client load",
+        _serve_throughput_rows, backend_sensitive=True, metrics_fn=serve_metrics,
     ),
     BenchArtifact(
-        "pipeline_scan",
-        _pipeline_scan_rows,
-        backend_sensitive=True,
+        "pipeline_scan", _REPO,
+        "the staged scan pipeline across stages × micro-batches",
+        _pipeline_scan_rows, backend_sensitive=True,
     ),
     BenchArtifact(
-        "transformer_scan",
-        _transformer_scan_rows,
-        backend_sensitive=True,
-        sparse_sensitive=True,
+        "transformer_scan", _REPO,
+        "attention-block Jacobian chain through every sparse mode",
+        transformer_scan_rows, backend_sensitive=True, sparse_sensitive=True,
     ),
     BenchArtifact(
-        "pruned_sparsity",
-        _pruned_sparsity_rows,
-        backend_sensitive=True,
-        metrics_fn=_pruned_sparsity_metrics,
+        "pruned_sparsity", "Figure 11 / §4.2",
+        "train → prune → retrain: weight sparsity into scan speedup",
+        pruned_sparsity_rows, backend_sensitive=True,
+        metrics_fn=pruned_sparsity_metrics,
     ),
 ]
 
@@ -494,14 +429,14 @@ def run_bench(
         )
         for spec in specs:
             for mode in modes:
+                # Unset axes stay unset, so they resolve to the global
+                # defaults; every record states the config it ran.
+                cfg = ScanConfig(executor=spec, sparse=mode).resolve()
                 rows, stats = measure(
-                    lambda: artifact.rows_fn(scale, spec, mode),
+                    lambda: artifact.rows_fn(scale, cfg),
                     warmup=warmup,
                     repeats=repeats,
                 )
-                # Every record states exactly which (resolved)
-                # configuration produced it.
-                cfg_dict = measurement_config(spec, mode).resolve().to_dict()
                 record = BenchRecord(
                     artifact=artifact.name,
                     scale=scale.value,
@@ -514,7 +449,7 @@ def run_bench(
                         if artifact.metrics_fn is not None
                         else {}
                     ),
-                    config=cfg_dict,
+                    config=cfg.to_dict(),
                 )
                 records.append(record)
                 if progress is not None:

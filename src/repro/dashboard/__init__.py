@@ -8,9 +8,10 @@ mlanthology static-site scheme: a computable URL per entity and no
 backend.
 
 ``catalog``
-    The artifact ↔ paper-figure map as validated data — the single
-    source of truth behind the dashboard index *and* the generated
-    BENCHMARKS.md artifact table.
+    :func:`~repro.dashboard.catalog.markdown_table`, the generated
+    BENCHMARKS.md artifact table; it and the dashboard index render
+    the artifact ↔ paper-figure map from
+    :data:`repro.bench.runner.ARTIFACTS`.
 ``loader``
     Corpus loading: results directory, merged baselines, ``--history``
     snapshots — all through the validating bench reader.
@@ -32,8 +33,6 @@ backend.
 # ``.check`` do not find their submodule pre-imported in sys.modules
 # (runpy would warn) — same pattern as :mod:`repro.bench`.
 _EXPORTS = {
-    "CATALOG": "catalog",
-    "CatalogEntry": "catalog",
     "markdown_table": "catalog",
     "check_site": "check",
     "backend_slug": "html",
@@ -55,8 +54,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "CATALOG",
-    "CatalogEntry",
     "Snapshot",
     "backend_slug",
     "build_site",

@@ -5,10 +5,10 @@ corpus (current records, merged baseline, history snapshots) and writes
 the four page families of the deterministic URL scheme:
 
 =============================  ==========================================
-``index.html``                 artifact ↔ paper-figure map (from the
-                               :mod:`~repro.dashboard.catalog`), backend
-                               directory, link to the delta view
-``artifact/<name>/index.html`` one page per catalog artifact: median+IQR
+``index.html``                 artifact ↔ paper-figure map (from
+                               :data:`repro.bench.runner.ARTIFACTS`),
+                               backend directory, link to the delta view
+``artifact/<name>/index.html`` one page per bench artifact: median+IQR
                                per backend key, an SVG bar chart, per-key
                                resolved ``ScanConfig`` specs, the env
                                fingerprint, baseline deltas, history
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.bench.compare import DEFAULT_TOLERANCE, Delta, compare_results
 from repro.bench.record import BenchRecord
-from repro.dashboard.catalog import CATALOG, axes_label, validate_catalog
+from repro.bench.runner import ARTIFACTS, BenchArtifact
 from repro.dashboard.html import (
     backend_slug,
     esc,
@@ -189,18 +189,16 @@ _DELTA_HEADERS = [
 
 
 def _artifact_page(
-    name: str,
+    artifact: BenchArtifact,
     records: Sequence[BenchRecord],
     deltas: Sequence[Delta],
     history: Sequence[Snapshot],
 ) -> str:
-    from repro.dashboard.catalog import entry_for
-
-    entry = entry_for(name)
+    name = artifact.name
     parts = [f"<h1><code>{esc(name)}</code></h1>"]
     parts.append(
-        f'<p class="meta">Reproduces: <strong>{esc(entry.paper)}</strong> — '
-        f"{esc(entry.summary)}. Swept axes: {esc(axes_label(name))}.</p>"
+        f'<p class="meta">Reproduces: <strong>{esc(artifact.paper)}</strong> — '
+        f"{esc(artifact.summary)}. Swept axes: {esc(artifact.axes)}.</p>"
     )
     if not records:
         parts.append(
@@ -356,15 +354,15 @@ def _index_page(
     tolerance: float,
 ) -> str:
     artifact_rows = []
-    for entry in CATALOG:
-        records = grouped.get(entry.name, [])
+    for artifact in ARTIFACTS:
+        records = grouped.get(artifact.name, [])
         artifact_rows.append(
             [
-                f'<a href="artifact/{esc(entry.name)}/index.html">'
-                f"<code>{esc(entry.name)}</code></a>",
-                esc(entry.paper),
-                esc(entry.summary),
-                esc(axes_label(entry.name)),
+                f'<a href="artifact/{esc(artifact.name)}/index.html">'
+                f"<code>{esc(artifact.name)}</code></a>",
+                esc(artifact.paper),
+                esc(artifact.summary),
+                esc(artifact.axes),
                 num_cell(str(len(records))),
             ]
         )
@@ -424,13 +422,12 @@ def build_site(
 ) -> List[pathlib.Path]:
     """Render the whole site into ``out_dir``; returns written paths.
 
-    One page per catalog artifact is always written (artifacts missing
+    One page per bench artifact is always written (artifacts missing
     from ``current`` get a stub page), so the URL scheme is stable
     regardless of which sweep produced the corpus.  Deltas are computed
     once with :func:`~repro.bench.compare.compare_results` and reused
     by both the delta page and the per-artifact baseline sections.
     """
-    validate_catalog()
     out = pathlib.Path(out_dir)
     grouped = _by_artifact(current)
     backends = _backend_labels(current)
@@ -443,11 +440,11 @@ def build_site(
     _write(index, _index_page(grouped, backends, deltas, history, tolerance))
     written.append(index)
 
-    for entry in CATALOG:
-        path = out / "artifact" / entry.name / "index.html"
+    for artifact in ARTIFACTS:
+        path = out / "artifact" / artifact.name / "index.html"
         _write(
             path,
-            _artifact_page(entry.name, grouped.get(entry.name, []), deltas, history),
+            _artifact_page(artifact, grouped.get(artifact.name, []), deltas, history),
         )
         written.append(path)
 

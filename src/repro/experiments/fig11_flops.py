@@ -2,12 +2,12 @@
 
 Reproduces the paper's Section 4.2 / 5.2 analysis: VGG-11 is trained
 on 32×32 inputs, 97 % of convolution/linear weights are pruned away
-(See et al., 2016), and BPPSA computes Eq. 3 over the convolution
-stack with a *truncated* Blelloch scan (up-sweep through level 2, a
-serial matrix–vector middle, down-sweep back).  For every scan step we
-report the FLOP cost and the dense-equivalent m·n·k (the figure's
-x-axis); baseline points are the FLOPs of ordinary BP's per-layer
-"gradient operators".
+(See et al., 2016; here 97 % of each layer, see :func:`pruned_stages`),
+and BPPSA computes Eq. 3 over the convolution stack with a *truncated*
+Blelloch scan (up-sweep through level 2, a serial matrix–vector
+middle, down-sweep back).  For every scan step we report the FLOP cost
+and the dense-equivalent m·n·k (the figure's x-axis); baseline points
+are the FLOPs of ordinary BP's per-layer "gradient operators".
 
 Unlike the paper (which, "due to the lack of a fair implementation",
 had to *model* the costs through static analysis), the BPPSA steps
@@ -26,6 +26,7 @@ complexity an end-to-end win.
 
 from __future__ import annotations
 
+import warnings
 from typing import Dict, List
 
 import numpy as np
@@ -52,7 +53,7 @@ from repro.scan import (
 )
 
 PARAMS = {
-    Scale.SMOKE: {"width": 0.25, "input_hw": (16, 16), "prune": 0.97},
+    Scale.SMOKE: {"width": 0.125, "input_hw": (32, 32), "prune": 0.97},
     Scale.PAPER: {"width": 1.0, "input_hw": (32, 32), "prune": 0.97},
 }
 UP_LEVELS = 2  # paper: up-sweep L0–L2, down-sweep L7–L10 (balanced variant)
@@ -88,6 +89,23 @@ def _stage_patterns(model: VGG11, input_hw, rng) -> Dict:
         "names": [type(layer).__name__ for layer in layers],
         "grad_dim": acts[-1].size,
     }
+
+
+def pruned_stages(p: Dict, rng) -> Dict:
+    """The stage patterns of VGG-11 with ``p["prune"]`` of each layer's
+    weights pruned (see :func:`_stage_patterns`).
+
+    The pruning is per layer: the paper prunes a trained model, while
+    on this untrained one a global ranking follows the initialization
+    scale and empties whole layers, leaving every layer below them
+    with a zero gradient.  A layer left empty all the same raises
+    (``magnitude_prune``'s ``RuntimeWarning``, as an error).
+    """
+    model = VGG11(rng=rng, width_multiplier=p["width"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        magnitude_prune(model, p["prune"], scope="layer")
+    return _stage_patterns(model, p["input_hw"], rng)
 
 
 def _measured_steps(stages: Dict, rng, cfg) -> Dict:
@@ -126,9 +144,7 @@ def run(scale: Scale = Scale.SMOKE, seed: int = 0, config=None) -> Dict:
     """
     p = PARAMS[scale]
     rng = np.random.default_rng(seed)
-    model = VGG11(rng=rng, width_multiplier=p["width"])
-    magnitude_prune(model, p["prune"], scope="global")
-    stages = _stage_patterns(model, p["input_hw"], rng)
+    stages = pruned_stages(p, rng)
 
     cfg = ScanConfig.coerce(config).resolve()
     measured = _measured_steps(stages, rng, cfg)

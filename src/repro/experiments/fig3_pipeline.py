@@ -21,7 +21,9 @@ import numpy as np
 
 from typing import Dict, List
 
+from repro.config import ScanConfig
 from repro.experiments.common import Scale, format_table, print_report
+from repro.nn.rnn import RNNClassifier
 from repro.pipeline import (
     GPipeSchedule,
     NaiveModelParallel,
@@ -59,6 +61,42 @@ MEASURED_PARAMS = {
 }
 
 
+def staged_model(p: Dict):
+    """The measured RNN and its one batch, ``(clf, x, targets)``, for
+    the sizes in ``p`` (seed 0): the model of fig3's measured rows and
+    of the runner's ``pipeline_scan``."""
+    rng = np.random.default_rng(0)
+    clf = RNNClassifier(p["input_size"], p["hidden"], p["classes"], rng=rng)
+    x = rng.standard_normal((p["batch"], p["seq_len"], p["input_size"]))
+    return clf, x, rng.integers(0, p["classes"], size=p["batch"])
+
+
+def staged_runs(model, cells, schedules, cfg) -> List[tuple]:
+    """One :class:`~repro.pipeline.StagedRNNBPPSA` pass of ``model``
+    (from :func:`staged_model`) per (stages, micro-batches) cell ×
+    schedule, as ``(stages, micro_batches, schedule, last_run_stats)``.
+
+    Every stage runs the truncated scan on the resolved ``cfg``'s
+    depth, executor and sparse mode.
+    """
+    clf, x, targets = model
+    stage_cfg = ScanConfig(
+        algorithm="truncated",
+        up_levels=cfg.up_levels,
+        executor=cfg.executor,
+        sparse=cfg.sparse,
+    )
+    runs = []
+    for stages, micro_batches in cells:
+        for schedule in schedules:
+            with StagedRNNBPPSA(
+                clf, stages, micro_batches, schedule=schedule, configs=stage_cfg
+            ) as engine:
+                engine.compute_gradients(x, targets)
+                runs.append((stages, micro_batches, schedule, engine.last_run_stats))
+    return runs
+
+
 def measured_rows(scale: Scale, config=None) -> List[Dict]:
     """Real staged-pipeline runs, one row per (stages, micro-batches).
 
@@ -67,45 +105,26 @@ def measured_rows(scale: Scale, config=None) -> List[Dict]:
     reports *measured* event-level utilization beside the slot model's
     prediction for the same (K, M).
     """
-    from repro.config import ScanConfig
-    from repro.nn.rnn import RNNClassifier
-
     cfg = ScanConfig.coerce(config).resolve()
     p = MEASURED_PARAMS[scale]
-    rng = np.random.default_rng(0)
-    clf = RNNClassifier(p["input_size"], p["hidden"], p["classes"], rng=rng)
-    x = rng.standard_normal((p["batch"], p["seq_len"], p["input_size"]))
-    targets = rng.integers(0, p["classes"], size=p["batch"])
-    rows = []
-    for stages, micro_batches in p["cells"]:
-        stage_cfg = ScanConfig(
-            algorithm="truncated",
-            up_levels=cfg.up_levels,
-            executor=cfg.executor,
-            sparse=cfg.sparse,
-        )
-        with StagedRNNBPPSA(
-            clf, stages, micro_batches, schedule="gpipe", configs=stage_cfg
-        ) as engine:
-            engine.compute_gradients(x, targets)
-            stats = engine.last_run_stats
-        rows.append(
-            {
-                "kind": "measured",
-                "devices": stages,
-                "micro_batches": micro_batches,
-                "backend": cfg.executor,
-                "seq_len": p["seq_len"],
-                "measured_util": stats["measured_utilization"],
-                "scheduled_util": stats["scheduled_utilization"],
-                "gpipe_bubble_closed_form": gpipe_bubble_fraction(
-                    stages, micro_batches
-                ),
-                "makespan_s": stats["makespan_s"],
-                "peak_jacobian_bytes": max(stats["stage_jacobian_bytes"]),
-            }
-        )
-    return rows
+    runs = staged_runs(staged_model(p), p["cells"], ("gpipe",), cfg)
+    return [
+        {
+            "kind": "measured",
+            "devices": stages,
+            "micro_batches": micro_batches,
+            "backend": cfg.executor,
+            "seq_len": p["seq_len"],
+            "measured_util": stats["measured_utilization"],
+            "scheduled_util": stats["scheduled_utilization"],
+            "gpipe_bubble_closed_form": gpipe_bubble_fraction(
+                stages, micro_batches
+            ),
+            "makespan_s": stats["makespan_s"],
+            "peak_jacobian_bytes": max(stats["stage_jacobian_bytes"]),
+        }
+        for stages, micro_batches, _, stats in runs
+    ]
 
 
 def run(scale: Scale = Scale.SMOKE, config=None) -> Dict:

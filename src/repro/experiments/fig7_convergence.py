@@ -17,7 +17,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.config import ScanConfig, build_engine
+from repro.config import build_engine
 from repro.core import Trainer
 from repro.data import SyntheticImages
 from repro.experiments.common import Scale, format_table, print_report, sparkline
@@ -52,17 +52,9 @@ def _fresh_model(width: float, seed: int) -> Sequential:
 def _train(use_bppsa: bool, p: Dict, seed: int, config=None) -> Dict:
     model = _fresh_model(p["width"], seed)
     opt = SGD(model.parameters(), lr=LR, momentum=MOMENTUM)
-    engine = (
-        # The paper's Blelloch scan is the default, but a config that
-        # names an algorithm wins — `run_all --config linear` really
-        # runs the linear scan here.
-        build_engine(
-            model,
-            ScanConfig.coerce(config).with_defaults(ScanConfig(algorithm="blelloch")),
-        )
-        if use_bppsa
-        else None
-    )
+    # The config's algorithm runs (Blelloch, the paper's, by default):
+    # `run_all --config linear` really runs the linear scan here.
+    engine = build_engine(model, config) if use_bppsa else None
     trainer = Trainer(model, opt, engine=engine)
     train = SyntheticImages(num_samples=p["samples"], seed=seed, train=True)
     test = SyntheticImages(num_samples=p["test_samples"], seed=seed, train=False)

@@ -17,7 +17,7 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.config import ScanConfig, build_engine
+from repro.config import build_engine
 from repro.core import Trainer
 from repro.data import BitstreamDataset
 from repro.experiments.common import Scale, format_table, print_report, sparkline
@@ -36,15 +36,8 @@ LR = 3e-5
 def _train(use_bppsa: bool, p: Dict, seed: int, config=None) -> Dict:
     clf = RNNClassifier(1, p["hidden"], 10, rng=np.random.default_rng(seed))
     opt = Adam(clf.parameters(), lr=LR)
-    engine = (
-        # Blelloch by default; a config naming an algorithm wins.
-        build_engine(
-            clf,
-            ScanConfig.coerce(config).with_defaults(ScanConfig(algorithm="blelloch")),
-        )
-        if use_bppsa
-        else None
-    )
+    # The config's algorithm runs (Blelloch by default).
+    engine = build_engine(clf, config) if use_bppsa else None
     trainer = Trainer(clf, opt, engine=engine)
     ds = BitstreamDataset(seq_len=p["seq_len"], num_samples=4096, seed=seed)
     try:

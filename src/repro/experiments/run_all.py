@@ -39,20 +39,36 @@ from repro.experiments import (
 from repro.config import ScanConfig
 from repro.experiments.common import Scale, banner, format_table
 
-ARTIFACTS: List[Tuple[str, object]] = [
-    ("table2_devices", table2_devices),
-    ("fig3_pipeline", fig3_pipeline),
-    ("fig4_schedule", fig4_schedule),
-    ("table1_sparsity", table1_sparsity),
-    ("fig6_patterns", fig6_patterns),
-    ("fig8_bitstreams", fig8_bitstreams),
-    ("eq6_complexity", eq6_complexity),
-    ("scaling_comparison", scaling_comparison),
-    ("fig10_sensitivity", fig10_sensitivity),
-    ("fig11_flops", fig11_flops),
-    ("ablation_truncation", ablation_truncation),
-    ("fig7_convergence", fig7_convergence),
-    ("fig9_rnn_curve", fig9_rnn_curve),
+#: Every paper artifact, in run order: name, module, the part of the
+#: paper it reproduces, and the one-line summary the dashboard and the
+#: BENCHMARKS.md table show (via :data:`repro.bench.runner.ARTIFACTS`).
+ARTIFACTS: List[Tuple[str, object, str, str]] = [
+    ("table2_devices", table2_devices, "Table 2",
+     "platform specifications: the simulated-device catalog"),
+    ("fig3_pipeline", fig3_pipeline, "Figure 3 / §2.2",
+     "pipeline-parallelism limits, plus measured staged-scan runs"),
+    ("fig4_schedule", fig4_schedule, "Figure 4",
+     "the modified Blelloch scan schedule on VGG-11"),
+    ("table1_sparsity", table1_sparsity, "Table 1",
+     "guaranteed zeros + T-Jacobian generation speedup"),
+    ("fig6_patterns", fig6_patterns, "Figure 6",
+     "T-Jacobian sparsity patterns (conv / max-pool / ReLU)"),
+    ("fig8_bitstreams", fig8_bitstreams, "Figure 8 / Eq. 8",
+     "the bitstream classification dataset"),
+    ("eq6_complexity", eq6_complexity, "Eqs. 6–7",
+     "step and work complexity on real executor schedules"),
+    ("scaling_comparison", scaling_comparison, "Figure 1 (claim)",
+     "BPPSA vs naïve/GPipe critical-path scaling"),
+    ("fig10_sensitivity", fig10_sensitivity, "Figure 10",
+     "speedup sensitivity to sequence length T and batch size B"),
+    ("fig11_flops", fig11_flops, "Figure 11 / §4.2",
+     "measured per-step FLOPs on pruned VGG-11"),
+    ("ablation_truncation", ablation_truncation, "§5.2",
+     "truncation-depth ablation of the truncated scan"),
+    ("fig7_convergence", fig7_convergence, "Figure 7 / §3.5",
+     "LeNet-5 convergence: taped BP vs FeedforwardBPPSA"),
+    ("fig9_rnn_curve", fig9_rnn_curve, "Figure 9 / §5.1",
+     "RNN loss vs wall-clock, the headline workload"),
 ]
 
 
@@ -69,7 +85,7 @@ def run_all(scale: Scale, config: "ScanConfig | str | None" = None) -> Dict[str,
     config = ScanConfig.coerce(config)
     reports: Dict[str, str] = {}
     summary: List[Tuple[str, int, float]] = []
-    for name, module in ARTIFACTS:
+    for name, module, _, _ in ARTIFACTS:
         t0 = time.perf_counter()
         result = module.run(scale, config=config)
         elapsed = time.perf_counter() - t0

@@ -1,39 +1,29 @@
-"""repro.workloads — named models as first-class scan workloads.
+"""repro.workloads — two model-level bench workloads.
 
-The workload plane (DESIGN.md §2f): a registry of named specs — model
-factory, per-scale input shapes, and the *expected Jacobian block
-structure* of every engine stage — that the bench runner sweeps like
-any other artifact and tests validate structurally.  Two workloads
-ship: ``transformer_block`` (attention's dense per-sample Jacobian +
-LayerNorm/MLP block-sparsity as a SparsePolicy stress) and
-``pruned_mlp`` (the train → magnitude-prune → retrain pipeline whose
-weight sparsity becomes scan-operand sparsity becomes speedup).
+The workload plane (DESIGN.md §2f): each module declares ``PARAMS``
+keyed by :class:`~repro.experiments.common.Scale` and a seeded
+``build(scale)`` returning the model and one ``(x, targets)`` batch,
+like every experiment, plus the rows function the bench runner times.
+``transformer`` is the ``transformer_scan`` artifact (attention's dense
+per-sample Jacobian + LayerNorm/MLP block-sparsity as a SparsePolicy
+stress); ``pruning_pipeline`` is ``pruned_sparsity`` (the train →
+magnitude-prune → retrain pipeline whose weight sparsity becomes
+scan-operand sparsity becomes speedup).  Both report
+:func:`stage_structures`, the storage form each stage's Jacobian lands
+in.
 """
 
 from repro.workloads.pruning_pipeline import (
     pruned_sparsity_metrics,
     pruned_sparsity_rows,
 )
-from repro.workloads.registry import (
-    WORKLOADS,
-    WorkloadSpec,
-    get_workload,
-    stage_structures,
-    structure_tag,
-    validate_workload,
-    workload_names,
-)
+from repro.workloads.structure import stage_structures, structure_tag
 from repro.workloads.transformer import transformer_scan_rows
 
 __all__ = [
-    "WORKLOADS",
-    "WorkloadSpec",
-    "get_workload",
     "pruned_sparsity_metrics",
     "pruned_sparsity_rows",
     "stage_structures",
     "structure_tag",
     "transformer_scan_rows",
-    "validate_workload",
-    "workload_names",
 ]

@@ -1,35 +1,43 @@
 """The ``pruned_sparsity`` workload: train → prune → retrain → measure.
 
 The paper's Section 4.2 pipeline as a first-class bench artifact.  For
-each pruning fraction the ``pruned_mlp`` workload is trained for a few
-BPPSA steps, magnitude-pruned, retrained with the mask re-applied (and
-*asserted*) after every optimizer step, and then measured twice on the
-same batch: once through a dense engine (``sparse="off"``, dense
-Linear Jacobians) and once through a CSR engine
-(``sparse_linear_tol=0.0``, ``sparse="on"``).  The rows track how
-weight sparsity turns into scan-operand sparsity and how that turns
-into a dense-vs-sparse gradient-step speedup — the Figure 11 causal
-chain, end to end, on one model.
+each pruning fraction a ReLU MLP is trained for a few BPPSA steps,
+magnitude-pruned, retrained with the mask re-applied (and *asserted*)
+after every optimizer step, and then measured twice on the same batch:
+once through a dense engine (``sparse="off"``, dense Linear Jacobians)
+and once through a CSR engine (``sparse_linear_tol=0.0``,
+``sparse="on"``).  The rows track how weight sparsity turns into
+scan-operand sparsity and how that turns into a dense-vs-sparse
+gradient-step speedup — the Figure 11 causal chain, end to end, on one
+model.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 import numpy as np
 
+from repro.config import ScanConfig, build_engine
 from repro.experiments.common import Scale
-from repro.workloads.registry import get_workload, stage_structures
+from repro.nn.models import make_mlp
+from repro.optim import SGD
+from repro.pruning import magnitude_prune, model_sparsity
+from repro.workloads.structure import stage_structures
 
-#: Pruning fractions per scale (the paper's headline setting is 97 %).
-FRACTIONS = {
-    Scale.SMOKE: (0.0, 0.5, 0.9),
-    Scale.PAPER: (0.0, 0.5, 0.9, 0.97),
+#: MLP sizes, pruning fractions (the paper's headline setting is 97 %)
+#: and training steps before pruning / retraining steps after, per scale.
+PARAMS = {
+    Scale.SMOKE: {
+        "d_in": 32, "hidden": 48, "classes": 4, "batch": 16,
+        "fractions": (0.0, 0.5, 0.9), "steps": (4, 3),
+    },
+    Scale.PAPER: {
+        "d_in": 128, "hidden": 192, "classes": 10, "batch": 32,
+        "fractions": (0.0, 0.5, 0.9, 0.97), "steps": (12, 8),
+    },
 }
-
-#: Training steps before pruning / retraining steps after, per scale.
-TRAIN_STEPS = {Scale.SMOKE: (4, 3), Scale.PAPER: (12, 8)}
 
 #: Timed gradient computations per (fraction, engine) cell; the row
 #: records the fastest, the steady-state per-step cost.
@@ -40,6 +48,16 @@ TIMING_REPEATS = 3
 #: dense and CSR engines, the measurement batch, and the mask set — so
 #: repeated timed calls re-measure warm engines instead of re-training.
 _STATE: Dict[tuple, list] = {}
+
+
+def build(scale: Scale):
+    """The MLP (seed 0) and one ``(x, targets)`` batch (seed 1)."""
+    p = PARAMS[scale]
+    sizes = [p["d_in"], p["hidden"], p["hidden"], p["classes"]]
+    model = make_mlp(sizes, activation="relu", rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((p["batch"], p["d_in"]))
+    return model, x, rng.integers(0, p["classes"], size=p["batch"])
 
 
 def _train(engine, opt, masks, x, targets, steps: int) -> None:
@@ -54,17 +72,11 @@ def _train(engine, opt, masks, x, targets, steps: int) -> None:
             masks.assert_applied(engine.model)
 
 
-def _prepare(scale: Scale, cfg) -> list:
-    from repro.config import ScanConfig, build_engine
-    from repro.optim import SGD
-    from repro.pruning import magnitude_prune, model_sparsity
-
-    wl = get_workload("pruned_mlp")
-    pre_steps, retrain_steps = TRAIN_STEPS[scale]
+def _prepare(scale: Scale, cfg: ScanConfig) -> list:
+    pre_steps, retrain_steps = PARAMS[scale]["steps"]
     states = []
-    for fraction in FRACTIONS[scale]:
-        model = wl.build_model(scale)
-        x, targets = wl.make_batch(scale)
+    for fraction in PARAMS[scale]["fractions"]:
+        model, x, targets = build(scale)
         dense_engine = build_engine(
             model,
             ScanConfig(
@@ -121,20 +133,13 @@ def _best_seconds(engine, x, targets) -> float:
     return best
 
 
-def pruned_sparsity_rows(
-    scale: Scale,
-    spec: Optional[str],
-    sparse: Optional[str],
-) -> List[Dict[str, Any]]:
+def pruned_sparsity_rows(scale: Scale, cfg: ScanConfig) -> List[Dict[str, Any]]:
     """One dense-vs-CSR gradient-step comparison per pruning fraction.
 
-    The runner's ``sparse`` argument is unused by design: this artifact
-    sweeps the dense/CSR axis *internally* (that contrast per fraction
-    IS the measurement), so it registers as backend-sensitive only.
+    Only the resolved config's executor is read: this artifact sweeps
+    the dense/CSR axis *internally* (that contrast per fraction IS the
+    measurement), so it registers as backend-sensitive only.
     """
-    from repro.bench.runner import measurement_config
-
-    cfg = measurement_config(spec, sparse).resolve()
     key = (scale, cfg.executor)
     states = _STATE.get(key)
     if states is None:

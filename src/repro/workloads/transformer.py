@@ -1,22 +1,33 @@
 """The ``transformer_scan`` workload: a transformer block as a scan.
 
-One full BPPSA gradient computation of the ``transformer_block``
-workload per timed call — softmax attention contributes the engine's
-only (B, T·d, T·d) *dense per-sample* stage, LayerNorm a block-diagonal
-per-sample CSR, and the position-wise MLP Linears shared CSRs of
-density exactly 1/T, so a single chain stresses every storage form the
-:class:`~repro.scan.SparsePolicy` dispatches on.  Swept per backend ×
-sparse mode by the bench runner, the artifact answers: what does each
-dispatch mode pay on a chain that *mixes* structurally-dense and
-block-sparse stages?
+One full BPPSA gradient computation of a single-head transformer block
+and linear head per timed call — softmax attention contributes the
+engine's only (B, T·d, T·d) *dense per-sample* stage, LayerNorm a
+block-diagonal per-sample CSR, and the position-wise MLP Linears shared
+CSRs of density exactly 1/T, so a single chain stresses every storage
+form the :class:`~repro.scan.SparsePolicy` dispatches on.  Swept per
+backend × sparse mode by the bench runner, the artifact answers: what
+does each dispatch mode pay on a chain that *mixes* structurally-dense
+and block-sparse stages?
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
+import numpy as np
+
+from repro.config import ScanConfig, build_engine
 from repro.experiments.common import Scale
-from repro.workloads.registry import get_workload, stage_structures
+from repro.nn.attention import make_transformer_classifier
+from repro.workloads.structure import stage_structures
+
+#: Block sizes per scale: sequence length, model and MLP widths,
+#: classes, batch.
+PARAMS = {
+    Scale.SMOKE: {"seq_len": 8, "d_model": 16, "d_ff": 32, "classes": 4, "batch": 4},
+    Scale.PAPER: {"seq_len": 16, "d_model": 32, "d_ff": 64, "classes": 10, "batch": 8},
+}
 
 #: Steady-state cache, keyed like the runner's ``_SPARSE_SCAN_STATE``:
 #: (engine, batch, structure rows) per measurement cell, so repeated
@@ -26,37 +37,35 @@ from repro.workloads.registry import get_workload, stage_structures
 _STATE: Dict[tuple, tuple] = {}
 
 
-def transformer_scan_rows(
-    scale: Scale,
-    spec: Optional[str],
-    sparse: Optional[str],
-) -> List[Dict[str, Any]]:
-    """One Blelloch scan-backprop pass of the transformer block on the
-    given backend and sparse dispatch mode."""
-    from repro.bench.runner import measurement_config
-    from repro.config import ScanConfig, build_engine
+def build(scale: Scale):
+    """The block (seed 0) and one ``(x, targets)`` batch (seed 1)."""
+    p = PARAMS[scale]
+    model = make_transformer_classifier(
+        p["seq_len"], p["d_model"], p["classes"], d_ff=p["d_ff"],
+        rng=np.random.default_rng(0),
+    )
+    rng = np.random.default_rng(1)
+    x = rng.standard_normal((p["batch"], p["seq_len"], p["d_model"]))
+    return model, x, rng.integers(0, p["classes"], size=p["batch"])
 
-    wl = get_workload("transformer_block")
-    p = wl.params(scale)
-    cfg = measurement_config(spec, sparse).resolve()
+
+def transformer_scan_rows(scale: Scale, cfg: ScanConfig) -> List[Dict[str, Any]]:
+    """One Blelloch scan-backprop pass of the transformer block on the
+    resolved config's backend and sparse dispatch mode."""
     key = (scale, cfg.executor, cfg.sparse)
     state = _STATE.get(key)
     if state is None:
-        model = wl.build_model(scale)
-        x, targets = wl.make_batch(scale)
+        model, x, targets = build(scale)
         engine = build_engine(
             model,
             ScanConfig(
                 algorithm="blelloch", executor=cfg.executor, sparse=cfg.sparse
             ),
         )
-        structure = stage_structures(
-            model, x, sparse_linear_tol=wl.sparse_linear_tol
-        )
-        _STATE[key] = (engine, x, targets, structure)
-    else:
-        engine, x, targets, structure = state
+        _STATE[key] = state = (engine, x, targets, stage_structures(model, x))
+    engine, x, targets, structure = state
     grads = engine.compute_gradients(x, targets)
+    p = PARAMS[scale]
     return [
         {
             "seq_len": p["seq_len"],

@@ -5,9 +5,9 @@ deterministic URL scheme (slugs and paths are deep-link surface), HTML
 well-formedness + self-containment via the site checker, byte-identical
 rebuilds, delta verdicts identical to the ``repro.bench.compare`` gate,
 a golden-file render of one artifact page, the BENCHMARKS.md table
-staying in sync with the catalog, and the docstring coverage the ruff
-D1xx CI rules enforce (re-checked here via AST so the audit also runs
-where ruff is not installed).
+staying in sync with the bench runner's artifact table, and the
+docstring coverage the ruff D1xx CI rules enforce (re-checked here via
+AST so the audit also runs where ruff is not installed).
 """
 
 import ast
@@ -18,8 +18,8 @@ import pytest
 
 from repro.bench.compare import compare_results
 from repro.bench.record import BenchRecord, TimingStats
+from repro.bench.runner import artifact_names
 from repro.dashboard import backend_slug, build_site, check_site, markdown_table
-from repro.dashboard.catalog import catalog_names, validate_catalog
 from repro.dashboard.loader import (
     Snapshot,
     load_history,
@@ -61,9 +61,9 @@ def _rec(artifact, backend="serial", times=(0.010, 0.012, 0.011), metrics=None):
 
 
 def _corpus():
-    """One current record per catalog artifact, plus swept extras."""
+    """One current record per bench artifact, plus swept extras."""
     records = []
-    for name in catalog_names():
+    for name in artifact_names():
         metrics = _SERVE_METRICS if name == "serve_throughput" else None
         records.append(_rec(name, metrics=metrics))
     records.append(_rec("parallel_backends", backend="thread:2", times=(0.02, 0.021)))
@@ -76,7 +76,7 @@ def _corpus():
 def _baseline():
     """Baseline shaped to produce every delta status against _corpus()."""
     records = []
-    for name in catalog_names():
+    for name in artifact_names():
         metrics = _SERVE_METRICS if name == "serve_throughput" else None
         if name == "parallel_backends":
             times = (0.001, 0.0012, 0.0011)  # current is 10× slower: regression
@@ -115,7 +115,7 @@ class TestUrlScheme:
     def test_page_paths_are_deterministic(self, site):
         rel = {str(p.relative_to(site)) for p in site.rglob("*.html")}
         expected = {"index.html", "delta/index.html"}
-        expected |= {f"artifact/{name}/index.html" for name in catalog_names()}
+        expected |= {f"artifact/{name}/index.html" for name in artifact_names()}
         expected |= {
             "backend/serial/index.html",
             "backend/thread-2/index.html",
@@ -124,8 +124,8 @@ class TestUrlScheme:
         assert rel == expected
 
     def test_every_catalog_artifact_gets_a_page(self, site):
-        assert len(catalog_names()) >= 17
-        for name in catalog_names():
+        assert len(artifact_names()) >= 17
+        for name in artifact_names():
             assert (site / "artifact" / name / "index.html").is_file()
 
 
@@ -143,12 +143,6 @@ class TestSiteIntegrity:
         for page in sorted(site.rglob("*.html")):
             rel = page.relative_to(site)
             assert (tmp_path / rel).read_bytes() == page.read_bytes(), rel
-
-    def test_catalog_matches_bench_runner(self):
-        from repro.bench.runner import artifact_names
-
-        validate_catalog()
-        assert catalog_names() == artifact_names()
 
 
 def _parse_delta_rows(delta_html):

@@ -1,4 +1,5 @@
-"""Every backticked ``repro.…`` name and repo path in the docs resolves.
+"""Every backticked ``repro.…`` name and repo path in the docs resolves,
+and so does every ``from repro… import …`` line in their code blocks.
 
 README.md, DESIGN.md and BENCHMARKS.md point readers at the code by
 name, so a rename that forgets them fails here.  MIGRATION.md names
@@ -17,6 +18,8 @@ DOCS = ("README.md", "DESIGN.md", "BENCHMARKS.md")
 #: is not checked.
 TOP = ("src", "tests", "examples", "perfbench", "benchmarks", ".github", "repro")
 
+FENCE = re.compile(r"```.*?```", re.S)
+IMPORT = re.compile(r"^\s*from (repro[\w.]*) import ([\w, ]+)$", re.M)
 SPAN = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
 NAME = re.compile(r"repro(?:\.\w+)+")
 PATH = re.compile(r"[\w.-]+(?:/[\w.-]*)+")
@@ -27,7 +30,7 @@ def references():
     """``(doc, reference)`` for every name or path the docs backtick."""
     refs = []
     for doc in DOCS:
-        text = re.sub(r"```.*?```", "", (ROOT / doc).read_text(), flags=re.S)
+        text = FENCE.sub("", (ROOT / doc).read_text())
         for span in SPAN.findall(text):
             span = LINES.sub("", span.strip())
             name = NAME.match(span)
@@ -35,6 +38,19 @@ def references():
                 refs.append((doc, name.group(0)))
             elif PATH.fullmatch(span) and span.split("/")[0] in TOP:
                 refs.append((doc, span))
+    return refs
+
+
+def code_imports():
+    """``(doc, "module.name")`` for every name a code block imports from
+    ``repro``."""
+    refs = []
+    for doc in DOCS:
+        for block in FENCE.findall((ROOT / doc).read_text()):
+            for module, names in IMPORT.findall(block):
+                refs += [
+                    (doc, f"{module}.{name.split()[0]}") for name in names.split(",")
+                ]
     return refs
 
 
@@ -59,3 +75,9 @@ def test_every_doc_reference_resolves():
     refs = references()
     assert len(refs) > 100, "the extractor found too few references"
     assert [(doc, ref) for doc, ref in refs if not resolves(ref)] == []
+
+
+def test_every_code_block_import_resolves():
+    imports = code_imports()
+    assert len(imports) > 5, "the extractor found too few imports"
+    assert [(doc, ref) for doc, ref in imports if not resolves(ref)] == []

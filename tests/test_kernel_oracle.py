@@ -356,7 +356,7 @@ class TestEngineKernelOracle:
 # the transformer workload cell
 # ---------------------------------------------------------------------------
 class TestTransformerWorkloadOracle:
-    """The ``transformer_block`` workload's gradients are bitwise-
+    """The ``transformer_scan`` workload's gradients are bitwise-
     identical across backend × sparse mode.
 
     The chain mixes every Jacobian storage form the engine produces
@@ -367,11 +367,10 @@ class TestTransformerWorkloadOracle:
 
     @staticmethod
     def _grads(backend, sparse):
-        from repro.workloads import get_workload
+        from repro.experiments.common import Scale
+        from repro.workloads import transformer
 
-        wl = get_workload("transformer_block")
-        model = wl.build_model("smoke")
-        x, y = wl.make_batch("smoke")
+        model, x, y = transformer.build(Scale.SMOKE)
         with FeedforwardBPPSA(model, config=f"{backend}/sparse={sparse}") as eng:
             grads = eng.compute_gradients(x, y)
         return {

@@ -237,6 +237,29 @@ class TestEngineServer:
         engine_stats = next(iter(stats["engines"]["per_spec"].values()))
         assert engine_stats["scans"] < engine_stats["jobs"] == 4
 
+    def test_merged_jobs_stay_separate(self, rng):
+        """A NaN in one merged job's Jacobian never reaches the other
+        job: every ⊙ on a merged dense chain works sample by sample."""
+        clean, poisoned = dense_job(rng), dense_job(rng)
+        # slot 3 is read by the level-0 up-sweep (the last slot never is)
+        poisoned[3].data[1, 2, 5] = np.nan
+
+        async def main():
+            async with EngineServer(max_batch=2, max_wait_ms=200) as server:
+                outs = await asyncio.gather(
+                    server.submit("blelloch/serial", clean),
+                    server.submit("blelloch/serial", poisoned),
+                )
+                return outs, server.stats()
+
+        (clean_out, poisoned_out), stats = run(main())
+        assert all(np.isfinite(o.data).all() for o in clean_out[1:])
+        assert_scans_equal(clean_out, serial_reference("blelloch", clean))
+        assert any(np.isnan(o.data).any() for o in poisoned_out[1:])
+        assert stats["batching"]["merged_jobs"] == 2
+        assert stats["jobs"]["completed"] == 2
+        assert stats["jobs"]["failed"] == 0
+
     def test_distinct_specs_use_distinct_engines(self, rng):
         async def main():
             async with EngineServer(max_wait_ms=0) as server:

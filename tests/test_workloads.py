@@ -1,4 +1,4 @@
-"""The workload plane: attention Jacobians, the registry, the pipeline.
+"""The workload plane: attention Jacobians, stage structure, the pipeline.
 
 Three layers of guarantees:
 
@@ -11,8 +11,8 @@ Three layers of guarantees:
   one weight);
 * a transformer block flows through ``build_engine`` and reproduces
   the taped reference gradients on every scan algorithm;
-* the registry's declared per-stage Jacobian structure matches what
-  the dispatch actually produces, and both bench workloads emit
+* each bench workload's expected per-stage Jacobian structure matches
+  what the dispatch actually produces, and both bench workloads emit
   well-formed rows.
 """
 
@@ -21,7 +21,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.config import ScanConfig
 from repro.core import FeedforwardBPPSA
+from repro.experiments.common import Scale
 from repro.jacobian import (
     attention_tjac_batched,
     autograd_tjac,
@@ -40,11 +42,10 @@ from repro.nn.layers import Linear
 from repro.pruning import magnitude_prune
 from repro.tensor import Tensor
 from repro.workloads import (
-    WORKLOADS,
-    get_workload,
+    pruning_pipeline,
     stage_structures,
     structure_tag,
-    validate_workload,
+    transformer,
 )
 
 loss_fn = CrossEntropyLoss()
@@ -162,28 +163,59 @@ class TestTransformerEngine:
 
 
 # ---------------------------------------------------------------------------
-# the registry
+# the bench workloads' stage structure
 # ---------------------------------------------------------------------------
-class TestRegistry:
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
-    def test_declared_structure_matches_dispatch(self, name):
-        validate_workload(get_workload(name))
+#: Each bench workload's module, the ``sparse_linear_tol`` its engines
+#: run with, and the structure tag of every stage in forward order.
+EXPECTED_STRUCTURE = {
+    # SelfAttention, LayerNorm, Linear, ReLU, Linear, LayerNorm,
+    # Flatten, Linear head.
+    "transformer_block": (
+        transformer,
+        None,
+        (
+            "dense-per-sample",
+            "sparse-per-sample",
+            "sparse-shared",
+            "sparse-per-sample",
+            "sparse-shared",
+            "sparse-per-sample",
+            "identity",
+            "dense-shared",
+        ),
+    ),
+    # Linear, ReLU, Linear, ReLU, Linear: CSR Linears at tol 0.0.
+    "pruned_mlp": (
+        pruning_pipeline,
+        0.0,
+        (
+            "sparse-shared",
+            "sparse-per-sample",
+            "sparse-shared",
+            "sparse-per-sample",
+            "sparse-shared",
+        ),
+    ),
+}
 
-    def test_unknown_workload_lists_catalog(self):
-        with pytest.raises(KeyError, match="transformer_block"):
-            get_workload("resnet")
+
+class TestRegistry:
+    @pytest.mark.parametrize("name", sorted(EXPECTED_STRUCTURE))
+    def test_declared_structure_matches_dispatch(self, name):
+        module, tol, expected = EXPECTED_STRUCTURE[name]
+        model, x, _ = module.build(Scale.SMOKE)
+        rows = stage_structures(model, x, sparse_linear_tol=tol)
+        assert tuple(row["structure"] for row in rows) == expected
 
     def test_factories_are_deterministic(self):
-        wl = get_workload("transformer_block")
-        a = wl.build_model("smoke", seed=3)
-        b = wl.build_model("smoke", seed=3)
+        model_a, xa, ya = transformer.build(Scale.SMOKE)
+        model_b, xb, yb = transformer.build(Scale.SMOKE)
         for (_, pa), (_, pb) in zip(
-            a.named_parameters(), b.named_parameters()
+            model_a.named_parameters(), model_b.named_parameters()
         ):
             np.testing.assert_array_equal(pa.data, pb.data)
-        xa, _ = wl.make_batch("smoke", seed=5)
-        xb, _ = wl.make_batch("smoke", seed=5)
         np.testing.assert_array_equal(xa, xb)
+        np.testing.assert_array_equal(ya, yb)
 
     def test_stage_structures_tags(self, rng):
         model = make_transformer_classifier(3, 4, 2, rng=rng)
@@ -204,10 +236,8 @@ class TestRegistry:
 # ---------------------------------------------------------------------------
 class TestBenchWorkloads:
     def test_transformer_scan_rows(self):
-        from repro.experiments.common import Scale
-        from repro.workloads import transformer_scan_rows
-
-        rows = transformer_scan_rows(Scale.SMOKE, "serial", "on")
+        cfg = ScanConfig(executor="serial", sparse="on").resolve()
+        rows = transformer.transformer_scan_rows(Scale.SMOKE, cfg)
         assert len(rows) == 8
         assert {r["structure"] for r in rows} == {
             "dense-per-sample",
@@ -219,13 +249,8 @@ class TestBenchWorkloads:
         assert all(r["backend"] == "serial" for r in rows)
 
     def test_pruned_sparsity_rows(self):
-        from repro.experiments.common import Scale
-        from repro.workloads import (
-            pruned_sparsity_metrics,
-            pruned_sparsity_rows,
-        )
-
-        rows = pruned_sparsity_rows(Scale.SMOKE, "serial", None)
+        cfg = ScanConfig(executor="serial").resolve()
+        rows = pruning_pipeline.pruned_sparsity_rows(Scale.SMOKE, cfg)
         fractions = [r["fraction"] for r in rows]
         assert fractions == [0.0, 0.5, 0.9]
         # pruning must drain the scan operands monotonically
@@ -234,7 +259,7 @@ class TestBenchWorkloads:
         for r in rows:
             assert abs(r["weight_sparsity"] - r["fraction"]) < 0.01
             assert r["dense_ms"] > 0 and r["sparse_ms"] > 0
-        metrics = pruned_sparsity_metrics(rows)
+        metrics = pruning_pipeline.pruned_sparsity_metrics(rows)
         assert metrics["max_fraction"] == 0.9
         assert (
             metrics["stage_density_at_max_fraction"] == densities[-1]
